@@ -5,8 +5,7 @@
 #include <utility>
 
 #include "runtime/fault_injection.h"
-#include "telemetry/telemetry.h"
-#include "telemetry/trace.h"
+#include "telemetry/obs.h"
 #include "util/logging.h"
 
 namespace snip {
@@ -14,9 +13,8 @@ namespace snip {
 SchemeUpdateResult
 runSchemeUpdate(const SchemeUpdateRequest &request)
 {
-    trace::TraceScope span(trace::Category::Scheme, "scheme_solve",
-                           "epoch",
-                           static_cast<int64_t>(request.epoch));
+    obs::Scope span(trace::Category::Scheme, "scheme_solve", "epoch",
+                    static_cast<int64_t>(request.epoch));
     const auto start = std::chrono::steady_clock::now();
 
     if (SNIP_FAULT_POINT("scheme.solve"))

@@ -4,8 +4,7 @@
 #include <chrono>
 
 #include "async/scheme_service.h"
-#include "telemetry/telemetry.h"
-#include "telemetry/trace.h"
+#include "telemetry/obs.h"
 #include "util/logging.h"
 
 namespace snip {
@@ -181,9 +180,8 @@ SnipController::adoptPending(LlamaModel &model)
     }
     const auto t0 = std::chrono::steady_clock::now();
     SchemeUpdateResult result = [&] {
-        trace::TraceScope span(trace::Category::Scheme, "handoff_wait",
-                               "epoch",
-                               static_cast<int64_t>(pending_epoch_));
+        obs::Scope span(trace::Category::Scheme, "handoff_wait", "epoch",
+                        static_cast<int64_t>(pending_epoch_));
         return service_->wait(pending_epoch_);
     }();
     // Any earlier blocking wait on this epoch (exportState during a

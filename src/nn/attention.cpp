@@ -11,8 +11,7 @@
 #include "serve/kv_cache.h"
 #include "simd/dispatch.h"
 #include "simd/kernels.h"
-#include "telemetry/telemetry.h"
-#include "telemetry/trace.h"
+#include "telemetry/obs.h"
 #include "tensor/gemm.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -522,10 +521,8 @@ attentionForwardCore(const AttnShape &s, const float *q, const float *k,
                      const float *v, float *probs, float *ctx)
 {
     validateShape(s);
-    telemetry::ScopedTimer timer(telemetry::Timer::AttnFwd);
-    telemetry::count(telemetry::Counter::AttnFwdCalls);
-    trace::TraceScope span(trace::Category::Attn, "attn_fwd", "batch",
-                           s.batch, "heads", s.n_heads);
+    obs::Scope timed(telemetry::Timer::AttnFwd, trace::Category::Attn,
+                     "attn_fwd", "batch", s.batch, "heads", s.n_heads);
     if (attnMode() == AttnMode::Par)
         forwardPar(s, q, k, v, probs, ctx);
     else
@@ -538,10 +535,8 @@ attentionBackwardCore(const AttnShape &s, const float *q, const float *k,
                       const float *dctx, float *dq, float *dk, float *dv)
 {
     validateShape(s);
-    telemetry::ScopedTimer timer(telemetry::Timer::AttnBwd);
-    telemetry::count(telemetry::Counter::AttnBwdCalls);
-    trace::TraceScope span(trace::Category::Attn, "attn_bwd", "batch",
-                           s.batch, "heads", s.n_heads);
+    obs::Scope timed(telemetry::Timer::AttnBwd, trace::Category::Attn,
+                     "attn_bwd", "batch", s.batch, "heads", s.n_heads);
     if (attnMode() == AttnMode::Par)
         backwardPar(s, q, k, v, probs, dctx, dq, dk, dv);
     else

@@ -1,12 +1,10 @@
 #include "runtime/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 
 #include "runtime/env_config.h"
-#include "telemetry/telemetry.h"
-#include "telemetry/trace.h"
+#include "telemetry/obs.h"
 #include "util/logging.h"
 
 namespace snip {
@@ -81,9 +79,7 @@ ThreadPool::inParallelRegion()
 void
 ThreadPool::runChunks(Job &job)
 {
-    const bool telem = telemetry::enabled();
-    const auto busy0 = telem ? std::chrono::steady_clock::now()
-                             : std::chrono::steady_clock::time_point();
+    obs::Scope busy(telemetry::Seconds::PoolBusy);
     const bool was_in_region = t_in_parallel_region;
     t_in_parallel_region = true;
     for (;;) {
@@ -107,12 +103,6 @@ ThreadPool::runChunks(Job &job)
         job.done_chunks.fetch_add(1, std::memory_order_release);
     }
     t_in_parallel_region = was_in_region;
-    if (telem)
-        telemetry::addSeconds(
-            telemetry::Seconds::PoolBusy,
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - busy0)
-                .count());
 }
 
 void
@@ -162,41 +152,28 @@ ThreadPool::parallelFor(int64_t begin, int64_t end, int64_t grain,
     const int64_t n = end - begin;
     const int64_t n_chunks = (n + grain - 1) / grain;
 
-    // Sampled span (1 in 16 per submitter): B*H fan-outs issue
-    // thousands of jobs per step and would flood the flight recorder.
+    // Timed and counted on every path (inline included) so job/chunk
+    // totals are thread-count invariant: the chunking never depends on
+    // n_threads_. The span is sampled (1 in 16 per submitter): B*H
+    // fan-outs issue thousands of jobs per step and would flood the
+    // flight recorder.
     static thread_local uint32_t t_trace_tick = 0;
     const bool traced =
         trace::enabled() && ((++t_trace_tick & 15u) == 0);
-    trace::TraceScope trace_span(traced, trace::Category::Pool,
-                                 "parallel_for", "n", n, "chunks",
-                                 n_chunks);
-
-    // Counted on every path (inline included) so job/chunk totals are
-    // thread-count invariant: the chunking never depends on n_threads_.
-    const bool telem = telemetry::enabled();
-    const auto wall0 = telem ? std::chrono::steady_clock::now()
-                             : std::chrono::steady_clock::time_point();
-    if (telem) {
-        telemetry::count(telemetry::Counter::PoolJobs);
-        telemetry::count(telemetry::Counter::PoolChunks, n_chunks);
-    }
+    obs::Scope job_scope(
+        {telemetry::Timer::PoolJob, telemetry::Seconds::PoolWall},
+        trace::Category::Pool, traced ? "parallel_for" : nullptr, "n", n,
+        "chunks", n_chunks);
+    telemetry::count(telemetry::Counter::PoolChunks, n_chunks);
 
     // Inline serial path: 1-thread pool, a single chunk, or a nested
     // call from inside a parallel region. Chunk boundaries are identical
     // to the parallel path, so numerics cannot differ.
     if (n_threads_ == 1 || n_chunks == 1 || t_in_parallel_region) {
+        obs::Scope busy(telemetry::Seconds::PoolBusy);
         for (int64_t c = 0; c < n_chunks; ++c) {
             const int64_t i0 = begin + c * grain;
             fn(i0, std::min(i0 + grain, end));
-        }
-        if (telem) {
-            const double s = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() -
-                                 wall0)
-                                 .count();
-            telemetry::addSeconds(telemetry::Seconds::PoolWall, s);
-            telemetry::addSeconds(telemetry::Seconds::PoolBusy, s);
-            telemetry::recordTimer(telemetry::Timer::PoolJob, s);
         }
         return;
     }
@@ -246,15 +223,6 @@ ThreadPool::parallelFor(int64_t begin, int64_t end, int64_t grain,
                job->n_chunks)
             done_cv_.wait(mu_);
         job_.reset();
-    }
-
-    if (telem) {
-        const double s =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - wall0)
-                .count();
-        telemetry::addSeconds(telemetry::Seconds::PoolWall, s);
-        telemetry::recordTimer(telemetry::Timer::PoolJob, s);
     }
 
     {

@@ -6,8 +6,7 @@
 #include "nn/model.h"
 #include "runtime/env_config.h"
 #include "runtime/fault_injection.h"
-#include "telemetry/telemetry.h"
-#include "telemetry/trace.h"
+#include "telemetry/obs.h"
 #include "util/logging.h"
 
 namespace snip {
@@ -138,7 +137,7 @@ Engine::admit(ServeRequest request, double now_s)
     if (trace::enabled()) {
         // The queue wait ended the instant this admission started;
         // backdate the span so the timeline shows the full wait.
-        seq.admit_ns = trace::nowNs();
+        seq.admit_ns = obs::nowNs();
         const int64_t queued_ns = static_cast<int64_t>(
             std::max(0.0, now_s - request.arrival_s) * 1e9);
         trace::record(trace::Category::Serve, "queued",
@@ -152,8 +151,8 @@ Engine::admit(ServeRequest request, double now_s)
     handle.seq_ids = &seq.slot;
     handle.count = 1;
     Tensor logits = [&] {
-        trace::TraceScope span(trace::Category::Serve, "prefill", "id",
-                               request.id, "tokens", plen);
+        obs::Scope span(trace::Category::Serve, "prefill", "id",
+                        request.id, "tokens", plen);
         return model_.forward(request.prompt, 1, plen,
                               ForwardMode::Prefill, handle);
     }();
@@ -201,9 +200,8 @@ Engine::decodeOnce(double now_s)
         step_tokens_.push_back(seq.result.tokens.back());
     }
     const int64_t count = static_cast<int64_t>(active_.size());
-    trace::TraceScope span(trace::Category::Serve, "decode_step",
-                           "width", count, "step",
-                           stats_.decode_steps);
+    obs::Scope span(trace::Category::Serve, "decode_step", "width", count,
+                    "step", stats_.decode_steps);
 
     KvCacheHandle handle;
     handle.cache = &cache_;
@@ -253,7 +251,7 @@ Engine::retire(std::size_t idx)
     if (trace::enabled() && seq.admit_ns > 0)
         trace::record(
             trace::Category::Serve, "request", seq.admit_ns,
-            trace::nowNs() - seq.admit_ns, "id", seq.result.id,
+            obs::nowNs() - seq.admit_ns, "id", seq.result.id,
             "tokens",
             static_cast<int64_t>(seq.result.tokens.size()));
     cache_.endSequence(seq.slot);

@@ -213,8 +213,7 @@ KvCache::endSequence(int64_t seq_id)
     pages_in_use_ -= released;
     seq_active_[static_cast<size_t>(seq_id)] = 0;
     --active_seqs_;
-    if (telemetry::enabled())
-        telemetry::count(telemetry::Counter::KvPageReleases, released);
+    telemetry::count(telemetry::Counter::KvPageReleases, released);
 }
 
 int64_t
@@ -226,8 +225,7 @@ KvCache::allocPage()
     const int32_t p = free_.back();
     free_.pop_back();
     ++pages_in_use_;
-    if (telemetry::enabled())
-        telemetry::count(telemetry::Counter::KvPageAllocs);
+    telemetry::count(telemetry::Counter::KvPageAllocs);
     return p;
 }
 

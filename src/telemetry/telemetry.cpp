@@ -1,21 +1,16 @@
 #include "telemetry/telemetry.h"
 
+#include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include <unistd.h>
 
-#include "runtime/env_config.h"
-#include "runtime/fault_injection.h"
 #include "runtime/thread_pool.h"
 #include "simd/dispatch.h"
 #include "tensor/gemm.h"
-#include "util/file_io.h"
-#include "util/logging.h"
 #include "util/thread_annotations.h"
 
 namespace snip {
@@ -23,7 +18,6 @@ namespace telemetry {
 
 namespace detail {
 
-std::atomic<int> g_mode{-1};
 thread_local Shard *t_shard = nullptr;
 
 Shard::Shard()
@@ -54,11 +48,9 @@ using detail::Shard;
  *  export). Hot-path reads never take this lock. */
 struct Registry
 {
-    /** Lock hierarchy: mu and flush_mu are never nested — a flusher
-     *  renders under mu, releases it, then serializes the file write
-     *  under flush_mu (SNIP_ACQUIRED_BEFORE documents the one legal
-     *  order should that ever change). */
-    util::Mutex mu SNIP_ACQUIRED_BEFORE(flush_mu);
+    /** Never held across file I/O: a flusher renders under mu,
+     *  releases it, then publishes through the exporter. */
+    util::Mutex mu;
     /** All shards ever created. Never freed: a dead thread's cells
      *  stay part of the cumulative totals (and thread_local cleanup
      *  order stays irrelevant). Intentionally leaked, like the global
@@ -67,7 +59,6 @@ struct Registry
     std::vector<Shard *> shards SNIP_GUARDED_BY(mu);
 
     Config config SNIP_GUARDED_BY(mu);
-    bool atexit_registered SNIP_GUARDED_BY(mu) = false;
 
     /** Baseline of the previous boundary (deltas are taken against
      *  it) and the boundary wall clock. */
@@ -80,16 +71,7 @@ struct Registry
     std::vector<std::string> series SNIP_GUARDED_BY(mu);
     int boundaries_since_flush SNIP_GUARDED_BY(mu) = 0;
 
-    /** Export writes happen outside mu (see prepareFlushLocked), so
-     *  concurrent flushers need their own serialization: the staging
-     *  file name is pid-derived, and two unserialized writers would
-     *  truncate each other's staging data mid-write. flush_seq (under
-     *  mu) stamps each prepared document; flush_published (under
-     *  flush_mu) drops a snapshot that lost the race to a newer one
-     *  instead of publishing stale data over it. */
-    util::Mutex flush_mu;
-    uint64_t flush_seq SNIP_GUARDED_BY(mu) = 0;
-    uint64_t flush_published SNIP_GUARDED_BY(flush_mu) = 0;
+    obs::Exporter exporter;
 };
 
 Registry &
@@ -136,35 +118,6 @@ foldLocked(Registry &reg) SNIP_REQUIRES(reg.mu)
 // ------------------------------------------------------ JSON helpers
 
 void
-appendEscaped(std::string &out, const std::string &s)
-{
-    for (char ch : s) {
-        switch (ch) {
-            case '"':
-                out += "\\\"";
-                break;
-            case '\\':
-                out += "\\\\";
-                break;
-            case '\n':
-                out += "\\n";
-                break;
-            case '\t':
-                out += "\\t";
-                break;
-            default:
-                if (static_cast<unsigned char>(ch) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-                    out += buf;
-                } else {
-                    out += ch;
-                }
-        }
-    }
-}
-
-void
 appendInt(std::string &out, const char *key, int64_t v, bool first)
 {
     char buf[64];
@@ -196,6 +149,12 @@ secondsDelta(const Snapshot &now, const Snapshot &prev, Seconds s)
     return now.secondsOf(s) - prev.secondsOf(s);
 }
 
+int64_t
+timerCountDelta(const Snapshot &now, const Snapshot &prev, Timer t)
+{
+    return now.timer(t).count - prev.timer(t).count;
+}
+
 /** One per-step record: subsystem-grouped deltas + derived rates. */
 std::string
 renderStepRecord(int64_t step, double wall_seconds, const Snapshot &now,
@@ -209,8 +168,7 @@ renderStepRecord(int64_t step, double wall_seconds, const Snapshot &now,
                           prev.timer(Timer::Gemm).sum_seconds;
     const int64_t flops = counterDelta(now, prev, Counter::GemmFlops);
     r += ", \"gemm\": {";
-    appendInt(r, "calls", counterDelta(now, prev, Counter::GemmCalls),
-              true);
+    appendInt(r, "calls", timerCountDelta(now, prev, Timer::Gemm), true);
     appendInt(r, "packed_calls",
               counterDelta(now, prev, Counter::GemmPackedCalls), false);
     appendInt(r, "legacy_calls",
@@ -242,7 +200,7 @@ renderStepRecord(int64_t step, double wall_seconds, const Snapshot &now,
     const double busy = secondsDelta(now, prev, Seconds::PoolBusy);
     const double wall = secondsDelta(now, prev, Seconds::PoolWall);
     r += ", \"pool\": {";
-    appendInt(r, "jobs", counterDelta(now, prev, Counter::PoolJobs),
+    appendInt(r, "jobs", timerCountDelta(now, prev, Timer::PoolJob),
               true);
     appendInt(r, "chunks", counterDelta(now, prev, Counter::PoolChunks),
               false);
@@ -257,10 +215,10 @@ renderStepRecord(int64_t step, double wall_seconds, const Snapshot &now,
     r += "}";
 
     r += ", \"attn\": {";
-    appendInt(r, "fwd_calls",
-              counterDelta(now, prev, Counter::AttnFwdCalls), true);
-    appendInt(r, "bwd_calls",
-              counterDelta(now, prev, Counter::AttnBwdCalls), false);
+    appendInt(r, "fwd_calls", timerCountDelta(now, prev, Timer::AttnFwd),
+              true);
+    appendInt(r, "bwd_calls", timerCountDelta(now, prev, Timer::AttnBwd),
+              false);
     appendDouble(r, "fwd_s",
                  now.timer(Timer::AttnFwd).sum_seconds -
                      prev.timer(Timer::AttnFwd).sum_seconds,
@@ -388,7 +346,7 @@ renderDocumentLocked(Registry &reg) SNIP_REQUIRES(reg.mu)
     appendInt(doc, "pid", static_cast<int64_t>(::getpid()), true);
     appendInt(doc, "threads", runtime::defaultThreadCount(), false);
     doc += ", \"simd\": \"";
-    appendEscaped(doc, simd::activeBackendName());
+    obs::appendJsonEscaped(doc, simd::activeBackendName());
     doc += "\", \"gemm_pack\": \"";
     switch (gemmPackMode()) {
         case GemmPackMode::On:
@@ -413,44 +371,16 @@ renderDocumentLocked(Registry &reg) SNIP_REQUIRES(reg.mu)
     return doc;
 }
 
-/**
- * Render the export under the lock; the CALLER writes the file after
- * releasing reg.mu. File I/O must never hold the registry mutex: the
- * write seam reenters telemetry (the "telemetry.export" fault point
- * counts its injection, which may create this thread's shard — a
- * self-deadlock if the mutex were still held), and a slow disk would
- * stall every thread's first counter bump besides.
- *
- * Returns the path to write (empty = nothing to do) in @p path, the
- * rendered document in @p doc, and its freshness stamp in @p seq —
- * pass all three to writeExport() after dropping reg.mu.
- */
-void
-prepareFlushLocked(Registry &reg, std::string *path, std::string *doc,
-                   uint64_t *seq) SNIP_REQUIRES(reg.mu)
+/** Render the export under the lock; the caller publishes it through
+ *  reg.exporter after releasing reg.mu. */
+obs::Export
+prepareFlushLocked(Registry &reg) SNIP_REQUIRES(reg.mu)
 {
     reg.boundaries_since_flush = 0;
-    path->clear();
     if (reg.config.json_path.empty())
-        return;
-    *path = reg.config.json_path;
-    *doc = renderDocumentLocked(reg);
-    *seq = ++reg.flush_seq;
-}
-
-/** Write a document prepared under reg.mu, serialized against other
- *  exporters and skipped when a newer snapshot already landed. */
-bool
-writeExport(Registry &reg, uint64_t seq, const std::string &path,
-            const std::string &doc) SNIP_EXCLUDES(reg.mu)
-{
-    util::MutexLock lk(reg.flush_mu);
-    if (seq <= reg.flush_published)
-        return true; // a newer snapshot was already published
-    if (!detail::writeFileAtomic(path, doc))
-        return false;
-    reg.flush_published = seq;
-    return true;
+        return obs::Export{};
+    return reg.exporter.prepare(reg.config.json_path,
+                                renderDocumentLocked(reg));
 }
 
 void
@@ -463,73 +393,23 @@ applyConfigLocked(Registry &reg, const Config &config)
     reg.prev = foldLocked(reg);
     reg.prev_time = std::chrono::steady_clock::now();
     reg.have_prev_time = true;
-    if (config.enabled && !config.json_path.empty() &&
-        !reg.atexit_registered) {
-        // Benches and tests rarely flush explicitly; make sure a
-        // normally-exiting process always leaves a complete document.
-        reg.atexit_registered = true;
-        std::atexit([] { (void)flush(); });
-    }
-    detail::g_mode.store(config.enabled ? 1 : 0,
-                         std::memory_order_release);
-}
-
-bool
-parseSpec(const char *spec, Config *out)
-{
-    if (spec == nullptr || *spec == '\0' ||
-        std::strcmp(spec, "off") == 0) {
-        out->enabled = false;
-        out->json_path.clear();
-        return true;
-    }
-    if (std::strcmp(spec, "on") == 0) {
-        out->enabled = true;
-        out->json_path.clear();
-        return true;
-    }
-    if (std::strncmp(spec, "json:", 5) == 0 && spec[5] != '\0') {
-        out->enabled = true;
-        out->json_path = spec + 5;
-        return true;
-    }
-    return false;
+    obs::detail::applySink(obs::kTelemetry, config);
 }
 
 } // namespace
 
 namespace detail {
 
-bool
-writeFileAtomic(const std::string &path, const std::string &content)
-{
-    // Exports are observability, not durable state: a lost export is
-    // re-rendered at the next flush, so readers-only atomicity
-    // (durable = false) is enough. Both the telemetry and the trace
-    // exporter funnel through this one seam.
-    if (SNIP_FAULT_POINT("telemetry.export"))
-        return false;
-    return fsio::writeFileAtomic(path, content, /*durable=*/false);
-}
-
-int
-resolveMode()
+void
+resolveFromEnv()
 {
     Registry &reg = registry();
     util::MutexLock lk(reg.mu);
-    int mode = g_mode.load(std::memory_order_acquire);
-    if (mode >= 0)
-        return mode; // raced with another resolver/configure()
+    if (!obs::detail::pending(obs::kTelemetry))
+        return; // raced with another resolver/configure()
     Config config;
-    const char *spec =
-        runtime::envConfig().telemetry().cstrOrNull();
-    if (!parseSpec(spec, &config)) {
-        warn("unknown SNIP_TELEMETRY value '", spec,
-             "' (expected off|on|json:<path>); telemetry disabled");
-        config = Config{};
-    }
+    obs::detail::envSinkConfig(obs::kTelemetry, &config);
     applyConfigLocked(reg, config);
-    return config.enabled ? 1 : 0;
 }
 
 Shard &
@@ -557,13 +437,12 @@ snapshot()
 void
 stepBoundary(int64_t step)
 {
-    if (!detail::on())
+    if (!enabled())
         return;
     // Resolve outside the registry lock: both may take their own.
     const int pool_threads = runtime::globalThreadPool().numThreads();
     Registry &reg = registry();
-    std::string flush_path, flush_doc;
-    uint64_t flush_seq = 0;
+    obs::Export doc;
     {
         util::MutexLock lk(reg.mu);
         const auto now_time = std::chrono::steady_clock::now();
@@ -581,28 +460,23 @@ stepBoundary(int64_t step)
         reg.have_prev_time = true;
         if (reg.config.flush_every > 0 &&
             ++reg.boundaries_since_flush >= reg.config.flush_every)
-            prepareFlushLocked(reg, &flush_path, &flush_doc,
-                               &flush_seq);
+            doc = prepareFlushLocked(reg);
     }
-    if (!flush_path.empty())
-        (void)writeExport(reg, flush_seq, flush_path, flush_doc);
+    (void)reg.exporter.publish(doc);
 }
 
 bool
 flush()
 {
-    if (detail::g_mode.load(std::memory_order_acquire) != 1)
+    if (!obs::detail::active(obs::kTelemetry))
         return true;
     Registry &reg = registry();
-    std::string path, doc;
-    uint64_t seq = 0;
+    obs::Export doc;
     {
         util::MutexLock lk(reg.mu);
-        prepareFlushLocked(reg, &path, &doc, &seq);
+        doc = prepareFlushLocked(reg);
     }
-    if (path.empty())
-        return true;
-    return writeExport(reg, seq, path, doc);
+    return reg.exporter.publish(doc);
 }
 
 int64_t
@@ -626,7 +500,7 @@ summary()
         "gemm %lld calls %.2f GFLOP %s%.1f GFLOP/s; pack cache %lld/%lld "
         "hit; arena hw %lld B; pool %lld jobs; attn %lld+%lld; scheme "
         "%lld updates (%.0f%% hidden); solve cache %lld/%lld hit",
-        static_cast<long long>(s.counter(Counter::GemmCalls)),
+        static_cast<long long>(s.timer(Timer::Gemm).count),
         static_cast<double>(s.counter(Counter::GemmFlops)) / 1e9,
         gemm_s > 0.0 ? "@ " : "",
         gemm_s > 0.0
@@ -637,9 +511,9 @@ summary()
         static_cast<long long>(s.counter(Counter::PackCacheHits) +
                                s.counter(Counter::PackCacheRebuilds)),
         static_cast<long long>(s.maxGauge(MaxGauge::ArenaHighWaterBytes)),
-        static_cast<long long>(s.counter(Counter::PoolJobs)),
-        static_cast<long long>(s.counter(Counter::AttnFwdCalls)),
-        static_cast<long long>(s.counter(Counter::AttnBwdCalls)),
+        static_cast<long long>(s.timer(Timer::PoolJob).count),
+        static_cast<long long>(s.timer(Timer::AttnFwd).count),
+        static_cast<long long>(s.timer(Timer::AttnBwd).count),
         static_cast<long long>(s.counter(Counter::SchemeUpdates)),
         s.secondsOf(Seconds::SchemeWork) > 0.0
             ? 100.0 * s.secondsOf(Seconds::SchemeHidden) /
@@ -662,7 +536,7 @@ bool
 configureFromSpec(const char *spec)
 {
     Config config;
-    if (!parseSpec(spec, &config))
+    if (!obs::parseSinkSpec(spec, &config))
         return false;
     configure(config);
     return true;

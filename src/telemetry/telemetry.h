@@ -27,8 +27,11 @@
  *    telemetry value, so enabling it cannot perturb the bit-exactness
  *    contract. With telemetry disabled every hot-path call is a single
  *    relaxed flag load and a predicted branch.
+ *  - Timed sites use obs::Scope (obs.h): one clock pair feeds the
+ *    Timer histogram here and, when tracing, the site's span.
  *
- * Enabling: the SNIP_TELEMETRY environment variable —
+ * Enabling: the SNIP_TELEMETRY environment variable (the sink grammar
+ * shared with SNIP_TRACE, sink.h) —
  *
  *   SNIP_TELEMETRY=off          disabled (default when unset)
  *   SNIP_TELEMETRY=on           collect in memory (snapshot()/summary())
@@ -49,29 +52,27 @@
 #define SNIP_TELEMETRY_TELEMETRY_H
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <string>
+
+#include "telemetry/sink.h"
 
 namespace snip {
 namespace telemetry {
 
 /** Monotonic event counts (fold = sum across shards; exported as
  *  per-step deltas). Deterministic workloads produce thread-count-
- *  independent totals for all of these (tests/test_telemetry.cpp). */
+ *  independent totals for all of these (tests/test_telemetry.cpp).
+ *  Call counts of timed sites are their Timer's count, not a Counter. */
 enum class Counter : int
 {
-    GemmCalls,         ///< GEMM driver invocations (any path)
-    GemmPackedCalls,   ///< ... that ran the packed pipeline
+    GemmPackedCalls,   ///< GEMM driver calls that ran the packed pipeline
     GemmLegacyCalls,   ///< ... that ran the pre-packing path
     GemmBatchedItems,  ///< items executed by strided-batch drivers
     GemmFlops,         ///< 2*m*n*k summed over all GEMM work
     PackCacheHits,     ///< PackedWeightCache: panel served as-is
     PackCacheRebuilds, ///< PackedWeightCache: panel (re)packed
-    PoolJobs,          ///< parallelFor invocations (incl. inline)
-    PoolChunks,        ///< chunks those invocations were cut into
-    AttnFwdCalls,      ///< attentionForwardCore invocations
-    AttnBwdCalls,      ///< attentionBackwardCore invocations
+    PoolChunks,        ///< chunks parallelFor invocations were cut into
     SolveCacheHits,    ///< ILP SolveCache lookup hits
     SolveCacheMisses,  ///< ILP SolveCache lookup misses
     SolveCacheEvicts,  ///< ILP SolveCache LRU evictions
@@ -128,13 +129,14 @@ enum class LastGauge : int
 };
 
 /** Histogram-backed timers: count + total seconds + log2(ns) buckets
- *  (fold = sum; exported as deltas). */
+ *  (fold = sum; exported as deltas). The count is the site's call
+ *  count: every invocation records exactly once. */
 enum class Timer : int
 {
-    Gemm,        ///< one GEMM driver invocation
+    Gemm,        ///< one GEMM driver invocation (any path)
     AttnFwd,     ///< one attentionForwardCore invocation
     AttnBwd,     ///< one attentionBackwardCore invocation
-    PoolJob,     ///< one parallelFor, submitter wall
+    PoolJob,     ///< one parallelFor (incl. inline), submitter wall
     SchemeWait,  ///< one handoff: trainer blocked at apply boundary
     kCount
 };
@@ -170,27 +172,10 @@ struct alignas(64) Shard
     Shard();
 };
 
-/** -1 = unresolved (parse SNIP_TELEMETRY on first use), 0 = off,
- *  1 = on. */
-extern std::atomic<int> g_mode;
-
-int resolveMode();
+/** Configure from SNIP_TELEMETRY unless configure() got there first
+ *  (the pending-output slow path of obs::recording()). */
+void resolveFromEnv();
 Shard &shardSlow();
-
-/** Write tmp + rename, so concurrent readers (and concurrent writer
- *  processes racing for the same path) always see a complete
- *  document. Shared with the trace exporter (telemetry/trace.h). */
-bool writeFileAtomic(const std::string &path,
-                     const std::string &content);
-
-inline bool
-on()
-{
-    int mode = g_mode.load(std::memory_order_relaxed);
-    if (mode < 0)
-        mode = resolveMode();
-    return mode == 1;
-}
 
 extern thread_local Shard *t_shard;
 
@@ -222,7 +207,7 @@ add(std::atomic<double> &cell, double v)
 inline bool
 enabled()
 {
-    return detail::on();
+    return obs::recording(obs::kTelemetry) != 0;
 }
 
 // ------------------------------------------------------ hot-path API
@@ -233,7 +218,7 @@ enabled()
 inline void
 count(Counter c, int64_t v = 1)
 {
-    if (!detail::on())
+    if (!enabled())
         return;
     detail::add(detail::shard().counters[static_cast<int>(c)], v);
 }
@@ -241,7 +226,7 @@ count(Counter c, int64_t v = 1)
 inline void
 addSeconds(Seconds s, double v)
 {
-    if (!detail::on())
+    if (!enabled())
         return;
     detail::add(detail::shard().seconds[static_cast<int>(s)], v);
 }
@@ -249,7 +234,7 @@ addSeconds(Seconds s, double v)
 inline void
 gaugeMax(MaxGauge g, int64_t v)
 {
-    if (!detail::on())
+    if (!enabled())
         return;
     std::atomic<int64_t> &cell =
         detail::shard().max_gauges[static_cast<int>(g)];
@@ -260,7 +245,7 @@ gaugeMax(MaxGauge g, int64_t v)
 inline void
 gaugeSet(LastGauge g, int64_t v)
 {
-    if (!detail::on())
+    if (!enabled())
         return;
     detail::shard().last_gauges[static_cast<int>(g)].store(
         v, std::memory_order_relaxed);
@@ -269,7 +254,7 @@ gaugeSet(LastGauge g, int64_t v)
 inline void
 recordTimer(Timer t, double seconds)
 {
-    if (!detail::on())
+    if (!enabled())
         return;
     detail::Shard::TimerCell &cell =
         detail::shard().timers[static_cast<int>(t)];
@@ -283,33 +268,6 @@ recordTimer(Timer t, double seconds)
     }
     detail::add(cell.buckets[bucket], 1);
 }
-
-/** RAII timer: samples the clock only when telemetry is enabled and
- *  records into @p t on destruction. */
-class ScopedTimer
-{
-  public:
-    explicit ScopedTimer(Timer t) : t_(t), armed_(detail::on())
-    {
-        if (armed_)
-            t0_ = std::chrono::steady_clock::now();
-    }
-    ~ScopedTimer()
-    {
-        if (armed_)
-            recordTimer(t_, std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0_)
-                                .count());
-    }
-
-    ScopedTimer(const ScopedTimer &) = delete;
-    ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-  private:
-    Timer t_;
-    bool armed_;
-    std::chrono::steady_clock::time_point t0_;
-};
 
 // ---------------------------------------------------- fold/export API
 
@@ -376,12 +334,10 @@ std::string summary();
 /** Programmatic configuration (tests/benches); overrides the
  *  environment, resets the series, the baseline fold and the step
  *  clock — cumulative shard cells are NOT cleared (they are
- *  monotonic), so deltas restart cleanly from here. */
-struct Config
+ *  monotonic), so deltas restart cleanly from here. An empty
+ *  json_path collects in memory only. */
+struct Config : obs::SinkConfig
 {
-    bool enabled = false;
-    /** Empty = collect in memory only. */
-    std::string json_path;
     /** Rewrite the JSON file every this many boundaries (and at
      *  process exit / flush()). */
     int flush_every = 32;

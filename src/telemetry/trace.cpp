@@ -1,16 +1,11 @@
 #include "telemetry/trace.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include <unistd.h>
 
-#include "runtime/env_config.h"
-#include "telemetry/telemetry.h"
-#include "util/logging.h"
 #include "util/thread_annotations.h"
 
 namespace snip {
@@ -18,7 +13,6 @@ namespace trace {
 
 namespace detail {
 
-std::atomic<int> g_mode{-1};
 thread_local Ring *t_ring = nullptr;
 
 } // namespace detail
@@ -35,6 +29,8 @@ const char *const kCategoryNames[kNumCategories] = {
  *  Hot-path recording never takes this lock. */
 struct Registry
 {
+    /** Never held across file I/O: flush() renders under mu,
+     *  releases it, then publishes through the exporter. */
     util::Mutex mu;
     /** All rings ever created, in registration order (the order
      *  assigns tids). Never freed; see Ring. The vector is guarded;
@@ -43,7 +39,8 @@ struct Registry
     std::vector<Ring *> rings SNIP_GUARDED_BY(mu);
 
     Config config SNIP_GUARDED_BY(mu);
-    bool atexit_registered SNIP_GUARDED_BY(mu) = false;
+
+    obs::Exporter exporter;
 };
 
 Registry &
@@ -51,46 +48,6 @@ registry()
 {
     static Registry *r = new Registry; // leaked; see rings comment
     return *r;
-}
-
-/** Steady-clock origin shared by every span. Resolved once on first
- *  use (thread-safe magic static; no lock or allocation afterwards). */
-std::chrono::steady_clock::time_point
-traceEpoch()
-{
-    static const std::chrono::steady_clock::time_point epoch =
-        std::chrono::steady_clock::now();
-    return epoch;
-}
-
-void
-appendEscaped(std::string &out, const char *s)
-{
-    for (; *s != '\0'; ++s) {
-        const char ch = *s;
-        switch (ch) {
-            case '"':
-                out += "\\\"";
-                break;
-            case '\\':
-                out += "\\\\";
-                break;
-            case '\n':
-                out += "\\n";
-                break;
-            case '\t':
-                out += "\\t";
-                break;
-            default:
-                if (static_cast<unsigned char>(ch) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-                    out += buf;
-                } else {
-                    out += ch;
-                }
-        }
-    }
 }
 
 /** A consistent copy of one cell, or failure when the read raced the
@@ -142,7 +99,7 @@ appendEvent(std::string &out, int64_t pid, int tid, const SpanCopy &s,
                ? kCategoryNames[s.cat]
                : "other";
     out += "\", \"name\": \"";
-    appendEscaped(out, s.name);
+    obs::appendJsonEscaped(out, s.name);
     out += "\"";
     if (s.arg_key[0] != nullptr || s.arg_key[1] != nullptr) {
         out += ", \"args\": {";
@@ -154,7 +111,7 @@ appendEvent(std::string &out, int64_t pid, int tid, const SpanCopy &s,
                 out += ", ";
             first_arg = false;
             out += "\"";
-            appendEscaped(out, s.arg_key[a]);
+            obs::appendJsonEscaped(out, s.arg_key[a]);
             std::snprintf(buf, sizeof(buf), "\": %lld",
                           static_cast<long long>(s.arg_val[a]));
             out += buf;
@@ -176,7 +133,7 @@ appendThreadNameEvent(std::string &out, int64_t pid, int tid,
                   "\"name\": \"thread_name\", \"args\": {\"name\": \"",
                   static_cast<long long>(pid), tid);
     out += buf;
-    appendEscaped(out, name);
+    obs::appendJsonEscaped(out, name);
     out += "\"}}";
 }
 
@@ -207,77 +164,19 @@ renderJsonLocked(Registry &reg) SNIP_REQUIRES(reg.mu)
     return doc;
 }
 
-bool
-flushLocked(Registry &reg) SNIP_REQUIRES(reg.mu)
-{
-    if (reg.config.json_path.empty())
-        return true;
-    return telemetry::detail::writeFileAtomic(reg.config.json_path,
-                                              renderJsonLocked(reg));
-}
-
-void
-applyConfigLocked(Registry &reg, const Config &config)
-    SNIP_REQUIRES(reg.mu)
-{
-    reg.config = config;
-    if (config.enabled && !config.json_path.empty() &&
-        !reg.atexit_registered) {
-        // Benches and tests rarely flush explicitly; make sure a
-        // normally-exiting process always leaves a complete document.
-        reg.atexit_registered = true;
-        std::atexit([] { (void)flush(); });
-    }
-    // Pin the shared epoch before any recorder can observe mode=on,
-    // so the first span never pays the magic-static guard.
-    (void)traceEpoch();
-    detail::g_mode.store(config.enabled ? 1 : 0,
-                         std::memory_order_release);
-}
-
-bool
-parseSpec(const char *spec, Config *out)
-{
-    if (spec == nullptr || *spec == '\0' ||
-        std::strcmp(spec, "off") == 0) {
-        out->enabled = false;
-        out->json_path.clear();
-        return true;
-    }
-    if (std::strcmp(spec, "on") == 0) {
-        out->enabled = true;
-        out->json_path.clear();
-        return true;
-    }
-    if (std::strncmp(spec, "json:", 5) == 0 && spec[5] != '\0') {
-        out->enabled = true;
-        out->json_path = spec + 5;
-        return true;
-    }
-    return false;
-}
-
 } // namespace
 
 namespace detail {
 
-int
-resolveMode()
+void
+resolveFromEnv()
 {
     Registry &reg = registry();
     util::MutexLock lk(reg.mu);
-    int mode = g_mode.load(std::memory_order_acquire);
-    if (mode >= 0)
-        return mode; // raced with another resolver/configure()
-    Config config;
-    const char *spec = runtime::envConfig().trace().cstrOrNull();
-    if (!parseSpec(spec, &config)) {
-        warn("unknown SNIP_TRACE value '", spec,
-             "' (expected off|on|json:<path>); tracing disabled");
-        config = Config{};
-    }
-    applyConfigLocked(reg, config);
-    return config.enabled ? 1 : 0;
+    if (!obs::detail::pending(obs::kTrace))
+        return; // raced with another resolver/configure()
+    obs::detail::envSinkConfig(obs::kTrace, &reg.config);
+    obs::detail::applySink(obs::kTrace, reg.config);
 }
 
 Ring &
@@ -295,18 +194,10 @@ ringSlow()
 
 } // namespace detail
 
-int64_t
-nowNs()
-{
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() - traceEpoch())
-        .count();
-}
-
 void
 setCurrentThreadName(const char *name)
 {
-    if (!detail::on())
+    if (!enabled())
         return;
     detail::ring().thread_name.store(name, std::memory_order_release);
 }
@@ -322,11 +213,17 @@ renderJson()
 bool
 flush()
 {
-    if (detail::g_mode.load(std::memory_order_acquire) != 1)
+    if (!obs::detail::active(obs::kTrace))
         return true;
     Registry &reg = registry();
-    util::MutexLock lk(reg.mu);
-    return flushLocked(reg);
+    obs::Export doc;
+    {
+        util::MutexLock lk(reg.mu);
+        if (!reg.config.json_path.empty())
+            doc = reg.exporter.prepare(reg.config.json_path,
+                                       renderJsonLocked(reg));
+    }
+    return reg.exporter.publish(doc);
 }
 
 int64_t
@@ -348,14 +245,15 @@ configure(const Config &config)
 {
     Registry &reg = registry();
     util::MutexLock lk(reg.mu);
-    applyConfigLocked(reg, config);
+    reg.config = config;
+    obs::detail::applySink(obs::kTrace, config);
 }
 
 bool
 configureFromSpec(const char *spec)
 {
     Config config;
-    if (!parseSpec(spec, &config))
+    if (!obs::parseSinkSpec(spec, &config))
         return false;
     configure(config);
     return true;

@@ -30,8 +30,11 @@
  *    state, so SNIP_TRACE=off|on cannot change training numerics.
  *    Disabled, every hook is one relaxed flag load and a predicted
  *    branch.
+ *  - Scoped sites use obs::Scope (obs.h): one clock pair feeds the
+ *    span here and, for timed sites, the telemetry histogram.
  *
- * Enabling: the SNIP_TRACE environment variable —
+ * Enabling: the SNIP_TRACE environment variable (the sink grammar
+ * shared with SNIP_TELEMETRY, sink.h) —
  *
  *   SNIP_TRACE=off          disabled (default when unset)
  *   SNIP_TRACE=on           record in memory (renderJson() on demand)
@@ -55,6 +58,8 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+
+#include "telemetry/sink.h"
 
 namespace snip {
 namespace trace {
@@ -119,20 +124,10 @@ struct Ring
     std::atomic<const char *> thread_name{nullptr};
 };
 
-/** -1 = unresolved (parse SNIP_TRACE on first use), 0 = off, 1 = on. */
-extern std::atomic<int> g_mode;
-
-int resolveMode();
+/** Configure from SNIP_TRACE unless configure() got there first (the
+ *  pending-output slow path of obs::recording()). */
+void resolveFromEnv();
 Ring &ringSlow();
-
-inline bool
-on()
-{
-    int mode = g_mode.load(std::memory_order_relaxed);
-    if (mode < 0)
-        mode = resolveMode();
-    return mode == 1;
-}
 
 extern thread_local Ring *t_ring;
 
@@ -149,26 +144,22 @@ ring()
 inline bool
 enabled()
 {
-    return detail::on();
+    return obs::recording(obs::kTrace) != 0;
 }
-
-/** Monotonic nanoseconds since the process's trace epoch (the first
- *  trace query). All span timestamps share this epoch, so spans from
- *  different threads line up on one timeline. */
-int64_t nowNs();
 
 /**
  * Record one complete span on the calling thread's ring. No-op when
- * disabled. @p name and the arg keys must be string literals (or
- * otherwise outlive the process) — the recorder stores the pointers.
- * Zero heap allocations once this thread's ring exists.
+ * disabled. @p ts_ns is on the obs::nowNs() clock. @p name and the
+ * arg keys must be string literals (or otherwise outlive the process)
+ * — the recorder stores the pointers. Zero heap allocations once this
+ * thread's ring exists.
  */
 inline void
 record(Category cat, const char *name, int64_t ts_ns, int64_t dur_ns,
        const char *k0 = nullptr, int64_t v0 = 0,
        const char *k1 = nullptr, int64_t v1 = 0)
 {
-    if (!detail::on())
+    if (!enabled())
         return;
     detail::Ring &r = detail::ring();
     const uint64_t ticket =
@@ -188,53 +179,6 @@ record(Category cat, const char *name, int64_t ts_ns, int64_t dur_ns,
     c.seq.store(ticket, std::memory_order_release);
     r.head.store(ticket, std::memory_order_release);
 }
-
-/**
- * RAII span: samples the clock only when tracing is enabled and
- * records [construction, destruction) with the args captured at
- * construction. The `armed` overload lets sampled call sites (the
- * thread pool) force-disarm without a second branch structure.
- */
-class TraceScope
-{
-  public:
-    TraceScope(Category cat, const char *name,
-               const char *k0 = nullptr, int64_t v0 = 0,
-               const char *k1 = nullptr, int64_t v1 = 0)
-        : TraceScope(detail::on(), cat, name, k0, v0, k1, v1)
-    {
-    }
-
-    TraceScope(bool armed, Category cat, const char *name,
-               const char *k0 = nullptr, int64_t v0 = 0,
-               const char *k1 = nullptr, int64_t v1 = 0)
-        : cat_(cat), name_(name), k0_(k0), v0_(v0), k1_(k1), v1_(v1),
-          armed_(armed && detail::on())
-    {
-        if (armed_)
-            t0_ns_ = nowNs();
-    }
-
-    ~TraceScope()
-    {
-        if (armed_)
-            record(cat_, name_, t0_ns_, nowNs() - t0_ns_, k0_, v0_,
-                   k1_, v1_);
-    }
-
-    TraceScope(const TraceScope &) = delete;
-    TraceScope &operator=(const TraceScope &) = delete;
-
-  private:
-    Category cat_;
-    const char *name_;
-    const char *k0_;
-    int64_t v0_;
-    const char *k1_;
-    int64_t v1_;
-    bool armed_;
-    int64_t t0_ns_ = 0;
-};
 
 /** Name the calling thread on the exported timeline (Perfetto
  *  thread_name metadata). @p name must be a static string. No-op when
@@ -256,13 +200,9 @@ int64_t spansRecorded();
 
 /** Programmatic configuration (tests, benches); overrides the
  *  environment. Rings are NOT cleared (spans already recorded stay
- *  exportable); the mode flag and sink path are replaced. */
-struct Config
-{
-    bool enabled = false;
-    /** Empty = record in memory only. */
-    std::string json_path;
-};
+ *  exportable); the mode flag and sink path are replaced. An empty
+ *  json_path records in memory only. */
+using Config = obs::SinkConfig;
 
 void configure(const Config &config);
 

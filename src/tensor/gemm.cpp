@@ -13,10 +13,9 @@
 #include "runtime/workspace_arena.h"
 #include "simd/dispatch.h"
 #include "simd/kernels.h"
-#include "util/thread_annotations.h"
-#include "telemetry/telemetry.h"
-#include "telemetry/trace.h"
+#include "telemetry/obs.h"
 #include "util/logging.h"
+#include "util/thread_annotations.h"
 
 namespace snip {
 
@@ -63,12 +62,10 @@ gemmBlockedLegacy(simd::GemmBlockFn block_fn, const float *a,
                   const float *b, float *c, int64_t m, int64_t n,
                   int64_t k, bool accumulate)
 {
-    telemetry::ScopedTimer timer(telemetry::Timer::Gemm);
-    telemetry::count(telemetry::Counter::GemmCalls);
+    obs::Scope timed(telemetry::Timer::Gemm, trace::Category::Gemm, "gemm",
+                     "m", m, "n", n);
     telemetry::count(telemetry::Counter::GemmLegacyCalls);
     telemetry::count(telemetry::Counter::GemmFlops, 2 * m * n * k);
-    trace::TraceScope span(trace::Category::Gemm, "gemm", "m", m, "n",
-                           n);
     LegacyCtx ctx{block_fn, a, b, c, m, n, k, accumulate};
     const LegacyCtx *pc = &ctx;
     runtime::parallelFor(0, mBlocks(m), 1, [pc](int64_t b0, int64_t b1) {
@@ -510,12 +507,10 @@ packedGemm(const float *a, int64_t a_ld, bool a_k_major, int64_t a_rows,
                         sizeof(float) * static_cast<size_t>(m * n));
         return;
     }
-    telemetry::ScopedTimer timer(telemetry::Timer::Gemm);
-    telemetry::count(telemetry::Counter::GemmCalls);
+    obs::Scope timed(telemetry::Timer::Gemm, trace::Category::Gemm,
+                     "gemm_packed", "m", m, "n", n);
     telemetry::count(telemetry::Counter::GemmPackedCalls);
     telemetry::count(telemetry::Counter::GemmFlops, 2 * m * n * k);
-    trace::TraceScope span(trace::Category::Gemm, "gemm_packed", "m",
-                           m, "n", n);
     const simd::KernelTable &kt = simd::activeKernels();
     runtime::WorkspaceArena &arena =
         runtime::WorkspaceArena::forCurrentThread();
@@ -679,15 +674,13 @@ gemmBatchedStreamB(simd::GemmBlockFn block_fn, const float *a,
     }
     ctx.packed = gemmBatchedPackEnabled(count, m, n, k);
 
-    telemetry::ScopedTimer timer(telemetry::Timer::Gemm);
-    telemetry::count(telemetry::Counter::GemmCalls);
+    obs::Scope timed(telemetry::Timer::Gemm, trace::Category::Gemm,
+                     "gemm_batched", "items", count, "m", m);
     telemetry::count(ctx.packed ? telemetry::Counter::GemmPackedCalls
                                 : telemetry::Counter::GemmLegacyCalls);
     telemetry::count(telemetry::Counter::GemmBatchedItems, count);
     telemetry::count(telemetry::Counter::GemmFlops,
                      2 * count * m * n * k);
-    trace::TraceScope span(trace::Category::Gemm, "gemm_batched",
-                           "items", count, "m", m);
     runtime::WorkspaceArena &arena =
         runtime::WorkspaceArena::forCurrentThread();
     runtime::ArenaScope scope(arena);
@@ -908,16 +901,13 @@ gemmBatchedTN(const float *a, int64_t a_stride, const float *b,
         return;
     }
     ctx.packed = gemmBatchedPackEnabled(count, m, n, k);
-    telemetry::ScopedTimer timer(telemetry::Timer::Gemm);
-    telemetry::count(telemetry::Counter::GemmCalls);
+    obs::Scope timed(telemetry::Timer::Gemm, trace::Category::Gemm,
+                     "gemm_batched_grouped", "items", count, "m", m);
     telemetry::count(ctx.packed ? telemetry::Counter::GemmPackedCalls
                                 : telemetry::Counter::GemmLegacyCalls);
     telemetry::count(telemetry::Counter::GemmBatchedItems, count);
     telemetry::count(telemetry::Counter::GemmFlops,
                      2 * count * m * n * k);
-    trace::TraceScope span(trace::Category::Gemm,
-                           "gemm_batched_grouped", "items", count, "m",
-                           m);
     const BatchedCtx *pc = &ctx;
     // Workers own whole GROUPS: the items of a group reduce into the
     // group's shared C sequentially (each item's product is fully

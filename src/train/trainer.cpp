@@ -1,8 +1,7 @@
 #include "train/trainer.h"
 
 #include "runtime/thread_pool.h"
-#include "telemetry/telemetry.h"
-#include "telemetry/trace.h"
+#include "telemetry/obs.h"
 #include "tensor/gemm.h"
 #include "util/logging.h"
 
@@ -31,14 +30,13 @@ Trainer::Trainer(const TrainerConfig &config)
 double
 Trainer::trainStep(SnipController *controller)
 {
-    trace::TraceScope step_span(trace::Category::Train, "step", "step",
-                                step_);
+    obs::Scope step_span(trace::Category::Train, "step", "step", step_);
     Batch batch = iter_->next();
     {
         // The apply boundary is a phase of every step, controller or
         // not: a near-zero span here means "nothing adopted".
-        trace::TraceScope span(trace::Category::Train, "scheme_apply",
-                               "step", step_);
+        obs::Scope span(trace::Category::Train, "scheme_apply", "step",
+                        step_);
         if (controller)
             controller->maybeUpdate(*model_, opt_.get(), batch, step_,
                                     &pool());
@@ -46,19 +44,16 @@ Trainer::trainStep(SnipController *controller)
 
     model_->zeroGrad();
     LossResult loss = [&] {
-        trace::TraceScope span(trace::Category::Train, "fwd", "step",
-                               step_);
+        obs::Scope span(trace::Category::Train, "fwd", "step", step_);
         return model_->forwardLoss(batch.tokens, batch.targets,
                                    batch.batch, batch.seq);
     }();
     {
-        trace::TraceScope span(trace::Category::Train, "bwd", "step",
-                               step_);
+        obs::Scope span(trace::Category::Train, "bwd", "step", step_);
         model_->backward(loss.dlogits);
     }
     {
-        trace::TraceScope span(trace::Category::Train, "optim", "step",
-                               step_);
+        obs::Scope span(trace::Category::Train, "optim", "step", step_);
         opt_->setLr(lr_.at(step_));
         opt_->step();
     }

@@ -10,17 +10,14 @@
  * resolves as a skip, and the serve engine survives overload,
  * deadlines and injected allocation faults with zero page leaks.
  *
- * Like test_trace.cpp, this binary overrides the global allocation
- * operators with counting wrappers for the zero-overhead assertions.
+ * The zero-overhead assertions count heap allocations through
+ * alloc_counter.h.
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -33,125 +30,15 @@
 #include "runtime/thread_pool.h"
 #include "serve/engine.h"
 #include "telemetry/telemetry.h"
+#include "alloc_counter.h"
 #include "testing_util.h"
 #include "train/checkpoint.h"
 #include "train/presets.h"
 #include "train/trainer.h"
 #include "util/rng.h"
 
-namespace {
-std::atomic<int64_t> g_allocs{0};
-}
-
-// Counting allocation operators (all flavors the library can reach).
-void *
-operator new(size_t n)
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](size_t n)
-{
-    return ::operator new(n);
-}
-
-void *
-operator new(size_t n, const std::nothrow_t &) noexcept
-{
-    // std::stable_sort's temporary buffer allocates through this
-    // flavor; without the override its storage would come from the
-    // default (ASan-intercepted) new but be freed by our delete.
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(n ? n : 1);
-}
-
-void *
-operator new[](size_t n, const std::nothrow_t &tag) noexcept
-{
-    return ::operator new(n, tag);
-}
-
-void *
-operator new(size_t n, std::align_val_t align)
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    void *p = nullptr;
-    if (posix_memalign(&p, static_cast<size_t>(align), n ? n : 1) != 0)
-        throw std::bad_alloc();
-    return p;
-}
-
-void *
-operator new[](size_t n, std::align_val_t align)
-{
-    return ::operator new(n, align);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, size_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, size_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-
 namespace snip {
 namespace {
-
-int64_t
-allocDelta(const std::function<void()> &fn)
-{
-    const int64_t before = g_allocs.load();
-    fn();
-    return g_allocs.load() - before;
-}
 
 /** Restores whatever SNIP_FAULT asks for when a fault-arming test
  *  ends (disarmed when the variable is unset). */
@@ -849,6 +736,7 @@ TEST(FaultServe, SoakUnderFaultScheduleDrainsWithZeroPageLeak)
 TEST(FaultTelemetry, ExportFaultFailsFlushCleanly)
 {
     FaultGuard fault_guard;
+    ObsGuard obs_guard;
     const std::string path = "test_faults_telemetry.json";
     std::remove(path.c_str());
     telemetry::Config tc;
@@ -864,10 +752,6 @@ TEST(FaultTelemetry, ExportFaultFailsFlushCleanly)
     std::ifstream in(path);
     EXPECT_TRUE(in.good());
     in.close();
-
-    telemetry::configureFromSpec(std::getenv("SNIP_TELEMETRY")
-                                     ? std::getenv("SNIP_TELEMETRY")
-                                     : "off");
     std::remove(path.c_str());
 }
 

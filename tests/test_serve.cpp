@@ -3,16 +3,11 @@
  * Serving runtime tests: decode-vs-full-sequence bit-identity (FP32 KV
  * cache), FP8 KV tolerance, thread-count determinism, page free-list
  * reuse, continuous-batching equivalence, and the zero-allocation
- * contract of a warmed decode step (counting-operator-new harness, as
- * in test_workspace.cpp).
+ * contract of a warmed decode step (counted by alloc_counter.h).
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <functional>
-#include <new>
 #include <vector>
 
 #include "nn/model.h"
@@ -21,123 +16,12 @@
 #include "serve/kv_cache.h"
 #include "serve/request_queue.h"
 #include "tensor/gemm.h"
+#include "alloc_counter.h"
 #include "testing_util.h"
 #include "train/presets.h"
 
-namespace {
-std::atomic<int64_t> g_allocs{0};
-}
-
-// Counting allocation operators (all flavors the library can reach).
-void *
-operator new(size_t n)
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](size_t n)
-{
-    return ::operator new(n);
-}
-
-void *
-operator new(size_t n, const std::nothrow_t &) noexcept
-{
-    // std::stable_sort's temporary buffer (and anything else using
-    // the nothrow flavor) must allocate through the counting wrapper
-    // too, or its storage would come from the default (possibly
-    // sanitizer-intercepted) new yet be freed by our delete.
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(n ? n : 1);
-}
-
-void *
-operator new[](size_t n, const std::nothrow_t &tag) noexcept
-{
-    return ::operator new(n, tag);
-}
-
-void *
-operator new(size_t n, std::align_val_t align)
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    void *p = nullptr;
-    if (posix_memalign(&p, static_cast<size_t>(align), n ? n : 1) != 0)
-        throw std::bad_alloc();
-    return p;
-}
-
-void *
-operator new[](size_t n, std::align_val_t align)
-{
-    return ::operator new(n, align);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, size_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, size_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-
 namespace snip {
 namespace {
-
-int64_t
-allocDelta(const std::function<void()> &fn)
-{
-    const int64_t before = g_allocs.load();
-    fn();
-    return g_allocs.load() - before;
-}
 
 ModelConfig
 microModel()

@@ -1,153 +1,24 @@
 /**
  * @file
  * Telemetry registry contracts: fold determinism across thread counts,
- * zero heap allocations on the warmed hot path (this binary overrides
- * the global allocation operators with counting wrappers, like
- * test_workspace.cpp), disabled-mode behavior, and the JSON export.
+ * zero heap allocations on the warmed hot path (counted by
+ * alloc_counter.h), disabled-mode behavior, and the JSON export.
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
+#include <cstdio>
 #include <fstream>
-#include <functional>
-#include <new>
 #include <sstream>
 #include <vector>
 
 #include "runtime/thread_pool.h"
-#include "telemetry/telemetry.h"
+#include "telemetry/obs.h"
 #include "tensor/gemm.h"
+#include "alloc_counter.h"
 #include "testing_util.h"
-
-namespace {
-std::atomic<int64_t> g_allocs{0};
-}
-
-// Counting allocation operators (all flavors the library can reach:
-// plain, array, and the aligned forms the arena uses).
-void *
-operator new(size_t n)
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](size_t n)
-{
-    return ::operator new(n);
-}
-
-void *
-operator new(size_t n, const std::nothrow_t &) noexcept
-{
-    // std::stable_sort's temporary buffer (and anything else using
-    // the nothrow flavor) must allocate through the counting wrapper
-    // too, or its storage would come from the default (possibly
-    // sanitizer-intercepted) new yet be freed by our delete.
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(n ? n : 1);
-}
-
-void *
-operator new[](size_t n, const std::nothrow_t &tag) noexcept
-{
-    return ::operator new(n, tag);
-}
-
-void *
-operator new(size_t n, std::align_val_t align)
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    void *p = nullptr;
-    if (posix_memalign(&p, static_cast<size_t>(align), n ? n : 1) != 0)
-        throw std::bad_alloc();
-    return p;
-}
-
-void *
-operator new[](size_t n, std::align_val_t align)
-{
-    return ::operator new(n, align);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, size_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, size_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
 
 namespace snip {
 namespace {
-
-int64_t
-allocDelta(const std::function<void()> &fn)
-{
-    const int64_t before = g_allocs.load();
-    fn();
-    return g_allocs.load() - before;
-}
-
-/** Restores whatever SNIP_TELEMETRY asks for when a telemetry-
- *  reconfiguring test ends (disabled when the variable is unset). */
-struct TelemetryGuard
-{
-    TelemetryGuard() = default;
-    TelemetryGuard(const TelemetryGuard &) = delete;
-    TelemetryGuard &operator=(const TelemetryGuard &) = delete;
-    ~TelemetryGuard()
-    {
-        telemetry::configureFromSpec(std::getenv("SNIP_TELEMETRY"));
-    }
-};
 
 /** Fixed instrumented workload: per-shape GEMMs on both pipelines, a
  *  strided batch, and bare parallelFor traffic. Every counter it
@@ -172,7 +43,7 @@ runWorkload()
 
 TEST(Telemetry, ConfigureFromSpecParsing)
 {
-    TelemetryGuard telem_guard;
+    ObsGuard obs_guard;
     EXPECT_TRUE(telemetry::configureFromSpec("off"));
     EXPECT_FALSE(telemetry::enabled());
     EXPECT_TRUE(telemetry::configureFromSpec("on"));
@@ -187,7 +58,7 @@ TEST(Telemetry, ConfigureFromSpecParsing)
 
 TEST(Telemetry, FoldDeterminismAcrossThreadCounts)
 {
-    TelemetryGuard telem_guard;
+    ObsGuard obs_guard;
     GlobalPoolGuard pool_guard;
     PackModeGuard mode_guard;
     setGemmPackModeByName("auto");
@@ -195,27 +66,34 @@ TEST(Telemetry, FoldDeterminismAcrossThreadCounts)
     cfg.enabled = true;
     telemetry::configure(cfg);
 
-    int64_t ref[telemetry::kNumCounters] = {};
+    // Every counter and every timer's call count.
+    int64_t ref[telemetry::kNumCounters + telemetry::kNumTimers] = {};
     bool have_ref = false;
     for (int threads : {1, 2, 8}) {
         runtime::setGlobalThreadCount(threads);
         const telemetry::Snapshot before = telemetry::snapshot();
         runWorkload();
         const telemetry::Snapshot after = telemetry::snapshot();
-        for (int i = 0; i < telemetry::kNumCounters; ++i) {
-            const int64_t delta = after.counters[i] - before.counters[i];
+        for (int i = 0; i < telemetry::kNumCounters + telemetry::kNumTimers;
+             ++i) {
+            const int64_t delta =
+                i < telemetry::kNumCounters
+                    ? after.counters[i] - before.counters[i]
+                    : after.timers[i - telemetry::kNumCounters].count -
+                          before.timers[i - telemetry::kNumCounters].count;
             if (!have_ref)
                 ref[i] = delta;
             else
                 EXPECT_EQ(delta, ref[i])
-                    << "counter " << i << " differs at " << threads
+                    << "counter/timer " << i << " differs at " << threads
                     << " threads";
         }
         have_ref = true;
     }
     // The workload really did count something.
-    EXPECT_GT(ref[static_cast<int>(telemetry::Counter::GemmCalls)], 0);
-    EXPECT_GT(ref[static_cast<int>(telemetry::Counter::PoolJobs)], 0);
+    const int64_t *timer_calls = ref + telemetry::kNumCounters;
+    EXPECT_EQ(timer_calls[static_cast<int>(telemetry::Timer::Gemm)], 3);
+    EXPECT_GT(timer_calls[static_cast<int>(telemetry::Timer::PoolJob)], 0);
     EXPECT_GT(ref[static_cast<int>(telemetry::Counter::PoolChunks)], 0);
     EXPECT_EQ(
         ref[static_cast<int>(telemetry::Counter::GemmBatchedItems)], 8);
@@ -223,19 +101,19 @@ TEST(Telemetry, FoldDeterminismAcrossThreadCounts)
 
 TEST(Telemetry, WarmedHotPathAllocatesNothing)
 {
-    TelemetryGuard telem_guard;
+    ObsGuard obs_guard;
     telemetry::Config cfg;
     cfg.enabled = true;
     telemetry::configure(cfg);
 
     // Warm-up creates this thread's shard; everything after is plain
     // stores into it.
-    telemetry::count(telemetry::Counter::GemmCalls);
+    telemetry::count(telemetry::Counter::GemmPackedCalls);
     telemetry::recordTimer(telemetry::Timer::Gemm, 1e-6);
 
     const int64_t allocs = allocDelta([] {
         for (int i = 0; i < 1000; ++i) {
-            telemetry::count(telemetry::Counter::GemmCalls, 3);
+            telemetry::count(telemetry::Counter::GemmPackedCalls, 3);
             telemetry::count(telemetry::Counter::GemmFlops, 1 << 20);
             telemetry::addSeconds(telemetry::Seconds::PoolBusy, 1e-9);
             telemetry::gaugeMax(telemetry::MaxGauge::ArenaHighWaterBytes,
@@ -243,7 +121,7 @@ TEST(Telemetry, WarmedHotPathAllocatesNothing)
             telemetry::gaugeSet(telemetry::LastGauge::ArenaReservedBytes,
                                 i);
             telemetry::recordTimer(telemetry::Timer::PoolJob, 1e-7);
-            telemetry::ScopedTimer scoped(telemetry::Timer::Gemm);
+            obs::Scope scoped(telemetry::Timer::Gemm);
         }
     });
     EXPECT_EQ(allocs, 0);
@@ -251,7 +129,7 @@ TEST(Telemetry, WarmedHotPathAllocatesNothing)
 
 TEST(Telemetry, InstrumentedGemmKeepsZeroAllocContract)
 {
-    TelemetryGuard telem_guard;
+    ObsGuard obs_guard;
     GlobalPoolGuard pool_guard;
     PackModeGuard mode_guard;
     setGemmPackModeByName("on");
@@ -277,18 +155,18 @@ TEST(Telemetry, InstrumentedGemmKeepsZeroAllocContract)
 
 TEST(Telemetry, DisabledModeIsFree)
 {
-    TelemetryGuard telem_guard;
+    ObsGuard obs_guard;
     ASSERT_TRUE(telemetry::configureFromSpec("off"));
 
     const telemetry::Snapshot before = telemetry::snapshot();
     const int64_t allocs = allocDelta([] {
         for (int i = 0; i < 1000; ++i) {
-            telemetry::count(telemetry::Counter::GemmCalls);
+            telemetry::count(telemetry::Counter::GemmPackedCalls);
             telemetry::addSeconds(telemetry::Seconds::PoolBusy, 1.0);
             telemetry::gaugeMax(telemetry::MaxGauge::ArenaHighWaterBytes,
                                 1 << 30);
             telemetry::recordTimer(telemetry::Timer::Gemm, 1.0);
-            telemetry::ScopedTimer scoped(telemetry::Timer::Gemm);
+            obs::Scope scoped(telemetry::Timer::Gemm);
         }
     });
     const telemetry::Snapshot after = telemetry::snapshot();
@@ -301,7 +179,7 @@ TEST(Telemetry, DisabledModeIsFree)
 
 TEST(Telemetry, StepBoundaryAndJsonExport)
 {
-    TelemetryGuard telem_guard;
+    ObsGuard obs_guard;
     GlobalPoolGuard pool_guard;
     const std::string path = "test_telemetry_out.json";
     std::remove(path.c_str());
@@ -339,7 +217,7 @@ TEST(Telemetry, StepBoundaryAndJsonExport)
 
 TEST(Telemetry, SummaryCoversSubsystems)
 {
-    TelemetryGuard telem_guard;
+    ObsGuard obs_guard;
     telemetry::Config cfg;
     cfg.enabled = true;
     telemetry::configure(cfg);

@@ -3,159 +3,30 @@
  * Span tracer contracts: the flight-recorder ring keeps the newest
  * spans across wraparound, the Chrome trace JSON export is well-formed
  * and non-empty, the warmed traced hot path (bare recording AND a
- * traced decode step) performs zero heap allocations (this binary
- * overrides the global allocation operators with counting wrappers,
- * like test_workspace.cpp), and SNIP_TRACE=off leaves training
- * bit-identical across thread counts.
+ * traced decode step) performs zero heap allocations (counted by
+ * alloc_counter.h), and SNIP_TRACE=off leaves training bit-identical
+ * across thread counts.
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
+#include <cstdio>
 #include <fstream>
-#include <functional>
-#include <new>
 #include <sstream>
 #include <vector>
 
 #include "nn/model.h"
 #include "runtime/thread_pool.h"
 #include "serve/kv_cache.h"
-#include "telemetry/trace.h"
+#include "telemetry/obs.h"
 #include "tensor/gemm.h"
+#include "alloc_counter.h"
 #include "testing_util.h"
 #include "train/presets.h"
 #include "train/trainer.h"
 #include "util/rng.h"
 
-namespace {
-std::atomic<int64_t> g_allocs{0};
-}
-
-// Counting allocation operators (all flavors the library can reach:
-// plain, array, and the aligned forms the arena uses).
-void *
-operator new(size_t n)
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](size_t n)
-{
-    return ::operator new(n);
-}
-
-void *
-operator new(size_t n, const std::nothrow_t &) noexcept
-{
-    // std::stable_sort's temporary buffer (and anything else using
-    // the nothrow flavor) must allocate through the counting wrapper
-    // too, or its storage would come from the default (possibly
-    // sanitizer-intercepted) new yet be freed by our delete.
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(n ? n : 1);
-}
-
-void *
-operator new[](size_t n, const std::nothrow_t &tag) noexcept
-{
-    return ::operator new(n, tag);
-}
-
-void *
-operator new(size_t n, std::align_val_t align)
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    void *p = nullptr;
-    if (posix_memalign(&p, static_cast<size_t>(align), n ? n : 1) != 0)
-        throw std::bad_alloc();
-    return p;
-}
-
-void *
-operator new[](size_t n, std::align_val_t align)
-{
-    return ::operator new(n, align);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, size_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, size_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-
 namespace snip {
 namespace {
-
-int64_t
-allocDelta(const std::function<void()> &fn)
-{
-    const int64_t before = g_allocs.load();
-    fn();
-    return g_allocs.load() - before;
-}
-
-/** Restores whatever SNIP_TRACE asks for when a trace-reconfiguring
- *  test ends (disabled when the variable is unset). */
-struct TraceGuard
-{
-    TraceGuard() = default;
-    TraceGuard(const TraceGuard &) = delete;
-    TraceGuard &operator=(const TraceGuard &) = delete;
-    ~TraceGuard()
-    {
-        trace::configureFromSpec(std::getenv("SNIP_TRACE"));
-    }
-};
 
 ModelConfig
 microModel()
@@ -189,7 +60,7 @@ cacheConfigFor(const ModelConfig &m, int64_t max_seqs)
 
 TEST(Trace, ConfigureFromSpecParsing)
 {
-    TraceGuard trace_guard;
+    ObsGuard obs_guard;
     EXPECT_TRUE(trace::configureFromSpec("off"));
     EXPECT_FALSE(trace::enabled());
     EXPECT_TRUE(trace::configureFromSpec("on"));
@@ -204,7 +75,7 @@ TEST(Trace, ConfigureFromSpecParsing)
 
 TEST(Trace, RingWraparoundKeepsNewestSpans)
 {
-    TraceGuard trace_guard;
+    ObsGuard obs_guard;
     trace::Config cfg;
     cfg.enabled = true;
     trace::configure(cfg);
@@ -230,7 +101,7 @@ TEST(Trace, RingWraparoundKeepsNewestSpans)
 
 TEST(Trace, JsonExportIsWellFormedAndNonEmpty)
 {
-    TraceGuard trace_guard;
+    ObsGuard obs_guard;
     const std::string path = "test_trace_out.json";
     std::remove(path.c_str());
 
@@ -239,10 +110,10 @@ TEST(Trace, JsonExportIsWellFormedAndNonEmpty)
     ASSERT_TRUE(trace::configureFromSpec(("json:" + path).c_str()));
 
     {
-        trace::TraceScope outer(trace::Category::Train, "export_outer",
-                                "step", 7);
-        trace::TraceScope inner(trace::Category::Serve, "export_inner",
-                                "id", 3, "tokens", 11);
+        obs::Scope outer(trace::Category::Train, "export_outer", "step",
+                         7);
+        obs::Scope inner(trace::Category::Serve, "export_inner", "id", 3,
+                         "tokens", 11);
     }
     trace::setCurrentThreadName("trace-test");
     ASSERT_TRUE(trace::flush());
@@ -270,7 +141,7 @@ TEST(Trace, JsonExportIsWellFormedAndNonEmpty)
 
 TEST(Trace, WarmedHotPathAllocatesNothing)
 {
-    TraceGuard trace_guard;
+    ObsGuard obs_guard;
     trace::Config cfg;
     cfg.enabled = true;
     trace::configure(cfg);
@@ -283,8 +154,7 @@ TEST(Trace, WarmedHotPathAllocatesNothing)
         for (int i = 0; i < 20000; ++i) {
             trace::record(trace::Category::Gemm, "hot", i, 1, "m", i,
                           "n", i);
-            trace::TraceScope scoped(trace::Category::Pool, "scoped",
-                                     "n", i);
+            obs::Scope scoped(trace::Category::Pool, "scoped", "n", i);
         }
     });
     EXPECT_EQ(allocs, 0);
@@ -292,7 +162,7 @@ TEST(Trace, WarmedHotPathAllocatesNothing)
 
 TEST(Trace, WarmedTracedDecodeStepPerformsZeroHeapAllocations)
 {
-    TraceGuard trace_guard;
+    ObsGuard obs_guard;
     PackModeGuard pack_guard;
     ASSERT_TRUE(setGemmPackModeByName("off"));
     GlobalPoolGuard pool_guard;
@@ -345,15 +215,14 @@ TEST(Trace, WarmedTracedDecodeStepPerformsZeroHeapAllocations)
 
 TEST(Trace, DisabledModeIsFree)
 {
-    TraceGuard trace_guard;
+    ObsGuard obs_guard;
     ASSERT_TRUE(trace::configureFromSpec("off"));
 
     const int64_t spans_before = trace::spansRecorded();
     const int64_t allocs = allocDelta([] {
         for (int i = 0; i < 1000; ++i) {
             trace::record(trace::Category::Serve, "off_probe", i, 1);
-            trace::TraceScope scoped(trace::Category::Serve,
-                                     "off_scoped");
+            obs::Scope scoped(trace::Category::Serve, "off_scoped");
         }
     });
     EXPECT_EQ(allocs, 0);
@@ -362,7 +231,7 @@ TEST(Trace, DisabledModeIsFree)
 
 TEST(Trace, OffModeTrainingBitIdenticalAcrossThreadCounts)
 {
-    TraceGuard trace_guard;
+    ObsGuard obs_guard;
     GlobalPoolGuard pool_guard;
     ASSERT_TRUE(trace::configureFromSpec("off"));
 

@@ -3,141 +3,26 @@
  * WorkspaceArena behavior and the packed GEMM path's zero-allocation
  * contract.
  *
- * This binary overrides the global allocation operators with counting
- * wrappers, so tests can assert that a warmed-up packed GEMM — pack,
+ * The counting allocation operators of alloc_counter.h let tests
+ * assert that a warmed-up packed GEMM — pack,
  * fused quantization, workspace staging, thread-pool submission —
  * touches the heap exactly zero times on the serial path, and at most
  * a recycled-Job allocation on the threaded path.
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "nn/attention.h"
 #include "runtime/thread_pool.h"
 #include "runtime/workspace_arena.h"
 #include "tensor/gemm.h"
+#include "alloc_counter.h"
 #include "testing_util.h"
 #include "util/rng.h"
 
-namespace {
-std::atomic<int64_t> g_allocs{0};
-}
-
-// Counting allocation operators (all flavors the library can reach:
-// plain, array, and the aligned forms the arena uses).
-void *
-operator new(size_t n)
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](size_t n)
-{
-    return ::operator new(n);
-}
-
-void *
-operator new(size_t n, const std::nothrow_t &) noexcept
-{
-    // std::stable_sort's temporary buffer (and anything else using
-    // the nothrow flavor) must allocate through the counting wrapper
-    // too, or its storage would come from the default (possibly
-    // sanitizer-intercepted) new yet be freed by our delete.
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(n ? n : 1);
-}
-
-void *
-operator new[](size_t n, const std::nothrow_t &tag) noexcept
-{
-    return ::operator new(n, tag);
-}
-
-void *
-operator new(size_t n, std::align_val_t align)
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    void *p = nullptr;
-    if (posix_memalign(&p, static_cast<size_t>(align), n ? n : 1) != 0)
-        throw std::bad_alloc();
-    return p;
-}
-
-void *
-operator new[](size_t n, std::align_val_t align)
-{
-    return ::operator new(n, align);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, size_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, size_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-void
-operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-void
-operator delete[](void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-
 namespace snip {
 namespace {
-
-int64_t
-allocDelta(const std::function<void()> &fn)
-{
-    const int64_t before = g_allocs.load();
-    fn();
-    return g_allocs.load() - before;
-}
 
 TEST(WorkspaceArena, AlignedBumpAndReuse)
 {

@@ -6,7 +6,11 @@
 #ifndef SNIP_TESTS_TESTING_UTIL_H
 #define SNIP_TESTS_TESTING_UTIL_H
 
+#include <cstdlib>
+
 #include "runtime/thread_pool.h"
+#include "telemetry/telemetry.h"
+#include "telemetry/trace.h"
 #include "tensor/gemm.h"
 
 namespace snip {
@@ -29,6 +33,20 @@ struct PackModeGuard
     PackModeGuard(const PackModeGuard &) = delete;
     PackModeGuard &operator=(const PackModeGuard &) = delete;
     ~PackModeGuard() { setGemmPackModeByName("auto"); }
+};
+
+/** Restores telemetry and tracing to what SNIP_TELEMETRY / SNIP_TRACE
+ *  ask for (off when unset) when a reconfiguring test ends. */
+struct ObsGuard
+{
+    ObsGuard() = default;
+    ObsGuard(const ObsGuard &) = delete;
+    ObsGuard &operator=(const ObsGuard &) = delete;
+    ~ObsGuard()
+    {
+        telemetry::configureFromSpec(std::getenv("SNIP_TELEMETRY"));
+        trace::configureFromSpec(std::getenv("SNIP_TRACE"));
+    }
 };
 
 } // namespace snip
