@@ -11,6 +11,8 @@
 #ifndef SNIP_QUANT_CODEC_H
 #define SNIP_QUANT_CODEC_H
 
+#include <cmath>
+
 #include "quant/format.h"
 
 namespace snip {
@@ -77,6 +79,19 @@ struct QuantGrid
 
 /** Grid constants for @p fmt (see QuantGrid). */
 QuantGrid quantGrid(const FloatFormat &fmt);
+
+/**
+ * True when stochastic rounding of @p x consumes one Rng draw. The
+ * codec draws only for nonzero, finite values below saturation; zeros,
+ * non-finites and |x| >= max_value map without one. A caller that
+ * pre-draws uniforms for a batched kernel (simd/kernels.h) replays the
+ * codec's stream by drawing, in element order, for exactly these.
+ */
+inline bool
+stochasticConsumesDraw(float x, const QuantGrid &grid)
+{
+    return x != 0.0f && std::fabs(x) < grid.max_value;
+}
 
 } // namespace snip
 

@@ -1,5 +1,6 @@
 #include "quant/quantizer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -153,6 +154,9 @@ FakeQuantizer::quantizeInPlace(Tensor &t, const QuantConfig &cfg)
     // thread count.
     const uint64_t call_key = stochastic ? rng_.nextU64() : 0;
 
+    // Stochastic rounding pre-draws its uniforms into a stack buffer
+    // of this many elements per kernel call.
+    constexpr int64_t kDrawChunk = 256;
     const std::vector<ScalingRegion> regions =
         collectRegions(rows, cols, cfg.scaling);
     const QuantGrid grid = quantGrid(cfg.format);
@@ -183,20 +187,27 @@ FakeQuantizer::quantizeInPlace(Tensor &t, const QuantConfig &cfg)
                     }
                     continue;
                 }
-                // Stochastic rounding stays scalar: the per-region RNG
-                // stream consumes one draw per element in row-major
-                // order, and that sequence is part of the determinism
-                // contract.
+                // The region's stream yields one draw per element that
+                // needs rounding, in row-major order; that sequence is
+                // part of the determinism contract. Drawing is serial,
+                // rounding is the vectorized kernel, chunk by chunk.
                 Rng region_rng(call_key +
                                0x9E3779B97F4A7C15ull *
                                    (static_cast<uint64_t>(g) + 1));
+                double draws[kDrawChunk];
                 for (int64_t r = reg.r0; r < reg.r1; ++r) {
                     float *row = p + r * cols;
-                    for (int64_t c = reg.c0; c < reg.c1; ++c) {
-                        row[c] = quantizeValue(row[c] * fscale,
-                                               cfg.format, cfg.rounding,
-                                               &region_rng) *
-                                 inv;
+                    for (int64_t c0 = reg.c0; c0 < reg.c1;
+                         c0 += kDrawChunk) {
+                        const int64_t n = std::min(kDrawChunk, reg.c1 - c0);
+                        for (int64_t i = 0; i < n; ++i) {
+                            const float s = row[c0 + i] * fscale;
+                            draws[i] = stochasticConsumesDraw(s, grid)
+                                           ? region_rng.nextDouble()
+                                           : 0.0;
+                        }
+                        kt.quantizeStochastic(row + c0, n, grid, fscale,
+                                              inv, draws);
                     }
                 }
             }

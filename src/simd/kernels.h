@@ -1,17 +1,19 @@
 /**
  * @file
- * Portable kernel-backend interface for the three hot paths.
+ * Portable kernel-backend interface for the library's hot loops.
  *
  * A KernelTable bundles the architecture-specific inner kernels the
- * library dispatches at runtime (simd/dispatch.h): the GEMM block
- * microkernels, the nearest-rounding grid-snap sweep, and the
- * error-metric reductions. Backends implement the same block
- * decomposition (the constants below) and a fixed per-block
- * accumulation order, so each backend keeps the PR 1 guarantee that
- * results are bit-identical for any thread count. Different backends
- * may legitimately differ in low-order bits of GEMM and sum-of-squares
- * results (FMA contraction, vector-lane accumulation order); the
- * quantize, bf16-round and max-abs kernels are required to agree
+ * library dispatches at runtime (simd/dispatch.h): the GEMM block and
+ * packed-panel microkernels with their packs, the nearest- and
+ * stochastic-rounding quantize sweeps, bf16 rounding, the max-abs,
+ * error-metric and sum-of-squares reductions, and the attention
+ * softmax. Backends implement the same block decomposition (the
+ * constants below) and a fixed per-block accumulation order, so each
+ * backend keeps the guarantee that results are bit-identical for any
+ * thread count. Different backends may legitimately differ in
+ * low-order bits of GEMM and sum-of-squares results (FMA contraction,
+ * vector-lane accumulation order); the quantize (both rounding modes),
+ * bf16-round, max-abs and softmax kernels are required to agree
  * bit-for-bit across backends. tests/test_simd.cpp enforces both
  * contracts.
  */
@@ -61,8 +63,9 @@ packStrips(int64_t extent, int64_t strip)
  * and the caller precomputes scale[] / inv_scale[] exactly as the
  * materializing quantizer would, so fused and materialized results are
  * bit-identical (both backends' grid snap already is). Stochastic
- * rounding is NOT fusable (its RNG stream consumes draws in row-major
- * region order); callers materialize those operands first.
+ * rounding does not fuse: its uniforms are drawn per scaling region in
+ * row-major order (QuantizeStochasticFn), while a pack walks strips,
+ * so callers materialize those operands first.
  */
 struct PackQuant
 {
@@ -98,6 +101,23 @@ using QuantizeNearestFn = void (*)(float *p, int64_t count,
                                    const FloatFormat &fmt,
                                    const QuantGrid &grid, float scale,
                                    float inv_scale);
+
+/**
+ * In-place stochastic-rounding fake quantization of @p count values:
+ *     p[i] = quantizeStochastic(p[i] * scale, fmt, rng) * inv_scale
+ * where the uniform the codec would draw for element i is supplied as
+ * @p draws[i]. The codec draws only where stochasticConsumesDraw(p[i]
+ * * scale, grid) holds (quant/codec.h), so a caller replays an Rng
+ * stream by drawing, in element order, for exactly those elements;
+ * the other entries of draws[] are ignored. The rounding rule rounds
+ * the grid index up iff draws[i] < frac(index), compared at the
+ * draw's full double precision; must match the scalar codec bit for
+ * bit.
+ */
+using QuantizeStochasticFn = void (*)(float *p, int64_t count,
+                                      const QuantGrid &grid, float scale,
+                                      float inv_scale,
+                                      const double *draws);
 
 /** In-place bf16 round-to-nearest-even of @p count values (the
  *  tensorwise bf16 fast path; pure bit manipulation, exact). */
@@ -209,6 +229,7 @@ struct KernelTable
     PackBFn packB;           ///< strip-pack (+ fused quantize) B panels
     GemmPackedBlockFn gemmPackedBlock; ///< packed-panel M-block GEMM
     QuantizeNearestFn quantizeNearest;
+    QuantizeStochasticFn quantizeStochastic;
     Bf16RoundFn bf16Round;
     MaxAbsFn maxAbs;
     ErrorStatsFn errorStats;

@@ -13,10 +13,11 @@
  *     bit-identical across thread counts *within this backend*; FMA
  *     contraction and 8-lane accumulators make low-order bits differ
  *     from the scalar backend (tests bound the relative error).
- *   - The quantize / bf16-round / max-abs kernels reproduce the scalar
- *     codec bit for bit (tests assert exact equality): every step
- *     below is an exact power-of-two scale, an exact bit manipulation,
- *     or the same correctly-rounded float op the scalar path performs.
+ *   - The quantize (nearest and stochastic) / bf16-round / max-abs
+ *     kernels reproduce the scalar codec bit for bit (tests assert
+ *     exact equality): every step below is an exact power-of-two
+ *     scale, an exact bit manipulation, or the same correctly-rounded
+ *     float op the scalar path performs.
  */
 #include "simd/kernels.h"
 
@@ -690,17 +691,31 @@ gemmPackedBlockAvx2(const float *ap, const float *bp, float *c,
 // --------------------------------------------------- quantize / misc
 
 /**
- * Eight-lane grid snap, bit-exact against quantizeNearest() (see
- * QuantGrid in quant/codec.h for why each step is exact). Handling of
- * the scalar path's special cases, in blend order: generic result →
- * NaN forced to -max (the scalar "x > 0 ? +max : -max" on
- * non-finites sends NaN negative regardless of its sign bit) → ±0
- * preserved as +0. ±Inf needs no own blend: its binade scales the
- * normal-path result to +Inf, the min() clamp brings it to max_value,
- * and the sign bit is restored by OR.
+ * Eight-lane grid snap shared by both rounding modes: @p round_index
+ * maps the exact grid indices of |x| — one read as a normal-range
+ * value, one as a subnormal-range value, plus the is-subnormal lane
+ * mask — to the integer indices they round to, and every step around
+ * it is bit-exact against the scalar codec (see QuantGrid in
+ * quant/codec.h for why each step is exact). Handling of the codec's
+ * special cases, in blend order: generic result → NaN forced to -max
+ * (the scalar "x > 0 ? +max : -max" on non-finites sends NaN negative
+ * regardless of its sign bit) → ±0 preserved as +0. ±Inf needs no own
+ * blend: its binade scales the normal-path result to +Inf, the min()
+ * clamp brings it to max_value, and the sign bit is restored by OR.
+ * The same clamp covers saturated lanes whatever @p round_index
+ * returns for them, since no rounding takes an index below the grid
+ * point max_value.
  */
+/** Rounded grid indices of eight lanes, per range (see snap8Avx2). */
+struct Index8
+{
+    __m256 norm;
+    __m256 sub;
+};
+
+template <class RoundIndex>
 inline __m256
-quantize8Avx2(__m256 x, const QuantGrid &g)
+snap8Avx2(__m256 x, const QuantGrid &g, RoundIndex round_index)
 {
     const __m256i abs_mask = _mm256_set1_epi32(0x7FFFFFFF);
     const __m256i mant_mask = _mm256_set1_epi32(0x007FFFFF);
@@ -715,23 +730,20 @@ quantize8Avx2(__m256 x, const QuantGrid &g)
     // Normal range: grid index = mantissa-retagged ax, exact in float.
     __m256 q = _mm256_castsi256_ps(_mm256_or_si256(
         _mm256_and_si256(bits, mant_mask), retag_exp));
-    __m256 r = _mm256_round_ps(
-        q, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
     __m256 binade = _mm256_castsi256_ps(_mm256_and_si256(bits, exp_mask));
-    __m256 res_norm = _mm256_mul_ps(
-        _mm256_mul_ps(r, _mm256_set1_ps(g.two_pow_neg_mant)), binade);
-
     // Subnormal range: index = ax / min_subnormal via two exact
     // power-of-two scales.
     __m256 qs = _mm256_mul_ps(
         _mm256_mul_ps(ax, _mm256_set1_ps(g.inv_min_sub_hi)),
         _mm256_set1_ps(g.inv_min_sub_lo));
-    __m256 rs = _mm256_round_ps(
-        qs, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-    __m256 res_sub = _mm256_mul_ps(rs, _mm256_set1_ps(g.min_subnormal));
-
     __m256 is_sub =
         _mm256_cmp_ps(ax, _mm256_set1_ps(g.min_normal), _CMP_LT_OQ);
+
+    const Index8 r = round_index(q, qs, is_sub);
+    __m256 res_norm = _mm256_mul_ps(
+        _mm256_mul_ps(r.norm, _mm256_set1_ps(g.two_pow_neg_mant)), binade);
+    __m256 res_sub =
+        _mm256_mul_ps(r.sub, _mm256_set1_ps(g.min_subnormal));
     __m256 res = _mm256_blendv_ps(res_norm, res_sub, is_sub);
     // Saturation: values at or above max_value (and +Inf, and the
     // rare round-up past the top grid point) all clamp here.
@@ -743,6 +755,17 @@ quantize8Avx2(__m256 x, const QuantGrid &g)
     __m256 zero_mask =
         _mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_EQ_OQ);
     return _mm256_blendv_ps(out, _mm256_setzero_ps(), zero_mask);
+}
+
+/** Nearest rounding (ties to even): bit-exact against
+ *  quantizeNearest(). */
+inline __m256
+quantize8Avx2(__m256 x, const QuantGrid &g)
+{
+    return snap8Avx2(x, g, [](__m256 q, __m256 qs, __m256) {
+        constexpr int kMode = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+        return Index8{_mm256_round_ps(q, kMode), _mm256_round_ps(qs, kMode)};
+    });
 }
 
 void
@@ -760,6 +783,48 @@ quantizeNearestAvx2(float *p, int64_t count, const FloatFormat &fmt,
     // Scalar codec on the tail: trivially bit-exact.
     for (int64_t i = n8; i < count; ++i)
         p[i] = quantizeNearest(p[i] * scale, fmt) * inv_scale;
+}
+
+void
+quantizeStochasticAvx2(float *p, int64_t count, const QuantGrid &g,
+                       float scale, float inv_scale, const double *draws)
+{
+    const __m256 vscale = _mm256_set1_ps(scale);
+    const __m256 vinv = _mm256_set1_ps(inv_scale);
+    const __m256d one = _mm256_set1_pd(1.0);
+    const int64_t n8 = count & ~int64_t{7};
+    for (int64_t i = 0; i < n8; i += 8) {
+        const double *u = draws + i;
+        __m256 x = _mm256_mul_ps(_mm256_loadu_ps(p + i), vscale);
+        __m256 v = snap8Avx2(x, g, [u, one](__m256 q, __m256 qs,
+                                            __m256 is_sub) {
+            // floor and frac are exact in float, but a draw carries 53
+            // bits: the round-up test u < frac runs in 4-lane double,
+            // where a float compare would flip draws just below frac.
+            // One test per lane, on the index of the lane's own range.
+            __m256 idx = _mm256_blendv_ps(q, qs, is_sub);
+            __m256 lo = _mm256_floor_ps(idx);
+            __m256 frac = _mm256_sub_ps(idx, lo);
+            __m256d up_lo = _mm256_and_pd(
+                _mm256_cmp_pd(_mm256_loadu_pd(u),
+                              _mm256_cvtps_pd(_mm256_castps256_ps128(frac)),
+                              _CMP_LT_OQ),
+                one);
+            __m256d up_hi = _mm256_and_pd(
+                _mm256_cmp_pd(_mm256_loadu_pd(u + 4),
+                              _mm256_cvtps_pd(_mm256_extractf128_ps(frac, 1)),
+                              _CMP_LT_OQ),
+                one);
+            __m256 up = _mm256_set_m128(_mm256_cvtpd_ps(up_hi),
+                                        _mm256_cvtpd_ps(up_lo));
+            __m256 r = _mm256_add_ps(lo, up);
+            return Index8{r, r};
+        });
+        _mm256_storeu_ps(p + i, _mm256_mul_ps(v, vinv));
+    }
+    // The scalar kernel on the tail: bit-exact by the backend contract.
+    scalarKernels().quantizeStochastic(p + n8, count - n8, g, scale,
+                                       inv_scale, draws + n8);
 }
 
 void
@@ -976,6 +1041,7 @@ avx2Kernels()
         gemmTnBlockAvx2, packAAvx2,       packBAvx2,
         gemmPackedBlockAvx2,
         quantizeNearestAvx2,
+        quantizeStochasticAvx2,
         bf16RoundAvx2,   maxAbsAvx2,      errorStatsAvx2,
         sumSquaresAvx2,
         attnSoftmaxFwdAvx2,

@@ -203,6 +203,41 @@ quantizeNearestScalar(float *p, int64_t count, const FloatFormat &fmt,
 }
 
 void
+quantizeStochasticScalar(float *p, int64_t count, const QuantGrid &grid,
+                         float scale, float inv_scale, const double *draws)
+{
+    // The codec's rule on the hoisted grid constants. Everything is
+    // exact in float: the grid spacing is a power of two, so the index
+    // q = |s| / step, its floor and its fraction carry no rounding.
+    for (int64_t i = 0; i < count; ++i) {
+        const float s = p[i] * scale;
+        float v;
+        if (s == 0.0f) {
+            v = 0.0f;
+        } else if (std::isnan(s)) {
+            v = -grid.max_value;
+        } else if (!stochasticConsumesDraw(s, grid)) {
+            v = std::copysign(grid.max_value, s);
+        } else {
+            const float ax = std::fabs(s);
+            float step = grid.min_subnormal;
+            if (ax >= grid.min_normal) {
+                int e;
+                std::frexp(ax, &e);
+                step = std::ldexp(grid.two_pow_neg_mant, e - 1);
+            }
+            const float q = ax / step;
+            const float lo = std::floor(q);
+            const float up = draws[i] < static_cast<double>(q - lo) ? 1.0f
+                                                                    : 0.0f;
+            v = std::copysign(std::min((lo + up) * step, grid.max_value),
+                              s);
+        }
+        p[i] = v * inv_scale;
+    }
+}
+
+void
 bf16RoundScalar(float *p, int64_t count)
 {
     for (int64_t i = 0; i < count; ++i) {
@@ -304,6 +339,7 @@ scalarKernels()
         gemmTnBlockScalar, packAScalar,       packBScalar,
         gemmPackedBlockScalar,
         quantizeNearestScalar,
+        quantizeStochasticScalar,
         bf16RoundScalar,   maxAbsScalar,      errorStatsScalar,
         sumSquaresScalar,
         attnSoftmaxFwdScalar,

@@ -21,6 +21,8 @@ namespace snip {
  *
  * Cheap to copy; copies continue the same stream independently. Use
  * split() to derive decorrelated child streams for sub-components.
+ * nextU64() and nextDouble() are inline so per-element loops (the
+ * stochastic-rounding draw pass) keep the state in registers.
  */
 class Rng
 {
@@ -29,10 +31,21 @@ class Rng
     explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ull);
 
     /** Next raw 64-bit value. */
-    uint64_t nextU64();
+    uint64_t nextU64()
+    {
+        const uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform in [0, 1). */
-    double nextDouble();
+    double nextDouble() { return (nextU64() >> 11) * 0x1.0p-53; }
 
     /** Uniform float in [0, 1). */
     float nextFloat();
@@ -69,6 +82,11 @@ class Rng
     }
 
   private:
+    static uint64_t rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     uint64_t s_[4];
 };
 

@@ -308,15 +308,27 @@ TEST(Obs, ScopesRaceFlushesAndReconfiguresSafely)
     ASSERT_TRUE(telemetry::configureFromSpec(("json:" + tpath).c_str()));
     ASSERT_TRUE(trace::configureFromSpec(("json:" + spath).c_str()));
 
+    constexpr int kWriters = 3;
     std::atomic<bool> stop{false};
+    // Writers that have closed at least one scope. The loop below waits
+    // for all of them, so the final trace holds an "obs_race" span even
+    // when a loaded host starts the writers late.
+    std::atomic<int> recorded{0};
     std::vector<std::thread> threads;
-    for (int w = 0; w < 3; ++w)
-        threads.emplace_back([&stop, w] {
+    for (int w = 0; w < kWriters; ++w)
+        threads.emplace_back([&stop, &recorded, w] {
+            bool first = true;
             while (!stop.load(std::memory_order_relaxed)) {
-                obs::Scope scope({telemetry::Timer::SchemeWait,
-                                  telemetry::Seconds::SchemeWorker},
-                                 trace::Category::Scheme, "obs_race",
-                                 "w", w);
+                {
+                    obs::Scope scope({telemetry::Timer::SchemeWait,
+                                      telemetry::Seconds::SchemeWorker},
+                                     trace::Category::Scheme, "obs_race",
+                                     "w", w);
+                }
+                if (first) {
+                    first = false;
+                    recorded.fetch_add(1, std::memory_order_release);
+                }
             }
         });
     threads.emplace_back([&stop] {
@@ -325,6 +337,8 @@ TEST(Obs, ScopesRaceFlushesAndReconfiguresSafely)
             EXPECT_TRUE(trace::flush());
         }
     });
+    while (recorded.load(std::memory_order_acquire) < kWriters)
+        std::this_thread::yield();
     for (int i = 0; i < 40; ++i) {
         telemetry::stepBoundary(i);
         trace::Config sc;

@@ -4,9 +4,10 @@
  *
  * Contracts under test (simd/kernels.h):
  *   - SNIP_SIMD forces a backend and activeBackendName() reports it;
- *   - quantize / bf16-round / max-abs agree bit for bit across
- *     backends (asserted exactly, which is stronger than the 1-ULP
- *     requirement);
+ *   - quantize (nearest and stochastic) / bf16-round / max-abs agree
+ *     bit for bit across backends (asserted exactly, which is stronger
+ *     than the 1-ULP requirement), and the stochastic kernels replay
+ *     the scalar codec's draws;
  *   - GEMM agrees across backends within a relative-error bound and
  *     is bit-identical across 1/2/8 threads within each backend.
  * AVX2 comparisons skip with a message on hosts without AVX2+FMA.
@@ -107,6 +108,22 @@ TEST(SimdDispatch, SetBackendByName)
               simd::cpuSupportsAvx2());
 }
 
+/** Every format the quantize kernels must reproduce the codec on. */
+const FloatFormat *const kFormats[] = {&fp4E2m1(), &fp6E3m2(), &fp8E4m3(),
+                                       &fp8E5m2(), &bf16(),    &fp16()};
+
+/** The kernel tables this host can run: scalar, plus AVX2 when the
+ *  CPU has it. */
+std::vector<const simd::KernelTable *>
+runnableBackends()
+{
+    std::vector<const simd::KernelTable *> tables = {
+        &simd::scalarKernels()};
+    if (simd::cpuSupportsAvx2())
+        tables.push_back(&simd::avx2Kernels());
+    return tables;
+}
+
 /** Values exercising every quantizer branch: normals across binades,
  *  subnormals, ties, saturation, zeros, and non-finites. */
 std::vector<float>
@@ -152,9 +169,7 @@ adversarialValues(const FloatFormat &fmt)
 TEST(SimdQuantize, BitExactAcrossBackendsEveryFormat)
 {
     SKIP_WITHOUT_AVX2();
-    const FloatFormat *formats[] = {&fp4E2m1(),  &fp6E3m2(), &fp8E4m3(),
-                                    &fp8E5m2(),  &bf16(),    &fp16()};
-    for (const FloatFormat *fmt : formats) {
+    for (const FloatFormat *fmt : kFormats) {
         std::vector<float> vals = adversarialValues(*fmt);
         const QuantGrid grid = quantGrid(*fmt);
         for (float scale : {1.0f, 0.731f, 512.0f}) {
@@ -169,6 +184,121 @@ TEST(SimdQuantize, BitExactAcrossBackendsEveryFormat)
             ASSERT_EQ(0, std::memcmp(a.data(), b.data(),
                                      a.size() * sizeof(float)))
                 << fmt->name << " scale=" << scale;
+        }
+    }
+}
+
+/** The uniforms FakeQuantizer would hand the stochastic kernel for
+ *  @p vals at @p scale: one draw from @p rng, in element order, for
+ *  each element whose scaled value consumes one; 0 elsewhere. */
+std::vector<double>
+replayDraws(const std::vector<float> &vals, float scale,
+            const QuantGrid &grid, Rng &rng)
+{
+    std::vector<double> draws(vals.size(), 0.0);
+    for (size_t i = 0; i < vals.size(); ++i)
+        if (stochasticConsumesDraw(vals[i] * scale, grid))
+            draws[i] = rng.nextDouble();
+    return draws;
+}
+
+TEST(SimdQuantize, StochasticBitExactAcrossBackendsEveryFormat)
+{
+    SKIP_WITHOUT_AVX2();
+    for (const FloatFormat *fmt : kFormats) {
+        std::vector<float> vals = adversarialValues(*fmt);
+        const QuantGrid grid = quantGrid(*fmt);
+        for (float scale : {1.0f, 0.731f, 512.0f}) {
+            const float inv = 1.0f / scale;
+            // Draw patterns: all zero; exactly each element's grid-index
+            // fraction (the compare is strict: no round-up); one double
+            // ULP below it (round-up, where a float compare would see
+            // the draw as equal to the fraction); and random.
+            const size_t n = vals.size();
+            std::vector<double> zeros(n, 0.0), fracs(n, 0.0), below(n, 0.0);
+            for (size_t i = 0; i < n; ++i) {
+                const float s = vals[i] * scale;
+                if (!stochasticConsumesDraw(s, grid))
+                    continue;
+                const double q =
+                    std::fabs(static_cast<double>(s)) / ulpAt(s, *fmt);
+                fracs[i] = q - std::floor(q);
+                below[i] = std::nextafter(fracs[i], 0.0);
+            }
+            Rng rng(23);
+            const std::vector<double> random = replayDraws(vals, scale, grid,
+                                                           rng);
+            const std::vector<double> *patterns[] = {&zeros, &fracs,
+                                                     &below, &random};
+            for (size_t k = 0; k < 4; ++k) {
+                std::vector<float> a = vals, b = vals;
+                simd::scalarKernels().quantizeStochastic(
+                    a.data(), static_cast<int64_t>(n), grid, scale, inv,
+                    patterns[k]->data());
+                simd::avx2Kernels().quantizeStochastic(
+                    b.data(), static_cast<int64_t>(n), grid, scale, inv,
+                    patterns[k]->data());
+                ASSERT_EQ(0, std::memcmp(a.data(), b.data(),
+                                         n * sizeof(float)))
+                    << fmt->name << " scale=" << scale << " pattern " << k;
+            }
+        }
+    }
+}
+
+TEST(SimdQuantize, StochasticRoundsUpOnlyBelowTheFraction)
+{
+    // 2.5 sits halfway between the FP4 grid points 2 and 3: a draw of
+    // exactly 0.5 keeps 2, the next double below it rounds up to 3.
+    // Eleven elements cover the AVX2 vector body and its scalar tail.
+    const QuantGrid grid = quantGrid(fp4E2m1());
+    const double half = 0.5, under = std::nextafter(0.5, 0.0);
+    const std::vector<double> draws = {half,  under, half,  under,
+                                       0.0,   half,  under, 0.999,
+                                       under, half,  0.0};
+    for (const simd::KernelTable *kt : runnableBackends()) {
+        for (float sign : {1.0f, -1.0f}) {
+            std::vector<float> p(draws.size(), 2.5f * sign);
+            kt->quantizeStochastic(p.data(), static_cast<int64_t>(p.size()),
+                                   grid, 1.0f, 1.0f, draws.data());
+            for (size_t i = 0; i < p.size(); ++i)
+                EXPECT_EQ(p[i], (draws[i] < 0.5 ? 3.0f : 2.0f) * sign)
+                    << kt->name << " element " << i;
+        }
+    }
+}
+
+TEST(SimdQuantize, StochasticKernelsReplayTheCodec)
+{
+    // Oracle: the scalar codec rounding element by element with its own
+    // Rng, which draws exactly when an element needs rounding. Each
+    // backend's kernel, fed uniforms pre-drawn by the eligibility rule
+    // from an identically seeded Rng, must agree bit for bit and leave
+    // the two streams at the same position.
+    for (const FloatFormat *fmt : kFormats) {
+        const std::vector<float> vals = adversarialValues(*fmt);
+        const QuantGrid grid = quantGrid(*fmt);
+        for (float scale : {1.0f, 0.731f, 512.0f}) {
+            const float inv = 1.0f / scale;
+            Rng draw_rng(11), codec_rng(11);
+            const std::vector<double> draws =
+                replayDraws(vals, scale, grid, draw_rng);
+            std::vector<float> want(vals.size());
+            for (size_t i = 0; i < vals.size(); ++i)
+                want[i] = quantizeValue(vals[i] * scale, *fmt,
+                                        Rounding::Stochastic, &codec_rng) *
+                          inv;
+            EXPECT_EQ(draw_rng.nextU64(), codec_rng.nextU64())
+                << fmt->name << " scale=" << scale;
+            for (const simd::KernelTable *kt : runnableBackends()) {
+                std::vector<float> got = vals;
+                kt->quantizeStochastic(got.data(),
+                                       static_cast<int64_t>(got.size()),
+                                       grid, scale, inv, draws.data());
+                ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                         got.size() * sizeof(float)))
+                    << kt->name << " " << fmt->name << " scale=" << scale;
+            }
         }
     }
 }
@@ -209,24 +339,26 @@ TEST(SimdQuantize, FakeQuantizerEndToEndMatchesAt128Threads)
     GlobalPoolGuard pool_guard;
     Rng rng(5);
     Tensor t = Tensor::randn({130, 257}, rng, 3.0f);
-    const QuantConfig cfg{fp4E2m1(),
-                          {Granularity::Tilewise, 128},
-                          Rounding::Nearest};
+    for (Rounding rounding : {Rounding::Nearest, Rounding::Stochastic}) {
+        const QuantConfig cfg{fp4E2m1(), {Granularity::Tilewise, 128},
+                              rounding};
 
-    setenv("SNIP_SIMD", "scalar", 1);
-    simd::reinitFromEnv();
-    runtime::setGlobalThreadCount(1);
-    FakeQuantizer qs(9);
-    const Tensor ref = qs.quantize(t, cfg);
-
-    for (const char *backend : {"scalar", "avx2"}) {
-        setenv("SNIP_SIMD", backend, 1);
+        setenv("SNIP_SIMD", "scalar", 1);
         simd::reinitFromEnv();
-        for (int threads : {1, 2, 8}) {
-            runtime::setGlobalThreadCount(threads);
-            FakeQuantizer q(9);
-            EXPECT_TRUE(q.quantize(t, cfg) == ref)
-                << backend << " @ " << threads << " threads";
+        runtime::setGlobalThreadCount(1);
+        FakeQuantizer qs(9);
+        const Tensor ref = qs.quantize(t, cfg);
+
+        for (const char *backend : {"scalar", "avx2"}) {
+            setenv("SNIP_SIMD", backend, 1);
+            simd::reinitFromEnv();
+            for (int threads : {1, 2, 8}) {
+                runtime::setGlobalThreadCount(threads);
+                FakeQuantizer q(9);
+                EXPECT_TRUE(q.quantize(t, cfg) == ref)
+                    << cfg.describe() << " " << backend << " @ " << threads
+                    << " threads";
+            }
         }
     }
 }
