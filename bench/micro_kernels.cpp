@@ -9,6 +9,9 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/snip_optimizer.h"
 #include "core/stats_collector.h"
 #include "nn/attention.h"
@@ -401,6 +404,55 @@ BM_AttnThreads(benchmark::State &state)
     runtime::setGlobalThreadCount(0);
 }
 
+/** @p iters dependent xorshift steps: fixed work the compiler can
+ *  neither fold nor vectorize (~3 ns per step on the 4-vCPU Xeon the
+ *  dispatch rows below were sized on). */
+uint64_t
+fixedWork(uint64_t x, int64_t iters)
+{
+    x |= 1;
+    for (int64_t i = 0; i < iters; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+    }
+    return x;
+}
+
+/**
+ * Fork/join dispatch cost at the grain a training step issues: jobs of
+ * 2 or 8 chunks of ~10 us fixed work each, separated by ~5 us of serial
+ * work on the submitting thread. The gap lets workers go idle between
+ * jobs, as between the GEMMs of a layer; back-to-back empty jobs would
+ * hide the wake-up cost. One iteration is one gap plus one job, so the
+ * ideal is 5 + ceil(chunks / threads) x 10 us. (Pausing the timer
+ * around the gap would add two thread-CPU-clock reads per iteration,
+ * each a syscall, to a ~10 us job.) The rows carry "threads:" in their
+ * names, so the regression gate skips them like the other thread
+ * sweeps.
+ */
+void
+BM_ParallelForDispatch(benchmark::State &state)
+{
+    constexpr int64_t kChunkWork = 3200; // ~10 us
+    constexpr int64_t kGapWork = 1600;   // ~5 us
+    const int64_t chunks = state.range(0);
+    runtime::setGlobalThreadCount(static_cast<int>(state.range(1)));
+    std::vector<uint64_t> out(static_cast<size_t>(chunks));
+    uint64_t gap = 0;
+    for (auto _ : state) {
+        gap = fixedWork(gap, kGapWork);
+        runtime::parallelFor(0, chunks, 1, [&](int64_t c0, int64_t c1) {
+            for (int64_t c = c0; c < c1; ++c)
+                out[static_cast<size_t>(c)] =
+                    fixedWork(static_cast<uint64_t>(c), kChunkWork);
+        });
+    }
+    benchmark::DoNotOptimize(gap);
+    benchmark::DoNotOptimize(out.data());
+    runtime::setGlobalThreadCount(0);
+}
+
 /** Paper-sized ILP: 80 blocks x 7 layers, 4 options. */
 IlpProblem
 paperIlp(int n_layers, double target)
@@ -517,6 +569,11 @@ BENCHMARK(BM_AttnThreads)
     ->Arg(4)
     ->Arg(8)
     ->UseRealTime();
+BENCHMARK(BM_ParallelForDispatch)
+    ->ArgNames({"chunks", "threads"})
+    ->ArgsProduct({{2, 8}, {1, 2, 4, 8}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_StatsCollection);
 BENCHMARK(BM_PlainStep);
 BENCHMARK_CAPTURE(BM_TrainStepPack, auto_pack, "auto");

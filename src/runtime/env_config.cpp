@@ -30,7 +30,7 @@ parseThreads(const EnvKnob &knob)
         const char *env = knob.value.c_str();
         char *end = nullptr;
         long v = std::strtol(env, &end, 10);
-        if (end != env && v >= 1)
+        if (end != env && *end == '\0' && v >= 1)
             return static_cast<int>(std::min<long>(v, 512));
         warn("ignoring invalid SNIP_THREADS value '", env, "'");
     }

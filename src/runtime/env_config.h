@@ -61,8 +61,9 @@ class EnvConfig
     static EnvConfig fromEnvironment();
 
     /** Parsed SNIP_THREADS: the historical defaultThreadCount()
-     *  contract (valid integer >= 1 capped at 512; otherwise a warning
-     *  and std::thread::hardware_concurrency, floored at 1). */
+     *  contract (an integer >= 1 with nothing after it, capped at 512;
+     *  otherwise a warning and std::thread::hardware_concurrency,
+     *  floored at 1). */
     int threads() const { return threads_; }
 
     /** Parsed SNIP_KV_PAGE: tokens per KV-cache page, default 16,

@@ -24,14 +24,23 @@
  * inside a worker, or re-entrantly from a caller thread that is already
  * executing chunks) run inline and serial, so composed kernels are
  * deadlock-free by construction.
+ *
+ * Dispatch is spin-then-park over one pool-owned job slot. Idle workers
+ * poll an atomic job generation for a short fixed bound before parking
+ * on a condition variable, and the submitter notifies only when some
+ * worker is actually parked; symmetrically, the submitter spins on the
+ * job's completion count before parking, and the worker that retires
+ * the last chunk notifies only a parked submitter. Back-to-back jobs —
+ * the common case inside a training step — therefore never sleep or
+ * pay for a wakeup, and a submission allocates nothing.
  */
 #ifndef SNIP_RUNTIME_THREAD_POOL_H
 #define SNIP_RUNTIME_THREAD_POOL_H
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -83,32 +92,73 @@ class ThreadPool
     static bool inParallelRegion();
 
   private:
-    struct Job;
+    /** One parallelFor invocation, held in the pool's single job slot.
+     *  The submitter writes the plain fields only while the slot is
+     *  closed and no worker has joined it (see state_), so every worker
+     *  that joins sees them fully formed and never sees them change. */
+    struct Job
+    {
+        int64_t begin = 0;
+        int64_t end = 0;
+        int64_t grain = 1;
+        int64_t n_chunks = 0;
+        const std::function<void(int64_t, int64_t)> *fn = nullptr;
+
+        alignas(64) std::atomic<int64_t> next_chunk{0};
+        alignas(64) std::atomic<int64_t> done_chunks{0};
+
+        util::Mutex err_mu;
+        /** First exception thrown by a chunk; the submitter moves it
+         *  out (and rethrows it) once every chunk has finished. */
+        std::exception_ptr error SNIP_GUARDED_BY(err_mu);
+    };
 
     void workerLoop();
-    static void runChunks(Job &job);
+    /** Wait (spin, then park) until a job newer than @p seen is open
+     *  for joining or the pool stops; returns the state_ word seen. */
+    uint64_t awaitJob(uint64_t seen);
+    /** Claim and run chunks until none are left; true when this call
+     *  retired the job's last chunk. */
+    static bool runChunks(Job &job);
 
     int n_threads_;
     std::vector<std::thread> workers_;
 
     /** Serializes concurrent parallelFor submissions from distinct
-     *  non-worker threads (the pool runs one job at a time). Lock
-     *  hierarchy: submit_mu_ is taken strictly before mu_, never the
-     *  reverse (workers only ever take mu_). */
+     *  non-worker threads (the pool runs one job at a time), and with
+     *  it every write to job_. Lock hierarchy: submit_mu_ is taken
+     *  strictly before mu_, never the reverse (workers only ever take
+     *  mu_). */
     util::Mutex submit_mu_ SNIP_ACQUIRED_BEFORE(mu_);
 
+    /** Guards nothing but the park/wake handshakes: a thread parks on
+     *  wake_cv_ / done_cv_ under mu_, and a notifier takes mu_ before
+     *  notifying, so a wakeup cannot fall between a parker's last
+     *  check and its wait. */
     util::Mutex mu_;
     util::CondVar wake_cv_;
     util::CondVar done_cv_;
-    std::shared_ptr<Job> job_ SNIP_GUARDED_BY(mu_);
-    /** Recycled Job storage: parallelFor reuses it whenever no
-     *  straggling worker still references the previous job, making
-     *  steady-state submissions allocation-free (the zero-alloc GEMM
-     *  contract, tests/test_workspace.cpp). Only the submitter touches
-     *  it, serialized by submit_mu_. */
-    std::shared_ptr<Job> job_storage_ SNIP_GUARDED_BY(submit_mu_);
-    uint64_t generation_ SNIP_GUARDED_BY(mu_) = 0;
-    bool stop_ SNIP_GUARDED_BY(mu_) = false;
+
+    Job job_;
+    /** The slot's join word: job generation (bits 17 and up), a closed
+     *  flag (bit 16) and the number of workers currently joined (bits
+     *  0-15). A worker joins with one CAS that increments the count
+     *  only if the generation is still the one it saw and the slot is
+     *  open — the increment and the generation re-check are one atomic
+     *  step. The submitter closes the slot with a CAS that succeeds
+     *  only at a zero count, rewrites job_, then publishes the next
+     *  generation with the slot open and the count zero. */
+    alignas(64) std::atomic<uint64_t> state_{0};
+    /** Workers parked (or about to park) on wake_cv_; the submitter
+     *  takes mu_ and notifies only when this is non-zero. */
+    std::atomic<int> parked_workers_{0};
+    /** Set while the submitter is parked (or about to park) on
+     *  done_cv_; the worker that retires the last chunk notifies only
+     *  when it is set. */
+    std::atomic<bool> submitter_parked_{false};
+    /** Set once, by the destructor; spinning workers poll it and
+     *  parked ones re-check it when woken. */
+    std::atomic<bool> stop_{false};
 };
 
 /** The process-wide shared pool (created on first use). */

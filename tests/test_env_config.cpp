@@ -74,7 +74,13 @@ TEST(EnvConfig, ThreadsParsesHistoricalContract)
     guard.set("-4");
     EXPECT_GE(runtime::envConfig().threads(), 1);
     guard.unset();
-    EXPECT_GE(runtime::envConfig().threads(), 1);
+    const int unset_threads = runtime::envConfig().threads();
+    EXPECT_GE(unset_threads, 1);
+    // Trailing characters make the whole value invalid (as for
+    // SNIP_KV_PAGE): "3x" falls back like an unset variable instead of
+    // being read as 3.
+    guard.set("3x");
+    EXPECT_EQ(runtime::envConfig().threads(), unset_threads);
 }
 
 TEST(EnvConfig, KvPageParsesAndClamps)

@@ -1,16 +1,18 @@
 /**
  * @file
  * The parallel execution runtime: pool lifecycle, range coverage,
- * static partitioning, nested calls, exception propagation, and the
- * SNIP_THREADS sizing knob.
+ * static partitioning, nested calls, exception propagation, the
+ * spin-then-park dispatch paths, and the SNIP_THREADS sizing knob.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "runtime/env_config.h"
@@ -147,6 +149,109 @@ TEST(ThreadPool, SingleChunkRunsOnCallerThread)
         ran_on = std::this_thread::get_id();
     });
     EXPECT_EQ(ran_on, caller);
+}
+
+/** Far longer than the pool's spin bound (tens of microseconds): a
+ *  thread idle or waiting this long has parked. */
+constexpr std::chrono::milliseconds kParkedFor{20};
+
+/** Bound on waiting for another pool thread: far past any scheduling
+ *  delay, so only a lost wakeup reaches it. */
+constexpr std::chrono::seconds kWaitLimit{10};
+
+/** Poll @p flag until it is set or kWaitLimit passes; true when set.
+ *  Keeps a lost wakeup a test failure instead of a hang. */
+bool
+waitForFlag(const std::atomic<bool> &flag)
+{
+    const auto deadline = std::chrono::steady_clock::now() + kWaitLimit;
+    while (!flag.load(std::memory_order_acquire)) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::yield();
+    }
+    return true;
+}
+
+TEST(ThreadPool, ParkedWorkersWakeForTheNextJob)
+{
+    for (int n : {2, 4}) {
+        ThreadPool pool(n);
+        for (int round = 0; round < 3; ++round) {
+            std::this_thread::sleep_for(kParkedFor); // workers park
+            // Chunk 0 waits until chunk 1 has started, so the job can
+            // only finish if a parked worker woke and took a chunk.
+            std::atomic<bool> second_started{false};
+            bool first_saw_second = false;
+            std::thread::id ran_on[2];
+            pool.parallelFor(0, 2, 1, [&](int64_t i0, int64_t) {
+                ran_on[i0] = std::this_thread::get_id();
+                if (i0 == 1)
+                    second_started.store(true, std::memory_order_release);
+                else
+                    first_saw_second = waitForFlag(second_started);
+            });
+            EXPECT_TRUE(first_saw_second)
+                << "width " << n << " round " << round;
+            EXPECT_NE(ran_on[0], ran_on[1]);
+        }
+    }
+}
+
+TEST(ThreadPool, SubmitterParksUntilALongChunkFinishes)
+{
+    ThreadPool pool(4);
+    const std::thread::id caller = std::this_thread::get_id();
+    // A chunk on a worker outlasts the submitter's spin bound. A chunk
+    // on the caller first waits until a worker chunk has started, so
+    // the submitter runs out of chunks early and must park until the
+    // worker's finish wakes it.
+    int caller_chunks = 0;
+    auto job = [&](bool worker_throws, std::vector<int> &written) {
+        std::atomic<bool> worker_started{false};
+        caller_chunks = 0;
+        pool.parallelFor(0, 2, 1, [&](int64_t i0, int64_t) {
+            if (std::this_thread::get_id() == caller) {
+                ++caller_chunks;
+                EXPECT_TRUE(waitForFlag(worker_started));
+            } else {
+                worker_started.store(true, std::memory_order_release);
+                std::this_thread::sleep_for(kParkedFor);
+                if (worker_throws)
+                    throw std::runtime_error("late chunk");
+            }
+            written[static_cast<size_t>(i0)] = 1;
+        });
+    };
+    std::vector<int> written(2, 0);
+    job(/*worker_throws=*/false, written);
+    EXPECT_EQ(written, std::vector<int>({1, 1}));
+
+    std::vector<int> partial(2, 0);
+    EXPECT_THROW(job(/*worker_throws=*/true, partial), std::runtime_error);
+    // Every chunk finished before the rethrow: the caller's wrote.
+    EXPECT_EQ(partial[0] + partial[1], caller_chunks);
+}
+
+TEST(ThreadPool, ShutdownWhileWorkersSpin)
+{
+    // Destroy each pool right after a job, while its workers are still
+    // polling for the next one. A shutdown that missed a spinning or
+    // parking worker hangs here; one that noticed the stop only by
+    // timed polling blows the (generous, sanitizer-proof) bound.
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int n : {2, 8}) {
+        for (int cycle = 0; cycle < 200; ++cycle) {
+            ThreadPool pool(n);
+            std::atomic<int64_t> sum{0};
+            pool.parallelFor(0, 16, 1, [&](int64_t i0, int64_t) {
+                sum.fetch_add(i0, std::memory_order_relaxed);
+            });
+            ASSERT_EQ(sum.load(std::memory_order_relaxed), 15 * 16 / 2);
+        }
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(30));
 }
 
 TEST(Runtime, DefaultThreadCountHonorsSnipThreadsEnv)

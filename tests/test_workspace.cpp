@@ -6,11 +6,15 @@
  * The counting allocation operators of alloc_counter.h let tests
  * assert that a warmed-up packed GEMM — pack,
  * fused quantization, workspace staging, thread-pool submission —
- * touches the heap exactly zero times on the serial path, and at most
- * a recycled-Job allocation on the threaded path.
+ * touches the heap exactly zero times, on the serial and the threaded
+ * path alike.
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <functional>
+#include <thread>
 #include <vector>
 
 #include "nn/attention.h"
@@ -95,7 +99,7 @@ TEST(WorkspaceArena, SteadyStatePackedGemmAllocatesNothing)
         gemmTN(a_tn.data(), b_nn.data(), c.data(), m, n, k);
     };
     run();
-    run(); // warm: arenas sized, pool job recycled
+    run(); // warm: arenas sized
     EXPECT_EQ(allocDelta(run), 0)
         << "steady-state packed GEMMs must not touch the heap";
 }
@@ -191,25 +195,70 @@ TEST(WorkspaceArena, SteadyStateAttentionStepAllocatesNothing)
     setAttnModeByName("par");
 }
 
+/**
+ * Run fn(i) once on every thread of the global pool, the caller
+ * included, with i a distinct index in [0, numThreads()). The job has
+ * one chunk per thread and each chunk waits until all have started, so
+ * no thread can take two. Bounded: a worker that never shows up fails
+ * the test instead of hanging it.
+ */
+void
+onEveryPoolThread(const std::function<void(int64_t)> &fn)
+{
+    const int64_t n = runtime::globalThreadPool().numThreads();
+    std::atomic<int64_t> arrived{0};
+    runtime::parallelFor(0, n, 1, [&](int64_t i, int64_t) {
+        arrived.fetch_add(1, std::memory_order_acq_rel);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (arrived.load(std::memory_order_acquire) < n &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        EXPECT_EQ(arrived.load(std::memory_order_acquire), n);
+        fn(i);
+    });
+}
+
 TEST(WorkspaceArena, ThreadedSteadyStateStaysRecycled)
 {
     PackModeGuard mode_guard;
     GlobalPoolGuard pool_guard;
     setGemmPackModeByName("on");
     runtime::setGlobalThreadCount(4);
+    const int threads = runtime::globalThreadPool().numThreads();
 
-    const int64_t m = 200, n = 120, k = 160;
-    Rng rng(5);
-    Tensor a = Tensor::randn({m, k}, rng);
-    Tensor b = Tensor::randn({n, k}, rng);
-    std::vector<float> c(static_cast<size_t>(m * n));
-    auto run = [&] { gemmNT(a.data(), b.data(), c.data(), m, n, k); };
-    for (int i = 0; i < 6; ++i)
-        run(); // warm every worker's arena and the recycled Job
-    // A straggling worker can force at most one fresh Job per
-    // parallelFor (two per packed GEMM: pack phase + gemm phase);
-    // everything else — panels, scales, workspaces — is recycled.
-    EXPECT_LE(allocDelta(run), 2);
+    // 200x120x160 fans four M-blocks over the pool. 128x32x32, the fig8
+    // linear shape, has two, so which threads take part changes from
+    // call to call.
+    struct Shape
+    {
+        int64_t m, n, k;
+    };
+    for (const Shape &s : {Shape{200, 120, 160}, Shape{128, 32, 32}}) {
+        SCOPED_TRACE(testing::Message() << s.m << "x" << s.n << "x" << s.k);
+        Rng rng(5);
+        Tensor a = Tensor::randn({s.m, s.k}, rng);
+        Tensor b = Tensor::randn({s.n, s.k}, rng);
+        std::vector<float> c(static_cast<size_t>(s.m * s.n));
+        auto run = [&] {
+            gemmNT(a.data(), b.data(), c.data(), s.m, s.n, s.k);
+        };
+        // Warm every pool thread's arena: each runs the whole GEMM
+        // inline (nested parallelFor) into a private output.
+        std::vector<std::vector<float>> own(static_cast<size_t>(threads), c);
+        onEveryPoolThread([&](int64_t i) {
+            gemmNT(a.data(), b.data(), own[static_cast<size_t>(i)].data(),
+                   s.m, s.n, s.k);
+        });
+        run();
+        // Panels, scales, workspaces and the pool's job slot are all
+        // reused: not one allocation in a thousand threaded calls.
+        auto thousand_runs = [&] {
+            for (int i = 0; i < 1000; ++i)
+                run();
+        };
+        EXPECT_EQ(allocDelta(thousand_runs), 0);
+    }
 }
 
 } // namespace
