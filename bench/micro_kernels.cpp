@@ -65,20 +65,14 @@ BM_Gemm(benchmark::State &state)
 }
 
 /**
- * Packed-vs-unpacked A/B at L2-outgrowing shapes: the same
- * single-thread NT GEMM under SNIP_GEMM_PACK=on and =off on the
- * dispatched backend. The large shapes (512/1024/2048) are the ones
- * whose operand panels no longer fit L2, where the packed pipeline's
- * contiguous strip-major traffic and 6x16 register tile pay off; the
- * acceptance target is >= 1.5x at n=2048 on AVX2.
+ * Single-thread NT GEMM at L2-outgrowing shapes (512/1024/2048), where
+ * the operand panels no longer fit L2 and the packed pipeline's
+ * contiguous strip-major traffic and 6x16 register tile carry the
+ * throughput.
  */
 void
-BM_GemmPack(benchmark::State &state, const char *mode)
+BM_GemmPack(benchmark::State &state)
 {
-    if (!setGemmPackModeByName(mode)) {
-        state.SkipWithError("bad pack mode");
-        return;
-    }
     runtime::setGlobalThreadCount(1);
     const int64_t n = state.range(0);
     Rng rng(3);
@@ -90,7 +84,6 @@ BM_GemmPack(benchmark::State &state, const char *mode)
     }
     setGemmThroughput(state, 2 * n * n * n);
     runtime::setGlobalThreadCount(0);
-    setGemmPackModeByName("auto");
 }
 
 /**
@@ -102,7 +95,6 @@ BM_GemmPack(benchmark::State &state, const char *mode)
 void
 BM_QuantGemmNT(benchmark::State &state, bool fused)
 {
-    setGemmPackModeByName("on");
     runtime::setGlobalThreadCount(1);
     const int64_t n = state.range(0);
     Rng rng(5);
@@ -126,7 +118,6 @@ BM_QuantGemmNT(benchmark::State &state, bool fused)
     }
     setGemmThroughput(state, 2 * n * n * n);
     runtime::setGlobalThreadCount(0);
-    setGemmPackModeByName("auto");
 }
 
 void
@@ -154,22 +145,14 @@ BM_PlainStep(benchmark::State &state)
 }
 
 /**
- * fig8-style training step, packed vs unpacked (excluded from the CI
- * regression gate — end-to-end steps are too noisy for a 25% bound).
- * The model is sized so its GEMMs clear the Auto pack threshold, and
- * layers run FP8 so the step exercises fused quantize-on-pack and the
- * per-step weight-pack cache. The packed side runs the shipped
- * SNIP_GEMM_PACK=auto policy (large GEMMs pack, the tiny per-head
- * attention GEMMs stay on the legacy path where packing cannot pay
- * off); "off" pins everything to the legacy path.
+ * fig8-style training step (excluded from the CI regression gate —
+ * end-to-end steps are too noisy for a 25% bound). Layers run FP8 so
+ * the step exercises fused quantize-on-pack and the per-step
+ * weight-pack cache.
  */
 void
-BM_TrainStepPack(benchmark::State &state, const char *mode)
+BM_TrainStepPack(benchmark::State &state)
 {
-    if (!setGemmPackModeByName(mode)) {
-        state.SkipWithError("bad pack mode");
-        return;
-    }
     ModelConfig model = tinyTestModel();
     model.d_model = 128;
     model.n_heads = 4;
@@ -185,7 +168,6 @@ BM_TrainStepPack(benchmark::State &state, const char *mode)
     trainer.train(2);
     for (auto _ : state)
         benchmark::DoNotOptimize(trainer.trainStep());
-    setGemmPackModeByName("auto");
 }
 
 /**
@@ -296,7 +278,7 @@ attnBenchShape(int64_t id)
 }
 
 /** Forward GEMM FLOPs of the attention core (QK^T + PV); softmax is
- *  excluded so par/serial rows share one denominator. */
+ *  excluded so the rows count GEMM work only. */
 int64_t
 attnFwdFlops(const AttnShape &s)
 {
@@ -304,18 +286,13 @@ attnFwdFlops(const AttnShape &s)
 }
 
 /**
- * The attention core (scores + fused softmax + context) under
- * SNIP_ATTN=par (batched runtime) vs =serial (historical per-head
- * loop), single-thread pinned so the rows isolate the batched-GEMM +
- * fused-kernel win; BM_AttnThreads sweeps the thread count.
+ * The attention core (scores + fused softmax + context), single-thread
+ * pinned so the rows time the batched GEMMs and fused kernels alone;
+ * BM_AttnThreads sweeps the thread count.
  */
 void
-BM_AttnFwd(benchmark::State &state, const char *mode)
+BM_AttnFwd(benchmark::State &state)
 {
-    if (!setAttnModeByName(mode)) {
-        state.SkipWithError("bad attention mode");
-        return;
-    }
     runtime::setGlobalThreadCount(1);
     const AttnShape s = attnBenchShape(state.range(0));
     Rng rng(21);
@@ -334,18 +311,13 @@ BM_AttnFwd(benchmark::State &state, const char *mode)
     }
     setGemmThroughput(state, attnFwdFlops(s));
     runtime::setGlobalThreadCount(0);
-    setAttnModeByName("par");
 }
 
 /** Backward half of the attention core (4 GEMMs + fused softmax
  *  backward); dq/dk/dv zeroing is timed — it is part of a real step. */
 void
-BM_AttnBwd(benchmark::State &state, const char *mode)
+BM_AttnBwd(benchmark::State &state)
 {
-    if (!setAttnModeByName(mode)) {
-        state.SkipWithError("bad attention mode");
-        return;
-    }
     runtime::setGlobalThreadCount(1);
     const AttnShape s = attnBenchShape(state.range(0));
     Rng rng(22);
@@ -375,15 +347,12 @@ BM_AttnBwd(benchmark::State &state, const char *mode)
     }
     setGemmThroughput(state, 2 * attnFwdFlops(s));
     runtime::setGlobalThreadCount(0);
-    setAttnModeByName("par");
 }
 
-/** Thread sweep of the batched forward core at the fig8-scale shape
- *  (serial rows would be flat by construction). */
+/** Thread sweep of the batched forward core at the fig8-scale shape. */
 void
 BM_AttnThreads(benchmark::State &state)
 {
-    setAttnModeByName("par");
     runtime::setGlobalThreadCount(static_cast<int>(state.range(0)));
     const AttnShape s = attnBenchShape(1);
     Rng rng(23);
@@ -514,11 +483,10 @@ BENCHMARK_CAPTURE(BM_QuantizeTensor, bf16_fastpath,
                               {Granularity::Tensorwise, 0},
                               Rounding::Nearest});
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
-BENCHMARK_CAPTURE(BM_GemmPack, on, "on")
-    ->Arg(512)
-    ->Arg(1024)
-    ->Arg(2048);
-BENCHMARK_CAPTURE(BM_GemmPack, off, "off")
+// Rows whose names predate the retired SNIP_GEMM_PACK / SNIP_ATTN knobs
+// keep them: bench/baseline_kernels.json is keyed on these names.
+BENCHMARK(BM_GemmPack)
+    ->Name("BM_GemmPack/on")
     ->Arg(512)
     ->Arg(1024)
     ->Arg(2048);
@@ -546,19 +514,13 @@ BENCHMARK(BM_QuantizeThreads)
     ->Args({512, 4})
     ->Args({512, 8})
     ->UseRealTime();
-BENCHMARK_CAPTURE(BM_AttnFwd, par, "par")
+BENCHMARK(BM_AttnFwd)
+    ->Name("BM_AttnFwd/par")
     ->ArgName("shape")
     ->Arg(0)
     ->Arg(1);
-BENCHMARK_CAPTURE(BM_AttnFwd, serial, "serial")
-    ->ArgName("shape")
-    ->Arg(0)
-    ->Arg(1);
-BENCHMARK_CAPTURE(BM_AttnBwd, par, "par")
-    ->ArgName("shape")
-    ->Arg(0)
-    ->Arg(1);
-BENCHMARK_CAPTURE(BM_AttnBwd, serial, "serial")
+BENCHMARK(BM_AttnBwd)
+    ->Name("BM_AttnBwd/par")
     ->ArgName("shape")
     ->Arg(0)
     ->Arg(1);
@@ -576,8 +538,7 @@ BENCHMARK(BM_ParallelForDispatch)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_StatsCollection);
 BENCHMARK(BM_PlainStep);
-BENCHMARK_CAPTURE(BM_TrainStepPack, auto_pack, "auto");
-BENCHMARK_CAPTURE(BM_TrainStepPack, off, "off");
+BENCHMARK(BM_TrainStepPack)->Name("BM_TrainStepPack/auto_pack");
 BENCHMARK(BM_IlpBranchAndBound)->Arg(154)->Arg(560);
 BENCHMARK(BM_IlpDp)->Arg(154)->Arg(560);
 

@@ -7,8 +7,7 @@
  * the decode path against the full-sequence forward:
  *
  *   - FP32-cache mode: decode logits are BIT-IDENTICAL to the last row
- *     of a full-sequence forward, at 1, 2 and 8 threads (packed GEMM
- *     pinned off — packing permutes accumulation order by contract).
+ *     of a full-sequence forward, at 1, 2 and 8 threads.
  *   - FP8-cache mode: logits track the FP32 trajectory within the
  *     documented tolerance (|err| <= 8% of the row max + 0.02).
  *
@@ -34,7 +33,6 @@
 #include "runtime/env_config.h"
 #include "runtime/thread_pool.h"
 #include "serve/engine.h"
-#include "tensor/gemm.h"
 #include "train/presets.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -161,12 +159,6 @@ fullSeqLastRow(LlamaModel &model, const std::vector<int32_t> &tokens)
 bool
 checkBitIdentity(LlamaModel &model, uint64_t seed)
 {
-    // Bitwise claims require the legacy unpacked GEMM: packed kernels
-    // reorder the accumulation by contract.
-    if (!setGemmPackModeByName("off")) {
-        std::printf("FAIL: cannot pin SNIP_GEMM_PACK=off\n");
-        return false;
-    }
     const ModelConfig &cfg = model.config();
     const auto prompt = somePrompt(7, cfg.vocab_size, seed);
     const int64_t steps = 8;
@@ -191,7 +183,6 @@ checkBitIdentity(LlamaModel &model, uint64_t seed)
                                     : "MISMATCH vs full sequence");
         ok = ok && mismatches == 0;
     }
-    setGemmPackModeByName("auto");
     return ok;
 }
 

@@ -33,7 +33,8 @@ scoreItem(LlamaModel &model, const EvalItem &item)
         SNIP_ASSERT(len >= 2 && len <= model.config().max_seq,
                     "item length out of range");
 
-        Tensor logits = model.forward(seq, /*batch=*/1, /*seq=*/len);
+        Tensor logits = model.forward(seq, /*batch=*/1, /*seq=*/len,
+                                      ForwardMode::Train);
         // Row r predicts token r+1: option tokens live at positions
         // [ctx, len); the rows scoring them are [ctx-1, len-1).
         const int64_t ctx = static_cast<int64_t>(item.context.size());

@@ -1,11 +1,7 @@
 #include "nn/attention.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
-#include "runtime/env_config.h"
 #include "runtime/thread_pool.h"
 #include "runtime/workspace_arena.h"
 #include "serve/kv_cache.h"
@@ -51,135 +47,11 @@ scatterHeadAdd(float *dst, const float *src, int64_t b, int64_t h,
     }
 }
 
-// -------------------------------------------------------------- mode
-
-std::atomic<int> g_attn_mode{-1}; // -1 = unresolved
-
-bool
-parseAttnMode(const char *spec, AttnMode *out)
-{
-    if (spec == nullptr || *spec == '\0' ||
-        std::strcmp(spec, "par") == 0) {
-        *out = AttnMode::Par;
-        return true;
-    }
-    if (std::strcmp(spec, "serial") == 0) {
-        *out = AttnMode::Serial;
-        return true;
-    }
-    return false;
-}
-
-// ------------------------------------------------------- serial core
-
-/**
- * The historical per-(b,h) loop, kept bit-for-bit for A/B
- * (SNIP_ATTN=serial): per-head gathers into arena scratch, per-head
- * GEMMs through the ordinary entry points, fused softmax kernel (bit-
- * exact against the old open-coded loops by the kernel contract).
- */
-void
-forwardSerial(const AttnShape &s, const float *q, const float *k,
-              const float *v, float *probs, float *ctx)
-{
-    const int64_t seq = s.seq, hd = s.head_dim;
-    const int64_t n_heads = s.n_heads, n_kv = s.n_kv_heads;
-    const int64_t group = n_heads / n_kv;
-    const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-    const simd::KernelTable &kt = simd::activeKernels();
-
-    runtime::WorkspaceArena &arena =
-        runtime::WorkspaceArena::forCurrentThread();
-    runtime::ArenaScope scope(arena);
-    const size_t buf = static_cast<size_t>(seq * hd);
-    float *qb = arena.getFloats(buf);
-    float *kb = arena.getFloats(buf);
-    float *vb = arena.getFloats(buf);
-    float *cb = arena.getFloats(buf);
-
-    for (int64_t b = 0; b < s.batch; ++b) {
-        for (int64_t h = 0; h < n_heads; ++h) {
-            const int64_t kvh = h / group;
-            gatherHead(q, qb, b, h, seq, n_heads, hd);
-            gatherHead(k, kb, b, kvh, seq, n_kv, hd);
-            gatherHead(v, vb, b, kvh, seq, n_kv, hd);
-
-            float *prob = probs + (b * n_heads + h) * seq * seq;
-            gemmNT(qb, kb, prob, seq, seq, hd);
-            kt.attnSoftmaxFwd(prob, seq, scale);
-            gemmNN(prob, vb, cb, seq, hd, seq);
-
-            // ctx slice is written exactly once per (b,h): plain copy.
-            const int64_t cols = n_heads * hd;
-            for (int64_t ss = 0; ss < seq; ++ss) {
-                float *dst = ctx + (b * seq + ss) * cols + h * hd;
-                const float *src = cb + ss * hd;
-                for (int64_t c = 0; c < hd; ++c)
-                    dst[c] = src[c];
-            }
-        }
-    }
-}
-
-void
-backwardSerial(const AttnShape &s, const float *q, const float *k,
-               const float *v, const float *probs, const float *dctx,
-               float *dq, float *dk, float *dv)
-{
-    const int64_t seq = s.seq, hd = s.head_dim;
-    const int64_t n_heads = s.n_heads, n_kv = s.n_kv_heads;
-    const int64_t group = n_heads / n_kv;
-    const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-    const simd::KernelTable &kt = simd::activeKernels();
-
-    runtime::WorkspaceArena &arena =
-        runtime::WorkspaceArena::forCurrentThread();
-    runtime::ArenaScope scope(arena);
-    const size_t buf = static_cast<size_t>(seq * hd);
-    const size_t sq = static_cast<size_t>(seq * seq);
-    float *qb = arena.getFloats(buf);
-    float *kb = arena.getFloats(buf);
-    float *vb = arena.getFloats(buf);
-    float *dcb = arena.getFloats(buf);
-    float *dqb = arena.getFloats(buf);
-    float *dkb = arena.getFloats(buf);
-    float *dvb = arena.getFloats(buf);
-    float *dp = arena.getFloats(sq);
-    float *ds = arena.getFloats(sq);
-
-    for (int64_t b = 0; b < s.batch; ++b) {
-        for (int64_t h = 0; h < n_heads; ++h) {
-            const int64_t kvh = h / group;
-            gatherHead(q, qb, b, h, seq, n_heads, hd);
-            gatherHead(k, kb, b, kvh, seq, n_kv, hd);
-            gatherHead(v, vb, b, kvh, seq, n_kv, hd);
-            gatherHead(dctx, dcb, b, h, seq, n_heads, hd);
-
-            const float *prob = probs + (b * n_heads + h) * seq * seq;
-
-            // dV = P^T dCtx ; dP = dCtx V^T.
-            gemmTN(prob, dcb, dvb, seq, hd, seq);
-            gemmNT(dcb, vb, dp, seq, seq, hd);
-
-            // Softmax backward (scale folded): dS = P .* (dP - rowdot).
-            kt.attnSoftmaxBwd(prob, dp, ds, seq, scale);
-
-            // dQ = dS_raw K ; dK = dS_raw^T Q.
-            gemmNN(ds, kb, dqb, seq, hd, seq);
-            gemmTN(ds, qb, dkb, seq, hd, seq);
-
-            scatterHeadAdd(dq, dqb, b, h, seq, n_heads, hd);
-            scatterHeadAdd(dk, dkb, b, kvh, seq, n_kv, hd);
-            scatterHeadAdd(dv, dvb, b, kvh, seq, n_kv, hd);
-        }
-    }
-}
-
 // ------------------------------------------------------ batched core
 
 /** One batched attention invocation: dims plus every buffer the
  *  parallelFor lambdas touch (they capture a pointer to this). */
-struct ParCtx
+struct BatchCtx
 {
     AttnShape s;
     int64_t count;    ///< batch * n_heads, ordered (b, h)
@@ -202,14 +74,14 @@ struct ParCtx
     float *gather_dst;
 };
 
-/** Gather all query heads (items ordered (b, h) — identical to the
- *  serial loop's visit order) into a [count, seq, hd] slab. */
+/** Gather all query heads (items ordered (b, h)) into a
+ *  [count, seq, hd] slab. */
 void
-gatherQ(ParCtx *c, const float *src, float *dst)
+gatherQ(BatchCtx *c, const float *src, float *dst)
 {
     c->gather_src = src;
     c->gather_dst = dst;
-    const ParCtx *pc = c;
+    const BatchCtx *pc = c;
     runtime::parallelFor(0, pc->count, 1, [pc](int64_t i0, int64_t i1) {
         const int64_t seq = pc->s.seq, hd = pc->s.head_dim;
         for (int64_t i = i0; i < i1; ++i)
@@ -221,11 +93,11 @@ gatherQ(ParCtx *c, const float *src, float *dst)
 
 /** Gather all kv heads (items ordered (b, kvh)) into a kv slab. */
 void
-gatherKV(ParCtx *c, const float *src, float *dst)
+gatherKV(BatchCtx *c, const float *src, float *dst)
 {
     c->gather_src = src;
     c->gather_dst = dst;
-    const ParCtx *pc = c;
+    const BatchCtx *pc = c;
     runtime::parallelFor(
         0, pc->kv_count, 1, [pc](int64_t i0, int64_t i1) {
             const int64_t seq = pc->s.seq, hd = pc->s.head_dim;
@@ -238,17 +110,17 @@ gatherKV(ParCtx *c, const float *src, float *dst)
 }
 
 /**
- * Batched schedule (SNIP_ATTN=par). Item i = b*n_heads + h walks the
- * same (b, h) order as the serial loop, and — because query heads are
- * numbered kvh*group + g — its kv head is simply i / group, so the
- * strided-batch GEMMs read the gathered slabs directly. All scratch
- * comes from workspace arenas: zero steady-state heap allocations.
+ * Batched forward. Item i = b*n_heads + h walks the (b, h) space in
+ * order, and — because query heads are numbered kvh*group + g — its kv
+ * head is simply i / group, so the strided-batch GEMMs read the
+ * gathered slabs directly. All scratch comes from workspace arenas:
+ * zero steady-state heap allocations.
  */
 void
-forwardPar(const AttnShape &s, const float *q, const float *k,
+forwardBatched(const AttnShape &s, const float *q, const float *k,
            const float *v, float *probs, float *ctx)
 {
-    ParCtx c;
+    BatchCtx c;
     c.s = s;
     c.count = s.batch * s.n_heads;
     c.kv_count = s.batch * s.n_kv_heads;
@@ -273,7 +145,7 @@ forwardPar(const AttnShape &s, const float *q, const float *k,
     gatherQ(&c, q, c.qg);
     gatherKV(&c, k, c.kg);
     gatherKV(&c, v, c.vg);
-    const ParCtx *pc = &c;
+    const BatchCtx *pc = &c;
 
     // Scores: one strided-batch NT over every (b,h); each kv head's
     // packed K panel is built once and streamed by its group.
@@ -312,11 +184,11 @@ forwardPar(const AttnShape &s, const float *q, const float *k,
 }
 
 void
-backwardPar(const AttnShape &s, const float *q, const float *k,
+backwardBatched(const AttnShape &s, const float *q, const float *k,
             const float *v, const float *probs, const float *dctx,
             float *dq, float *dk, float *dv)
 {
-    ParCtx c;
+    BatchCtx c;
     c.s = s;
     c.count = s.batch * s.n_heads;
     c.kv_count = s.batch * s.n_kv_heads;
@@ -352,7 +224,7 @@ backwardPar(const AttnShape &s, const float *q, const float *k,
     gatherKV(&c, k, c.kg);
     gatherKV(&c, v, c.vg);
     gatherQ(&c, dctx, c.dcg);
-    const ParCtx *pc = &c;
+    const BatchCtx *pc = &c;
 
     // dV = P^T dCtx, reduced per kv head (group items add in fixed
     // ascending order — the GQA scatter stays bit-identical at any
@@ -484,36 +356,6 @@ validateShape(const AttnShape &s)
 
 } // namespace
 
-// ---------------------------------------------------------- mode API
-
-AttnMode
-attnMode()
-{
-    int mode = g_attn_mode.load(std::memory_order_acquire);
-    if (mode < 0) {
-        AttnMode m = AttnMode::Par;
-        const char *spec = runtime::envConfig().attn().cstrOrNull();
-        if (!parseAttnMode(spec, &m)) {
-            warn("unknown SNIP_ATTN value '", spec,
-                 "' (expected par|serial); using par");
-            m = AttnMode::Par;
-        }
-        mode = static_cast<int>(m);
-        g_attn_mode.store(mode, std::memory_order_release);
-    }
-    return static_cast<AttnMode>(mode);
-}
-
-bool
-setAttnModeByName(const char *name)
-{
-    AttnMode m;
-    if (!parseAttnMode(name, &m))
-        return false;
-    g_attn_mode.store(static_cast<int>(m), std::memory_order_release);
-    return true;
-}
-
 // --------------------------------------------------------- core API
 
 void
@@ -523,10 +365,7 @@ attentionForwardCore(const AttnShape &s, const float *q, const float *k,
     validateShape(s);
     obs::Scope timed(telemetry::Timer::AttnFwd, trace::Category::Attn,
                      "attn_fwd", "batch", s.batch, "heads", s.n_heads);
-    if (attnMode() == AttnMode::Par)
-        forwardPar(s, q, k, v, probs, ctx);
-    else
-        forwardSerial(s, q, k, v, probs, ctx);
+    forwardBatched(s, q, k, v, probs, ctx);
 }
 
 void
@@ -537,10 +376,7 @@ attentionBackwardCore(const AttnShape &s, const float *q, const float *k,
     validateShape(s);
     obs::Scope timed(telemetry::Timer::AttnBwd, trace::Category::Attn,
                      "attn_bwd", "batch", s.batch, "heads", s.n_heads);
-    if (attnMode() == AttnMode::Par)
-        backwardPar(s, q, k, v, probs, dctx, dq, dk, dv);
-    else
-        backwardSerial(s, q, k, v, probs, dctx, dq, dk, dv);
+    backwardBatched(s, q, k, v, probs, dctx, dq, dk, dv);
 }
 
 // ------------------------------------------------------------ module

@@ -7,29 +7,15 @@
  * attention math itself (scores, softmax, context) stays in high
  * precision, as in the paper's framework (Sec. 2.2).
  *
- * The attention math runs one of two schedules (SNIP_ATTN):
- *
- *   SNIP_ATTN=par     batched runtime (default): the (batch, head)
- *                     iteration space fans over runtime::parallelFor
- *                     with deterministic ownership (workers own whole
- *                     (b,h) slices; GQA dK/dV reduce per kv head in a
- *                     fixed sequential order), the per-head GEMMs run
- *                     as single strided-batch calls
- *                     (tensor/gemm.h gemmBatched*), and all scratch
- *                     lives in per-thread workspace arenas — zero
- *                     steady-state heap allocations in the core.
- *   SNIP_ATTN=serial  the historical per-(b,h) loop, kept for A/B:
- *                     per-head GEMMs through the ordinary entry
- *                     points, same arena scratch.
- *
- * Both schedules share the fused scale+mask+softmax kernels
- * (simd/kernels.h, bit-exact across backends and against the old
- * open-coded loops), and both are bit-identical for any thread count.
- * par == serial bit for bit whenever the per-item GEMMs take the same
- * packed-or-not path (always under SNIP_GEMM_PACK=on or =off); under
- * =auto the batched heuristic may pack small per-head GEMMs the
- * per-item heuristic would not, which changes low-order GEMM bits
- * exactly as the documented packed-vs-unpacked contract allows.
+ * The attention math runs as one batched schedule: the (batch, head)
+ * iteration space fans over runtime::parallelFor with deterministic
+ * ownership (workers own whole (b,h) slices; GQA dK/dV reduce per kv
+ * head in a fixed sequential order), the per-head GEMMs run as single
+ * strided-batch calls (tensor/gemm.h gemmBatched*), the scale+mask+
+ * softmax loops run as fused kernels (simd/kernels.h, bit-exact across
+ * backends), and all scratch lives in per-thread workspace arenas —
+ * zero steady-state heap allocations in the core. Results are
+ * bit-identical for any thread count.
  */
 #ifndef SNIP_NN_ATTENTION_H
 #define SNIP_NN_ATTENTION_H
@@ -42,21 +28,6 @@
 #include "nn/rope.h"
 
 namespace snip {
-
-/** SNIP_ATTN spellings. */
-enum class AttnMode
-{
-    Par,
-    Serial,
-};
-
-/** The active attention schedule (resolves SNIP_ATTN on first call). */
-AttnMode attnMode();
-
-/** Select a schedule programmatically ("par" | "serial"); false and
- *  unchanged for unknown names. For tests and benches; must not race
- *  with in-flight attention calls. */
-bool setAttnModeByName(const char *name);
 
 /** Dimensions of one attention invocation (head_dim applies to both
  *  query and kv heads; n_heads must be a multiple of n_kv_heads). */
@@ -114,22 +85,14 @@ class Attention
     /**
      * x is [batch*seq, d_model]; returns the same shape.
      *
-     * Train runs the historical path unchanged (bit-identical to the
-     * pre-ForwardMode signature). Prefill additionally appends every
-     * post-RoPE K/V row to @p kv (cache per kv.seq_ids[b], which must
-     * be freshly begun) and releases the saved backward state — a
+     * Train saves the state backward() needs. Prefill instead appends
+     * every post-RoPE K/V row to @p kv (cache per kv.seq_ids[b], which
+     * must be freshly begun) and releases the saved backward state — a
      * prefill cannot be backpropagated. Decode is not served here; use
      * decodeForward().
      */
     Tensor forward(const Tensor &x, int64_t batch, int64_t seq,
                    ForwardMode mode, const KvCacheHandle &kv = {});
-
-    /** Deprecated training-only signature; forwards to Train mode. */
-    Tensor
-    forward(const Tensor &x, int64_t batch, int64_t seq)
-    {
-        return forward(x, batch, seq, ForwardMode::Train);
-    }
 
     /**
      * Single-token decode step for @p count independent sequences.
@@ -138,8 +101,8 @@ class Attention
      * warm-up). For each row i the query attends over the full cached
      * history of kv.seq_ids[i] plus the new token, whose K/V rows are
      * appended to the cache. Output rows are bit-identical to the last
-     * row of a Train/Prefill forward over the same prefix under
-     * SNIP_GEMM_PACK=off with an FP32-mode cache.
+     * row of a Train/Prefill forward over the same prefix with an
+     * FP32-mode cache.
      */
     void decodeForward(const float *x, int64_t count,
                        const KvCacheHandle &kv, float *y);

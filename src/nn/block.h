@@ -26,13 +26,6 @@ class TransformerBlock
     Tensor forward(const Tensor &x, int64_t batch, int64_t seq,
                    ForwardMode mode, const KvCacheHandle &kv = {});
 
-    /** Deprecated training-only signature; forwards to Train mode. */
-    Tensor
-    forward(const Tensor &x, int64_t batch, int64_t seq)
-    {
-        return forward(x, batch, seq, ForwardMode::Train);
-    }
-
     /**
      * Single-token decode through the block, in place: @p x is
      * [count, d_model] and is updated to the block output. Uses arena

@@ -39,14 +39,6 @@ Linear::plan(GemmKind kind, TensorRole role) const
     return p;
 }
 
-Tensor
-Linear::materialized(const Tensor &t, const QuantPlan &plan)
-{
-    if (!plan.fused && !plan.materialize)
-        return t;
-    return quantizer_->quantize(t, plan.cfg);
-}
-
 const Tensor &
 Linear::packedSrc(const Tensor &t, const QuantPlan &plan, Tensor &storage,
                   const QuantConfig **fused)
@@ -72,43 +64,15 @@ Linear::forward(const Tensor &x)
     SNIP_ASSERT(x.rank() == 2 && x.size(1) == inFeatures(),
                 "bad input shape for ", name_);
     saved_x_ = x;
-    Tensor y;
-    if (gemmPackEnabled(x.size(0), outFeatures(), inFeatures())) {
-        QuantPlan xp = plan(GemmKind::Fwd, TensorRole::Activation);
-        QuantPlan wp = plan(GemmKind::Fwd, TensorRole::Weight);
-        Tensor xs;
-        const QuantConfig *xq = nullptr;
-        const Tensor &xa = packedSrc(x, xp, xs, &xq);
-        y = quantMatmulNT(xa, xq, w_, wp.fusedCfg(), activeCache());
-    } else {
-        Tensor xq =
-            materialized(x, plan(GemmKind::Fwd, TensorRole::Activation));
-        Tensor wq =
-            materialized(w_, plan(GemmKind::Fwd, TensorRole::Weight));
-        y = matmulNT(xq, wq);
-    }
+    const QuantPlan xp = plan(GemmKind::Fwd, TensorRole::Activation);
+    const QuantPlan wp = plan(GemmKind::Fwd, TensorRole::Weight);
+    Tensor xs;
+    const QuantConfig *xq = nullptr;
+    const Tensor &xa = packedSrc(x, xp, xs, &xq);
+    Tensor y = quantMatmulNT(xa, xq, w_, wp.fusedCfg(), activeCache());
     if (tap_)
         tap_->onForward(tap_idx_, x, w_, y);
     return y;
-}
-
-const Tensor &
-Linear::inferenceWeight(const QuantPlan &wp)
-{
-    if (!wp.fused && !wp.materialize)
-        return w_; // passthrough plan: the FP32 master is the operand
-    const uint64_t epoch = weightPackEpoch();
-    if (!w_inf_valid_ || w_inf_epoch_ != epoch ||
-        w_inf_format_ != wp.cfg.format.name) {
-        SNIP_ASSERT(wp.cfg.rounding == Rounding::Nearest,
-                    "stochastic-rounding weights are training-only (",
-                    name_, ")");
-        w_inf_ = quantizer_->quantize(w_, wp.cfg);
-        w_inf_valid_ = true;
-        w_inf_epoch_ = epoch;
-        w_inf_format_ = wp.cfg.format.name;
-    }
-    return w_inf_;
 }
 
 void
@@ -118,10 +82,14 @@ Linear::forwardInference(const float *x, int64_t rows, float *y)
     const int64_t out = outFeatures();
     const QuantPlan xp = plan(GemmKind::Fwd, TensorRole::Activation);
     const QuantPlan wp = plan(GemmKind::Fwd, TensorRole::Weight);
-    const Tensor &w = inferenceWeight(wp);
-
+    SNIP_ASSERT(!wp.materialize,
+                "stochastic-rounding weights are training-only (", name_,
+                ")");
+    // Passing the cache explicitly opts in whatever the implicit-reuse
+    // state: weight() and invalidateWeightPacks() stale it on mutation.
     if (!xp.fused && !xp.materialize) {
-        gemmNT(x, w.data(), y, rows, out, in);
+        gemmPackedNT(x, rows, in, nullptr, w_.data(), out, wp.fusedCfg(),
+                     &w_packs_, y);
         return;
     }
 
@@ -129,7 +97,8 @@ Linear::forwardInference(const float *x, int64_t rows, float *y)
     // FakeQuantizer::quantizeInPlace exactly for the row-local
     // granularities (a decode row must quantize identically to the
     // same row inside a full-sequence activation, which only holds
-    // when no region spans rows).
+    // when no region spans rows). Quantizing here rather than on the
+    // pack keeps thin decode GEMMs on the pack-free rows kernel.
     SNIP_ASSERT(xp.cfg.rounding == Rounding::Nearest,
                 "stochastic-rounding activations are training-only (",
                 name_, ")");
@@ -163,7 +132,8 @@ Linear::forwardInference(const float *x, int64_t rows, float *y)
                                static_cast<float>(1.0 / scale));
         }
     }
-    gemmNT(xq, w.data(), y, rows, out, in);
+    gemmPackedNT(xq, rows, in, nullptr, w_.data(), out, wp.fusedCfg(),
+                 &w_packs_, y);
 }
 
 Tensor
@@ -173,55 +143,34 @@ Linear::backward(const Tensor &dy)
                 "bad grad shape for ", name_);
     SNIP_ASSERT(saved_x_.numel() > 0, "backward before forward in ",
                 name_);
-    const int64_t rows = dy.size(0);
 
     // dX = dY W (Dgrad GEMM).
-    Tensor dx;
-    if (gemmPackEnabled(rows, inFeatures(), outFeatures())) {
-        QuantPlan dp = plan(GemmKind::Dgrad, TensorRole::OutputGrad);
-        QuantPlan wp = plan(GemmKind::Dgrad, TensorRole::Weight);
-        Tensor dys;
-        const QuantConfig *dq = nullptr;
-        const Tensor &dya = packedSrc(dy, dp, dys, &dq);
-        dx = quantMatmulNN(dya, dq, w_, wp.fusedCfg(), activeCache());
-    } else {
-        Tensor dyq = materialized(
-            dy, plan(GemmKind::Dgrad, TensorRole::OutputGrad));
-        Tensor wq =
-            materialized(w_, plan(GemmKind::Dgrad, TensorRole::Weight));
-        dx = matmulNN(dyq, wq);
-    }
+    const QuantPlan dgp = plan(GemmKind::Dgrad, TensorRole::OutputGrad);
+    const QuantPlan wp = plan(GemmKind::Dgrad, TensorRole::Weight);
+    Tensor dys;
+    const QuantConfig *dq = nullptr;
+    const Tensor &dya = packedSrc(dy, dgp, dys, &dq);
+    Tensor dx = quantMatmulNN(dya, dq, w_, wp.fusedCfg(), activeCache());
 
-    // dW = dY^T X (Wgrad GEMM). Without a tap the packed path
-    // accumulates straight into grad_w_ (one add of the full k-sum per
-    // element — bit-identical to materializing dW and adding it).
-    if (gemmPackEnabled(outFeatures(), inFeatures(), rows)) {
-        QuantPlan dp = plan(GemmKind::Wgrad, TensorRole::OutputGrad);
-        QuantPlan xp = plan(GemmKind::Wgrad, TensorRole::Activation);
-        Tensor dys;
-        const QuantConfig *dq = nullptr;
-        const Tensor &dya = packedSrc(dy, dp, dys, &dq);
-        if (tap_) {
-            // The tap observes the dW increment, so materialize it.
-            Tensor dw(outFeatures(), inFeatures());
-            quantGemmTN(dya, dq, saved_x_, xp.fusedCfg(), dw,
-                        /*accumulate=*/false);
-            addInPlace(grad_w_, dw);
-            tap_->onBackward(tap_idx_, dy, dx, dw);
-            return dx;
-        }
-        quantGemmTN(dya, dq, saved_x_, xp.fusedCfg(), grad_w_,
-                    /*accumulate=*/true);
+    // dW = dY^T X (Wgrad GEMM). Without a tap the GEMM accumulates
+    // straight into grad_w_ (one add of the full k-sum per element —
+    // bit-identical to materializing dW and adding it).
+    const QuantPlan wgp = plan(GemmKind::Wgrad, TensorRole::OutputGrad);
+    const QuantPlan xp = plan(GemmKind::Wgrad, TensorRole::Activation);
+    Tensor dyws;
+    const QuantConfig *dwq = nullptr;
+    const Tensor &dyw = packedSrc(dy, wgp, dyws, &dwq);
+    if (tap_) {
+        // The tap observes the dW increment, so materialize it.
+        Tensor dw(outFeatures(), inFeatures());
+        quantGemmTN(dyw, dwq, saved_x_, xp.fusedCfg(), dw,
+                    /*accumulate=*/false);
+        addInPlace(grad_w_, dw);
+        tap_->onBackward(tap_idx_, dy, dx, dw);
         return dx;
     }
-    Tensor dyq =
-        materialized(dy, plan(GemmKind::Wgrad, TensorRole::OutputGrad));
-    Tensor xq = materialized(
-        saved_x_, plan(GemmKind::Wgrad, TensorRole::Activation));
-    Tensor dw = matmulTN(dyq, xq);
-    addInPlace(grad_w_, dw);
-    if (tap_)
-        tap_->onBackward(tap_idx_, dy, dx, dw);
+    quantGemmTN(dyw, dwq, saved_x_, xp.fusedCfg(), grad_w_,
+                /*accumulate=*/true);
     return dx;
 }
 

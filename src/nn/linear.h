@@ -50,15 +50,15 @@ class LinearTap
  * One forward() must be followed by at most one backward() (the layer
  * saves its input activation in between).
  *
- * Large GEMMs take the packed pipeline (tensor/gemm.h,
- * SNIP_GEMM_PACK): nearest-rounded operands are quantized ON THE PACK
- * (no quantized tensor copy is materialized — the quantization
- * decision is a pack policy), stochastic-rounded operands (FP4
- * gradients) are materialized first, and the layer's PackedWeightCache
- * keeps the packed+quantized weight panels alive across the GEMMs of
- * one step. Mutating the weight through the non-const weight()
- * accessor invalidates the cache; the optimizer and checkpoint paths
- * invalidate globally via invalidateWeightPacks().
+ * Every GEMM takes the packed pipeline (tensor/gemm.h): nearest-rounded
+ * operands are quantized ON THE PACK (no quantized tensor copy is
+ * materialized — the quantization decision is a pack policy),
+ * stochastic-rounded operands (FP4 gradients) are materialized first,
+ * and the layer's PackedWeightCache keeps the packed+quantized weight
+ * panels alive across GEMMs — the training step's and every decode
+ * step's. Mutating the weight through the non-const weight() accessor
+ * invalidates the cache; the optimizer and checkpoint paths invalidate
+ * globally via invalidateWeightPacks().
  */
 class Linear
 {
@@ -81,13 +81,13 @@ class Linear
     /**
      * Inference-only forward on raw buffers: y[rows, out] = x W^T
      * with the layer's forward fake quantization applied (activation
-     * tiles quantized into arena scratch; the quantized weight copy is
-     * cached and rebuilt only when the weight-pack epoch moves or the
-     * scheme changes). Saves nothing, fires no tap, and after warm-up
-     * performs zero heap allocations. Rows are bit-identical to
-     * forward()'s legacy (non-packed) path, i.e. to forward() itself
-     * under SNIP_GEMM_PACK=off. Stochastic-rounding schemes are a
-     * training-only feature and hard-error here.
+     * tiles quantized into arena scratch, the weight panel served from
+     * the layer's PackedWeightCache, which is repacked when the
+     * weight-pack epoch moves, the scheme changes or weight() is
+     * taken). Saves nothing, fires no tap, and after warm-up performs
+     * zero heap allocations. Rows are bit-identical to the same rows
+     * of forward(). Stochastic-rounding schemes are a training-only
+     * feature and hard-error here.
      */
     void forwardInference(const float *x, int64_t rows, float *y);
 
@@ -113,7 +113,6 @@ class Linear
     weight()
     {
         w_packs_.invalidate();
-        w_inf_valid_ = false;
         return w_;
     }
     const Tensor &weight() const { return w_; }
@@ -157,9 +156,6 @@ class Linear
 
     QuantPlan plan(GemmKind kind, TensorRole role) const;
 
-    /** Legacy-path materialization of @p t under @p plan. */
-    Tensor materialized(const Tensor &t, const QuantPlan &plan);
-
     /**
      * Resolve one packed-GEMM operand: returns the tensor to feed the
      * GEMM (@p t, or @p storage after materializing a
@@ -173,10 +169,6 @@ class Linear
     /** The weight cache, or null while implicit reuse is unsafe. */
     PackedWeightCache *activeCache();
 
-    /** The quantized weight copy forwardInference() feeds its GEMM
-     *  (w_ itself for passthrough plans), rebuilt when stale. */
-    const Tensor &inferenceWeight(const QuantPlan &wp);
-
     std::string name_;
     Tensor w_;
     Tensor grad_w_;
@@ -187,13 +179,6 @@ class Linear
     int tap_idx_ = -1;
     /** Packed+quantized weight panels, one slot per GEMM orientation. */
     PackedWeightCache w_packs_;
-
-    // Quantized-weight copy for the inference path, keyed on the
-    // global weight-pack epoch and the format it was built under.
-    Tensor w_inf_;
-    bool w_inf_valid_ = false;
-    uint64_t w_inf_epoch_ = 0;
-    std::string w_inf_format_;
 };
 
 } // namespace snip

@@ -143,7 +143,7 @@ LlamaModel::forwardLoss(const std::vector<int32_t> &tokens,
                         const std::vector<int32_t> &targets, int64_t batch,
                         int64_t seq)
 {
-    Tensor logits = forward(tokens, batch, seq);
+    Tensor logits = forward(tokens, batch, seq, ForwardMode::Train);
     return softmaxCrossEntropy(logits, targets);
 }
 

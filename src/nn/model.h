@@ -50,14 +50,6 @@ class LlamaModel
                    int64_t seq, ForwardMode mode,
                    const KvCacheHandle &kv = {});
 
-    /** Deprecated training-only signature; forwards to Train mode. */
-    Tensor
-    forward(const std::vector<int32_t> &tokens, int64_t batch,
-            int64_t seq)
-    {
-        return forward(tokens, batch, seq, ForwardMode::Train);
-    }
-
     /**
      * One decode step for @p count independent sequences: tokens[i] is
      * the next input token of sequence kv.seq_ids[i]; the next-token

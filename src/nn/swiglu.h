@@ -29,7 +29,7 @@ class SwiGluMlp
      * Inference-only forward on raw buffers: writes the MLP output for
      * @p rows rows of @p x into @p y (may not alias) using arena
      * scratch for the hidden activations. Saves no state; rows are
-     * bit-identical to forward() under SNIP_GEMM_PACK=off.
+     * bit-identical to the same rows of forward().
      */
     void forwardInference(const float *x, int64_t rows, float *y);
 

@@ -100,9 +100,8 @@ EnvConfig::dump() const
                strformat("%d", threads_));
     appendKnob(&out, "SNIP_SIMD", simd_,
                simd_.set ? simd_.value : "auto");
-    appendKnob(&out, "SNIP_GEMM_PACK", gemm_pack_,
-               gemm_pack_.set ? gemm_pack_.value : "auto");
-    appendKnob(&out, "SNIP_ATTN", attn_, attn_.set ? attn_.value : "par");
+    appendKnob(&out, "SNIP_GEMM_PACK", gemm_pack_, "retired (ignored)");
+    appendKnob(&out, "SNIP_ATTN", attn_, "retired (ignored)");
     appendKnob(&out, "SNIP_TELEMETRY", telemetry_,
                telemetry_.set ? telemetry_.value : "off");
     appendKnob(&out, "SNIP_TRACE", trace_,

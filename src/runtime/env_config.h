@@ -14,8 +14,8 @@
  * Knobs:
  *   SNIP_THREADS    worker count for the global pool (>=1, capped 512)
  *   SNIP_SIMD       kernel backend: auto|avx2|scalar
- *   SNIP_GEMM_PACK  packed-GEMM policy: auto|on|off
- *   SNIP_ATTN       attention scheduling: par|serial
+ *   SNIP_GEMM_PACK  retired: every GEMM packs; the value is ignored
+ *   SNIP_ATTN       retired: attention has one schedule; ignored
  *   SNIP_TELEMETRY  telemetry sink: off|on|json:<path>
  *   SNIP_TRACE      span-trace sink: off|on|json:<path>
  *   SNIP_KV_CACHE   serving KV-cache storage: fp8|fp32
@@ -26,8 +26,11 @@
  *
  * Only the knobs whose grammar is owned here (threads, KV page size)
  * are parsed eagerly; the string-valued specs are handed to their
- * owning modules (simd::, gemmPackMode(), ...) untouched so the parse
- * warnings keep firing from the subsystem that understands them.
+ * owning modules (simd::, telemetry::, ...) untouched so the parse
+ * warnings keep firing from the subsystem that understands them. The
+ * two retired knobs are still captured (gemmPack(), attn()) so the
+ * repository benchmark can refuse to run under a value that no longer
+ * selects anything; nothing in the library reads them.
  */
 #ifndef SNIP_RUNTIME_ENV_CONFIG_H
 #define SNIP_RUNTIME_ENV_CONFIG_H
@@ -104,7 +107,7 @@ const EnvConfig &envConfig();
 /**
  * Re-capture the environment into the process-wide snapshot and
  * return it. Test-only: callers own the race (no in-flight readers),
- * mirroring simd::reinitFromEnv() / setAttnModeByName().
+ * mirroring simd::reinitFromEnv().
  */
 const EnvConfig &reloadEnvConfig();
 

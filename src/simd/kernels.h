@@ -3,19 +3,19 @@
  * Portable kernel-backend interface for the library's hot loops.
  *
  * A KernelTable bundles the architecture-specific inner kernels the
- * library dispatches at runtime (simd/dispatch.h): the GEMM block and
- * packed-panel microkernels with their packs, the nearest- and
+ * library dispatches at runtime (simd/dispatch.h): the packed-panel
+ * GEMM microkernels with their packs, the nearest- and
  * stochastic-rounding quantize sweeps, bf16 rounding, the max-abs,
  * error-metric and sum-of-squares reductions, and the attention
- * softmax. Backends implement the same block decomposition (the
- * constants below) and a fixed per-block accumulation order, so each
- * backend keeps the guarantee that results are bit-identical for any
- * thread count. Different backends may legitimately differ in
- * low-order bits of GEMM and sum-of-squares results (FMA contraction,
- * vector-lane accumulation order); the quantize (both rounding modes),
- * bf16-round, max-abs and softmax kernels are required to agree
- * bit-for-bit across backends. tests/test_simd.cpp enforces both
- * contracts.
+ * softmax. Every GEMM runs through the packed kernels, which fix the
+ * per-element accumulation order (a zero accumulator, k ascending in
+ * one lane, one add into C), so each backend keeps the guarantee that
+ * results are bit-identical for any thread count and any shape split.
+ * Different backends may legitimately differ in low-order bits of GEMM
+ * and sum-of-squares results (FMA contraction, vector-lane
+ * accumulation order); the quantize (both rounding modes), bf16-round,
+ * max-abs and softmax kernels are required to agree bit-for-bit across
+ * backends. tests/test_simd.cpp enforces both contracts.
  */
 #ifndef SNIP_SIMD_KERNELS_H
 #define SNIP_SIMD_KERNELS_H
@@ -27,21 +27,16 @@
 namespace snip {
 namespace simd {
 
-/// GEMM block sizes shared by every backend (an A-panel plus a B-panel
-/// fit in L1/L2). The M-block is also the parallelFor unit in
-/// tensor/gemm.cpp: workers own whole rows of C, so the decomposition
-/// — and therefore each backend's accumulation order — never depends
-/// on thread count.
+/// GEMM M-block: the rows of C one packed A panel covers, and the
+/// parallelFor unit in tensor/gemm.cpp. Workers own whole rows of C,
+/// so the decomposition — and therefore each backend's accumulation
+/// order — never depends on thread count.
 constexpr int64_t kGemmBlockM = 64;
-constexpr int64_t kGemmBlockN = 64;
-constexpr int64_t kGemmBlockK = 128;
 
-/// Packed-path register-tile edges, shared by every backend: packed A
-/// panels hold kGemmPackMR-row strips, packed B panels kGemmPackNR-
-/// column strips (6 x 16 is the classic AVX2+FMA sweet spot — twelve
-/// 8-lane accumulators). The parallelFor unit of the packed path stays
-/// the kGemmBlockM row block, so M-block ownership is identical to the
-/// unpacked path and thread count still cannot change numerics.
+/// Register-tile edges, shared by every backend: packed A panels hold
+/// kGemmPackMR-row strips, packed B panels kGemmPackNR-column strips
+/// (6 x 16 is the classic AVX2+FMA sweet spot — twelve 8-lane
+/// accumulators).
 constexpr int64_t kGemmPackMR = 6;
 constexpr int64_t kGemmPackNR = 16;
 
@@ -77,17 +72,6 @@ struct PackQuant
     int64_t col_block = 0;
     int64_t regions_per_row = 0;
 };
-
-/**
- * One C-row-block of a GEMM: rows [i0, i1) of the M dimension.
- *
- * The caller (tensor/gemm.cpp) has already zeroed the rows when not
- * accumulating, so every kernel unconditionally adds into C. @p m is
- * the full M extent (needed by the TN variant, whose A is K x M).
- */
-using GemmBlockFn = void (*)(const float *a, const float *b, float *c,
-                             int64_t i0, int64_t i1, int64_t m, int64_t n,
-                             int64_t k);
 
 /**
  * In-place nearest-rounding fake quantization of @p count values:
@@ -176,15 +160,27 @@ using PackBFn = void (*)(const float *src, int64_t ld, bool k_major,
 /**
  * One M-row-block of the packed GEMM: C[0..mb) x [0..n) at @p c
  * (leading dimension @p ldc) += Ap * Bp, where ap holds the block's
- * packed A panel and bp the full packed B panel. Strip walk order and
- * the per-element k-ascending accumulation are pure functions of the
- * arguments, so the packed path keeps the bit-exactness-for-any-
- * thread-count contract (it may differ from the unpacked kernels in
- * low-order bits — a separate, documented contract).
+ * packed A panel and bp the full packed B panel. Each C element gets a
+ * zero accumulator, its k-products added in ascending k in one lane,
+ * and one add into C — pure functions of the arguments, so results
+ * are bit-exact for any thread count.
  */
 using GemmPackedBlockFn = void (*)(const float *ap, const float *bp,
                                    float *c, int64_t ldc, int64_t mb,
                                    int64_t n, int64_t k);
+
+/**
+ * Thin-M GEMM without the A pack: C[0..m) x [0..n) at @p c (leading
+ * dimension @p ldc) += A * Bp for m < kGemmPackMR rows of a row-major
+ * A (leading dimension @p lda) read in place, against the full packed
+ * B panel @p bp. The per-element work is GemmPackedBlockFn's (zero
+ * accumulator, ascending k in one lane, one add into C), so on each
+ * backend the output is bit-identical to packing A and running the
+ * block kernel — the pack only pays once A has a whole strip of rows.
+ */
+using GemmPackedRowsFn = void (*)(const float *a, int64_t lda,
+                                  const float *bp, float *c, int64_t ldc,
+                                  int64_t m, int64_t n, int64_t k);
 
 /**
  * sum(p[i]^2) accumulated in double — the Frobenius-norm reduction the
@@ -200,10 +196,10 @@ using SumSquaresFn = double (*)(const float *p, int64_t count);
  * double-accumulated row sum; entries j > i become exactly 0.
  *
  * Contract: bit-exact across backends AND bit-exact against the
- * historical open-coded loop in nn/attention.cpp (the multiplies are
- * per-element IEEE ops, exp() and the row-sum accumulation stay
- * scalar), so SNIP_ATTN=serial keeps pre-batching bits while sharing
- * this kernel. tests/test_simd.cpp enforces the agreement.
+ * historical open-coded loop (the multiplies are per-element IEEE
+ * ops, exp() and the row-sum accumulation stay scalar), which decode
+ * attention (nn/attention.cpp) replays for its single query row.
+ * tests/test_simd.cpp enforces the agreement.
  */
 using AttnSoftmaxFwdFn = void (*)(float *prob, int64_t seq, float scale);
 
@@ -222,12 +218,10 @@ using AttnSoftmaxBwdFn = void (*)(const float *prob, const float *dp,
 struct KernelTable
 {
     const char *name;
-    GemmBlockFn gemmNtBlock; ///< C[i,:] += A[i,:] * B^T (B is N x K)
-    GemmBlockFn gemmNnBlock; ///< C[i,:] += A[i,:] * B   (B is K x N)
-    GemmBlockFn gemmTnBlock; ///< C[i,:] += A[:,i]^T * B (A is K x M)
-    PackAFn packA;           ///< strip-pack (+ fused quantize) A panels
-    PackBFn packB;           ///< strip-pack (+ fused quantize) B panels
+    PackAFn packA; ///< strip-pack (+ fused quantize) A panels
+    PackBFn packB; ///< strip-pack (+ fused quantize) B panels
     GemmPackedBlockFn gemmPackedBlock; ///< packed-panel M-block GEMM
+    GemmPackedRowsFn gemmPackedRows;   ///< thin-M rows, A unpacked
     QuantizeNearestFn quantizeNearest;
     QuantizeStochasticFn quantizeStochastic;
     Bf16RoundFn bf16Round;

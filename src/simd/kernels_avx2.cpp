@@ -8,11 +8,12 @@
  * baseline x86-64.
  *
  * Kernel contracts (simd/kernels.h):
- *   - GEMM blocks keep the scalar backend's block decomposition and a
- *     fixed per-element accumulation order, so results are
- *     bit-identical across thread counts *within this backend*; FMA
- *     contraction and 8-lane accumulators make low-order bits differ
- *     from the scalar backend (tests bound the relative error).
+ *   - The packed GEMM kernels keep the scalar backend's per-element
+ *     accumulation order (zero accumulator, k ascending in one lane,
+ *     one add into C), so results are bit-identical across thread
+ *     counts and between the block and rows kernels *within this
+ *     backend*; FMA contraction makes low-order bits differ from the
+ *     scalar backend (tests bound the relative error).
  *   - The quantize (nearest and stochastic) / bf16-round / max-abs
  *     kernels reproduce the scalar codec bit for bit (tests assert
  *     exact equality): every step below is an exact power-of-two
@@ -36,199 +37,6 @@ namespace snip {
 namespace simd {
 
 namespace {
-
-// ------------------------------------------------------------- GEMM
-
-float
-hsum8(__m256 v)
-{
-    __m128 lo = _mm256_castps256_ps128(v);
-    __m128 hi = _mm256_extractf128_ps(v, 1);
-    lo = _mm_add_ps(lo, hi);
-    __m128 sh = _mm_movehl_ps(lo, lo);
-    lo = _mm_add_ps(lo, sh);
-    sh = _mm_shuffle_ps(lo, lo, 0x1);
-    lo = _mm_add_ss(lo, sh);
-    return _mm_cvtss_f32(lo);
-}
-
-/** One dot product arow·brow with 8-wide FMA and a scalar tail. */
-float
-dotAvx2(const float *arow, const float *brow, int64_t k)
-{
-    const int64_t k8 = k & ~int64_t{7};
-    __m256 acc = _mm256_setzero_ps();
-    for (int64_t kk = 0; kk < k8; kk += 8)
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(arow + kk),
-                              _mm256_loadu_ps(brow + kk), acc);
-    float sum = hsum8(acc);
-    for (int64_t kk = k8; kk < k; ++kk)
-        sum += arow[kk] * brow[kk];
-    return sum;
-}
-
-/**
- * NT register-tiled microkernel: a 2-row x 4-column tile of C is held
- * in eight 8-lane accumulators, so every A load feeds four FMAs and
- * every B load two. Operand panels are contiguous along K already (A
- * row-major M x K, B row-major N x K), so no copy-pack step is needed
- * — the packed layout the microkernel wants is the layout it gets.
- * The tile walk over a block is a pure function of the block bounds,
- * never of the thread count.
- */
-void
-gemmNtBlockAvx2(const float *a, const float *b, float *c, int64_t i0,
-                int64_t i1, int64_t /*m*/, int64_t n, int64_t k)
-{
-    const int64_t k8 = k & ~int64_t{7};
-    for (int64_t j0 = 0; j0 < n; j0 += kGemmBlockN) {
-        const int64_t j1 = std::min(j0 + kGemmBlockN, n);
-        int64_t i = i0;
-        for (; i + 2 <= i1; i += 2) {
-            const float *a0 = a + i * k;
-            const float *a1 = a0 + k;
-            float *c0 = c + i * n;
-            float *c1 = c0 + n;
-            int64_t j = j0;
-            for (; j + 4 <= j1; j += 4) {
-                const float *b0 = b + j * k;
-                const float *b1 = b0 + k;
-                const float *b2 = b1 + k;
-                const float *b3 = b2 + k;
-                __m256 acc00 = _mm256_setzero_ps();
-                __m256 acc01 = _mm256_setzero_ps();
-                __m256 acc02 = _mm256_setzero_ps();
-                __m256 acc03 = _mm256_setzero_ps();
-                __m256 acc10 = _mm256_setzero_ps();
-                __m256 acc11 = _mm256_setzero_ps();
-                __m256 acc12 = _mm256_setzero_ps();
-                __m256 acc13 = _mm256_setzero_ps();
-                for (int64_t kk = 0; kk < k8; kk += 8) {
-                    __m256 va0 = _mm256_loadu_ps(a0 + kk);
-                    __m256 va1 = _mm256_loadu_ps(a1 + kk);
-                    __m256 vb0 = _mm256_loadu_ps(b0 + kk);
-                    __m256 vb1 = _mm256_loadu_ps(b1 + kk);
-                    __m256 vb2 = _mm256_loadu_ps(b2 + kk);
-                    __m256 vb3 = _mm256_loadu_ps(b3 + kk);
-                    acc00 = _mm256_fmadd_ps(va0, vb0, acc00);
-                    acc01 = _mm256_fmadd_ps(va0, vb1, acc01);
-                    acc02 = _mm256_fmadd_ps(va0, vb2, acc02);
-                    acc03 = _mm256_fmadd_ps(va0, vb3, acc03);
-                    acc10 = _mm256_fmadd_ps(va1, vb0, acc10);
-                    acc11 = _mm256_fmadd_ps(va1, vb1, acc11);
-                    acc12 = _mm256_fmadd_ps(va1, vb2, acc12);
-                    acc13 = _mm256_fmadd_ps(va1, vb3, acc13);
-                }
-                float s00 = hsum8(acc00), s01 = hsum8(acc01);
-                float s02 = hsum8(acc02), s03 = hsum8(acc03);
-                float s10 = hsum8(acc10), s11 = hsum8(acc11);
-                float s12 = hsum8(acc12), s13 = hsum8(acc13);
-                for (int64_t kk = k8; kk < k; ++kk) {
-                    float av0 = a0[kk], av1 = a1[kk];
-                    s00 += av0 * b0[kk];
-                    s01 += av0 * b1[kk];
-                    s02 += av0 * b2[kk];
-                    s03 += av0 * b3[kk];
-                    s10 += av1 * b0[kk];
-                    s11 += av1 * b1[kk];
-                    s12 += av1 * b2[kk];
-                    s13 += av1 * b3[kk];
-                }
-                c0[j] += s00;
-                c0[j + 1] += s01;
-                c0[j + 2] += s02;
-                c0[j + 3] += s03;
-                c1[j] += s10;
-                c1[j + 1] += s11;
-                c1[j + 2] += s12;
-                c1[j + 3] += s13;
-            }
-            for (; j < j1; ++j) {
-                const float *brow = b + j * k;
-                c0[j] += dotAvx2(a0, brow, k);
-                c1[j] += dotAvx2(a1, brow, k);
-            }
-        }
-        for (; i < i1; ++i) {
-            const float *arow = a + i * k;
-            float *crow = c + i * n;
-            for (int64_t j = j0; j < j1; ++j)
-                crow[j] += dotAvx2(arow, b + j * k, k);
-        }
-    }
-}
-
-/** Shared NN/TN inner sweep: crow[0..n) += av * brow[0..n). */
-inline void
-axpyRowAvx2(float av, const float *brow, float *crow, int64_t n)
-{
-    const __m256 vav = _mm256_set1_ps(av);
-    const int64_t n8 = n & ~int64_t{7};
-    for (int64_t j = 0; j < n8; j += 8) {
-        __m256 cv = _mm256_loadu_ps(crow + j);
-        cv = _mm256_fmadd_ps(vav, _mm256_loadu_ps(brow + j), cv);
-        _mm256_storeu_ps(crow + j, cv);
-    }
-    for (int64_t j = n8; j < n; ++j)
-        crow[j] += av * brow[j];
-}
-
-void
-gemmNnBlockAvx2(const float *a, const float *b, float *c, int64_t i0,
-                int64_t i1, int64_t /*m*/, int64_t n, int64_t k)
-{
-    // Same k-blocked structure as the scalar backend; per C element
-    // the kk addition order is unchanged (an unrolled pair issues its
-    // two FMAs in kk order), so this backend is thread-count-invariant.
-    for (int64_t k0 = 0; k0 < k; k0 += kGemmBlockK) {
-        const int64_t k1 = std::min(k0 + kGemmBlockK, k);
-        for (int64_t i = i0; i < i1; ++i) {
-            const float *arow = a + i * k;
-            float *crow = c + i * n;
-            const int64_t n8 = n & ~int64_t{7};
-            int64_t kk = k0;
-            for (; kk + 2 <= k1; kk += 2) {
-                const __m256 va0 = _mm256_set1_ps(arow[kk]);
-                const __m256 va1 = _mm256_set1_ps(arow[kk + 1]);
-                const float *b0 = b + kk * n;
-                const float *b1 = b0 + n;
-                for (int64_t j = 0; j < n8; j += 8) {
-                    __m256 cv = _mm256_loadu_ps(crow + j);
-                    cv = _mm256_fmadd_ps(va0, _mm256_loadu_ps(b0 + j),
-                                         cv);
-                    cv = _mm256_fmadd_ps(va1, _mm256_loadu_ps(b1 + j),
-                                         cv);
-                    _mm256_storeu_ps(crow + j, cv);
-                }
-                for (int64_t j = n8; j < n; ++j) {
-                    crow[j] += arow[kk] * b0[j];
-                    crow[j] += arow[kk + 1] * b1[j];
-                }
-            }
-            for (; kk < k1; ++kk)
-                axpyRowAvx2(arow[kk], b + kk * n, crow, n);
-        }
-    }
-}
-
-void
-gemmTnBlockAvx2(const float *a, const float *b, float *c, int64_t i0,
-                int64_t i1, int64_t m, int64_t n, int64_t k)
-{
-    for (int64_t k0 = 0; k0 < k; k0 += kGemmBlockK) {
-        const int64_t k1 = std::min(k0 + kGemmBlockK, k);
-        for (int64_t kk = k0; kk < k1; ++kk) {
-            const float *arow = a + kk * m;
-            const float *brow = b + kk * n;
-            for (int64_t i = i0; i < i1; ++i) {
-                float av = arow[i];
-                if (av == 0.0f)
-                    continue;
-                axpyRowAvx2(av, brow, c + i * n, n);
-            }
-        }
-    }
-}
 
 // ------------------------------------------------------------ packed
 
@@ -505,6 +313,13 @@ packBAvx2(const float *src, int64_t ld, bool k_major, float *bp,
                 pq == nullptr ||
                 s0 / pq->col_block ==
                     (s0 + cols - 1) / pq->col_block;
+            // Ragged strip: lanes at or past cols load as zero padding.
+            const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            const int live = static_cast<int>(cols);
+            const __m256i lo_mask =
+                _mm256_cmpgt_epi32(_mm256_set1_epi32(live), lane);
+            const __m256i hi_mask =
+                _mm256_cmpgt_epi32(_mm256_set1_epi32(live - 8), lane);
             for (int64_t kk = 0; kk < k; ++kk) {
                 const float *in = src + kk * ld + s0;
                 float *out = dst + kk * kGemmPackNR;
@@ -534,6 +349,13 @@ packBAvx2(const float *src, int64_t ld, bool k_major, float *bp,
                 } else if (full && pq == nullptr) {
                     _mm256_storeu_ps(out, _mm256_loadu_ps(in));
                     _mm256_storeu_ps(out + 8, _mm256_loadu_ps(in + 8));
+                } else if (pq == nullptr) {
+                    // Masked-off lanes are neither read nor faulted.
+                    _mm256_storeu_ps(out, _mm256_maskload_ps(in, lo_mask));
+                    _mm256_storeu_ps(out + 8, _mm256_setzero_ps());
+                    if (cols > 8)
+                        _mm256_storeu_ps(out + 8,
+                                         _mm256_maskload_ps(in + 8, hi_mask));
                 } else {
                     int64_t r = 0;
                     for (; r < cols; ++r)
@@ -602,8 +424,7 @@ packBAvx2(const float *src, int64_t ld, bool k_major, float *bp,
  * hold the C tile; each k step issues two B loads, six A broadcasts
  * and twelve FMAs. Lanes map one-to-one onto C columns, so every C
  * element accumulates its k-products in ascending-k order — the
- * packed path's fixed accumulation order (no cross-lane reduction at
- * all, unlike the unpacked NT kernel's hsum).
+ * packed path's fixed accumulation order (no cross-lane reduction).
  */
 inline void
 microKernel6x16(const float *as, const float *bs, float *c, int64_t ldc,
@@ -684,6 +505,83 @@ gemmPackedBlockAvx2(const float *ap, const float *bp, float *c,
             microKernel6x16(ap + ms * kGemmPackMR * k, bs,
                             c + i0 * ldc + j0, ldc,
                             std::min(kGemmPackMR, mb - i0), jn, k);
+        }
+    }
+}
+
+/**
+ * microKernel6x16 for @p M < kGemmPackMR rows of a row-major A read in
+ * place (leading dimension @p lda): the same per-row FMA chains, with
+ * each A element broadcast from its row instead of a packed strip.
+ */
+template <int M>
+inline void
+rowsKernelX16(const float *a, int64_t lda, const float *bs, float *c,
+              int64_t ldc, int64_t jn, int64_t k)
+{
+    __m256 acc[M][2];
+    for (int r = 0; r < M; ++r) {
+        acc[r][0] = _mm256_setzero_ps();
+        acc[r][1] = _mm256_setzero_ps();
+    }
+    for (int64_t kk = 0; kk < k; ++kk) {
+        _mm_prefetch(reinterpret_cast<const char *>(bs + (kk + 24) * 16),
+                     _MM_HINT_T0);
+        const __m256 b0 = _mm256_loadu_ps(bs + kk * 16);
+        const __m256 b1 = _mm256_loadu_ps(bs + kk * 16 + 8);
+        for (int r = 0; r < M; ++r) {
+            const __m256 va = _mm256_broadcast_ss(a + r * lda + kk);
+            acc[r][0] = _mm256_fmadd_ps(va, b0, acc[r][0]);
+            acc[r][1] = _mm256_fmadd_ps(va, b1, acc[r][1]);
+        }
+    }
+    alignas(32) float t[16];
+    for (int r = 0; r < M; ++r) {
+        float *crow = c + r * ldc;
+        if (jn == 16) {
+            _mm256_storeu_ps(
+                crow, _mm256_add_ps(_mm256_loadu_ps(crow), acc[r][0]));
+            _mm256_storeu_ps(crow + 8,
+                             _mm256_add_ps(_mm256_loadu_ps(crow + 8),
+                                           acc[r][1]));
+            continue;
+        }
+        _mm256_store_ps(t, acc[r][0]);
+        _mm256_store_ps(t + 8, acc[r][1]);
+        for (int64_t j = 0; j < jn; ++j)
+            crow[j] += t[j];
+    }
+}
+
+void
+gemmPackedRowsAvx2(const float *a, int64_t lda, const float *bp, float *c,
+                   int64_t ldc, int64_t m, int64_t n, int64_t k)
+{
+    static_assert(kGemmPackMR == 6, "one rowsKernelX16 per m < MR");
+    const int64_t n_strips = packStrips(n, kGemmPackNR);
+    for (int64_t js = 0; js < n_strips; ++js) {
+        const float *bs = bp + js * kGemmPackNR * k;
+        const int64_t j0 = js * kGemmPackNR;
+        const int64_t jn = std::min(kGemmPackNR, n - j0);
+        float *cs = c + j0;
+        switch (m) {
+            case 1:
+                rowsKernelX16<1>(a, lda, bs, cs, ldc, jn, k);
+                break;
+            case 2:
+                rowsKernelX16<2>(a, lda, bs, cs, ldc, jn, k);
+                break;
+            case 3:
+                rowsKernelX16<3>(a, lda, bs, cs, ldc, jn, k);
+                break;
+            case 4:
+                rowsKernelX16<4>(a, lda, bs, cs, ldc, jn, k);
+                break;
+            case 5:
+                rowsKernelX16<5>(a, lda, bs, cs, ldc, jn, k);
+                break;
+            default:
+                break;
         }
     }
 }
@@ -1037,12 +935,16 @@ const KernelTable &
 avx2Kernels()
 {
     static const KernelTable table = {
-        "avx2",          gemmNtBlockAvx2, gemmNnBlockAvx2,
-        gemmTnBlockAvx2, packAAvx2,       packBAvx2,
+        "avx2",
+        packAAvx2,
+        packBAvx2,
         gemmPackedBlockAvx2,
+        gemmPackedRowsAvx2,
         quantizeNearestAvx2,
         quantizeStochasticAvx2,
-        bf16RoundAvx2,   maxAbsAvx2,      errorStatsAvx2,
+        bf16RoundAvx2,
+        maxAbsAvx2,
+        errorStatsAvx2,
         sumSquaresAvx2,
         attnSoftmaxFwdAvx2,
         attnSoftmaxBwdAvx2,

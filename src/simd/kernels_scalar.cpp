@@ -2,9 +2,9 @@
  * @file
  * Portable scalar backend: the plain C++ kernels every build compiles.
  *
- * These are the reference implementations — the GEMM blocks are the
- * cache-blocked loops the library shipped before runtime dispatch
- * existed, and the quantize sweep calls the scalar codec directly.
+ * These are the reference implementations: the packed GEMM kernels
+ * spell out the per-element accumulation order every backend keeps,
+ * and the quantize sweep calls the scalar codec directly.
  * tests/test_simd.cpp holds the AVX2 backend to these outputs.
  */
 #include <algorithm>
@@ -19,70 +19,6 @@ namespace snip {
 namespace simd {
 
 namespace {
-
-void
-gemmNtBlockScalar(const float *a, const float *b, float *c, int64_t i0,
-                  int64_t i1, int64_t /*m*/, int64_t n, int64_t k)
-{
-    // Each C element is one dot product; the N-blocked loop order is
-    // fixed, so any thread count reproduces the same bits.
-    for (int64_t j0 = 0; j0 < n; j0 += kGemmBlockN) {
-        int64_t j1 = std::min(j0 + kGemmBlockN, n);
-        for (int64_t i = i0; i < i1; ++i) {
-            const float *arow = a + i * k;
-            float *crow = c + i * n;
-            for (int64_t j = j0; j < j1; ++j) {
-                const float *brow = b + j * k;
-                float acc = 0.0f;
-                for (int64_t kk = 0; kk < k; ++kk)
-                    acc += arow[kk] * brow[kk];
-                crow[j] += acc;
-            }
-        }
-    }
-}
-
-void
-gemmNnBlockScalar(const float *a, const float *b, float *c, int64_t i0,
-                  int64_t i1, int64_t /*m*/, int64_t n, int64_t k)
-{
-    for (int64_t k0 = 0; k0 < k; k0 += kGemmBlockK) {
-        int64_t k1 = std::min(k0 + kGemmBlockK, k);
-        for (int64_t i = i0; i < i1; ++i) {
-            const float *arow = a + i * k;
-            float *crow = c + i * n;
-            for (int64_t kk = k0; kk < k1; ++kk) {
-                float av = arow[kk];
-                const float *brow = b + kk * n;
-                for (int64_t j = 0; j < n; ++j)
-                    crow[j] += av * brow[j];
-            }
-        }
-    }
-}
-
-void
-gemmTnBlockScalar(const float *a, const float *b, float *c, int64_t i0,
-                  int64_t i1, int64_t m, int64_t n, int64_t k)
-{
-    // C[i,j] += sum_kk A[kk,i] * B[kk,j]; kk stays the outer loop so A
-    // and B are read row-wise. Per C row the kk order is fixed.
-    for (int64_t k0 = 0; k0 < k; k0 += kGemmBlockK) {
-        int64_t k1 = std::min(k0 + kGemmBlockK, k);
-        for (int64_t kk = k0; kk < k1; ++kk) {
-            const float *arow = a + kk * m;
-            const float *brow = b + kk * n;
-            for (int64_t i = i0; i < i1; ++i) {
-                float av = arow[i];
-                if (av == 0.0f)
-                    continue;
-                float *crow = c + i * n;
-                for (int64_t j = 0; j < n; ++j)
-                    crow[j] += av * brow[j];
-            }
-        }
-    }
-}
 
 // ------------------------------------------------------------ packing
 
@@ -189,6 +125,32 @@ gemmPackedBlockScalar(const float *ap, const float *bp, float *c,
                 for (int64_t j = 0; j < jn; ++j)
                     crow[j] += acc[r][j];
             }
+        }
+    }
+}
+
+void
+gemmPackedRowsScalar(const float *a, int64_t lda, const float *bp, float *c,
+                     int64_t ldc, int64_t m, int64_t n, int64_t k)
+{
+    const int64_t n_strips = packStrips(n, kGemmPackNR);
+    for (int64_t js = 0; js < n_strips; ++js) {
+        const float *bs = bp + js * kGemmPackNR * k;
+        const int64_t j0 = js * kGemmPackNR;
+        const int64_t jn = std::min(kGemmPackNR, n - j0);
+        for (int64_t r = 0; r < m; ++r) {
+            const float *arow = a + r * lda;
+            // gemmPackedBlockScalar's per-element sum, one row at a time.
+            float acc[kGemmPackNR] = {};
+            for (int64_t kk = 0; kk < k; ++kk) {
+                const float av = arow[kk];
+                const float *bv = bs + kk * kGemmPackNR;
+                for (int64_t j = 0; j < kGemmPackNR; ++j)
+                    acc[j] += av * bv[j];
+            }
+            float *crow = c + r * ldc + j0;
+            for (int64_t j = 0; j < jn; ++j)
+                crow[j] += acc[j];
         }
     }
 }
@@ -335,12 +297,16 @@ const KernelTable &
 scalarKernels()
 {
     static const KernelTable table = {
-        "scalar",          gemmNtBlockScalar, gemmNnBlockScalar,
-        gemmTnBlockScalar, packAScalar,       packBScalar,
+        "scalar",
+        packAScalar,
+        packBScalar,
         gemmPackedBlockScalar,
+        gemmPackedRowsScalar,
         quantizeNearestScalar,
         quantizeStochasticScalar,
-        bf16RoundScalar,   maxAbsScalar,      errorStatsScalar,
+        bf16RoundScalar,
+        maxAbsScalar,
+        errorStatsScalar,
         sumSquaresScalar,
         attnSoftmaxFwdScalar,
         attnSoftmaxBwdScalar,

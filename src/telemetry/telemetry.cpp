@@ -10,7 +10,6 @@
 
 #include "runtime/thread_pool.h"
 #include "simd/dispatch.h"
-#include "tensor/gemm.h"
 #include "util/thread_annotations.h"
 
 namespace snip {
@@ -171,8 +170,6 @@ renderStepRecord(int64_t step, double wall_seconds, const Snapshot &now,
     appendInt(r, "calls", timerCountDelta(now, prev, Timer::Gemm), true);
     appendInt(r, "packed_calls",
               counterDelta(now, prev, Counter::GemmPackedCalls), false);
-    appendInt(r, "legacy_calls",
-              counterDelta(now, prev, Counter::GemmLegacyCalls), false);
     appendInt(r, "batched_items",
               counterDelta(now, prev, Counter::GemmBatchedItems), false);
     appendInt(r, "flops", flops, false);
@@ -347,18 +344,6 @@ renderDocumentLocked(Registry &reg) SNIP_REQUIRES(reg.mu)
     appendInt(doc, "threads", runtime::defaultThreadCount(), false);
     doc += ", \"simd\": \"";
     obs::appendJsonEscaped(doc, simd::activeBackendName());
-    doc += "\", \"gemm_pack\": \"";
-    switch (gemmPackMode()) {
-        case GemmPackMode::On:
-            doc += "on";
-            break;
-        case GemmPackMode::Off:
-            doc += "off";
-            break;
-        case GemmPackMode::Auto:
-            doc += "auto";
-            break;
-    }
     doc += "\"}, \"series\": [";
     for (size_t i = 0; i < reg.series.size(); ++i) {
         if (i > 0)

@@ -67,7 +67,10 @@ namespace telemetry {
 enum class Counter : int
 {
     GemmPackedCalls,   ///< GEMM driver calls that ran the packed pipeline
-    GemmLegacyCalls,   ///< ... that ran the pre-packing path
+    /** Retired: every GEMM packs, so this always reads 0. Kept only
+     *  because the repository benchmark (perfbench/) still reports it
+     *  as tensor.gemm_legacy_calls. */
+    GemmLegacyCalls,
     GemmBatchedItems,  ///< items executed by strided-batch drivers
     GemmFlops,         ///< 2*m*n*k summed over all GEMM work
     PackCacheHits,     ///< PackedWeightCache: panel served as-is

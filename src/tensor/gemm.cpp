@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
 #include "quant/codec.h"
 #include "quant/scaling.h"
-#include "runtime/env_config.h"
 #include "runtime/thread_pool.h"
 #include "runtime/workspace_arena.h"
 #include "simd/dispatch.h"
@@ -25,85 +23,13 @@ using simd::kGemmPackMR;
 using simd::kGemmPackNR;
 using simd::packStrips;
 
-/// Number of kGemmBlockM-row blocks (the parallelFor unit for all
-/// paths: every worker owns whole rows of C, so outputs are disjoint
-/// and the per-element accumulation order never depends on thread
-/// count).
+/// Number of kGemmBlockM-row blocks (the parallelFor unit: every
+/// worker owns whole rows of C, so outputs are disjoint and the
+/// per-element accumulation order never depends on thread count).
 int64_t
 mBlocks(int64_t m)
 {
     return (m + simd::kGemmBlockM - 1) / simd::kGemmBlockM;
-}
-
-// ------------------------------------------------------- legacy path
-
-/** One legacy gemmBlocked invocation; the parallelFor lambda captures
- *  only a pointer to this (fits every std::function SBO, so the call
- *  allocates nothing). */
-struct LegacyCtx
-{
-    simd::GemmBlockFn block_fn;
-    const float *a;
-    const float *b;
-    float *c;
-    int64_t m, n, k;
-    bool accumulate;
-};
-
-/**
- * Pre-packing driver, kept verbatim behind SNIP_GEMM_PACK=off (and for
- * shapes below the Auto threshold): fan M-blocks of C out over the
- * thread pool and hand each block to the dispatched backend
- * microkernel. Zeroing happens here (backend-independent) so the
- * kernels always accumulate.
- */
-void
-gemmBlockedLegacy(simd::GemmBlockFn block_fn, const float *a,
-                  const float *b, float *c, int64_t m, int64_t n,
-                  int64_t k, bool accumulate)
-{
-    obs::Scope timed(telemetry::Timer::Gemm, trace::Category::Gemm, "gemm",
-                     "m", m, "n", n);
-    telemetry::count(telemetry::Counter::GemmLegacyCalls);
-    telemetry::count(telemetry::Counter::GemmFlops, 2 * m * n * k);
-    LegacyCtx ctx{block_fn, a, b, c, m, n, k, accumulate};
-    const LegacyCtx *pc = &ctx;
-    runtime::parallelFor(0, mBlocks(m), 1, [pc](int64_t b0, int64_t b1) {
-        for (int64_t bi = b0; bi < b1; ++bi) {
-            const int64_t i0 = bi * simd::kGemmBlockM;
-            const int64_t i1 =
-                std::min(i0 + simd::kGemmBlockM, pc->m);
-            if (!pc->accumulate)
-                std::memset(pc->c + i0 * pc->n, 0,
-                            sizeof(float) *
-                                static_cast<size_t>((i1 - i0) * pc->n));
-            pc->block_fn(pc->a, pc->b, pc->c, i0, i1, pc->m, pc->n,
-                         pc->k);
-        }
-    });
-}
-
-// -------------------------------------------------------------- mode
-
-std::atomic<int> g_pack_mode{-1}; // -1 = unresolved
-
-bool
-parsePackMode(const char *spec, GemmPackMode *out)
-{
-    if (spec == nullptr || *spec == '\0' ||
-        std::strcmp(spec, "auto") == 0) {
-        *out = GemmPackMode::Auto;
-        return true;
-    }
-    if (std::strcmp(spec, "on") == 0) {
-        *out = GemmPackMode::On;
-        return true;
-    }
-    if (std::strcmp(spec, "off") == 0) {
-        *out = GemmPackMode::Off;
-        return true;
-    }
-    return false;
 }
 
 // ---------------------------------------------- fused-quant plumbing
@@ -278,11 +204,47 @@ packBPhase(const PackedCtx *ctx)
 }
 
 /**
- * The packed loop nest: every M-block packs its A panel into the
- * executing thread's arena (fused-quantizing when configured), then
- * streams the shared packed B panel through the register-tiled block
- * microkernel. M-block ownership and the per-element k-ascending
- * accumulation are identical for any thread count.
+ * C rows [i0, i1) (+)= A rows * packed B. The rows' A panel is packed
+ * into the executing thread's arena (fused-quantizing when @p aq is
+ * set) and streamed through the block microkernel; a block of fewer
+ * rows than one A strip, row-major with nothing to quantize, skips
+ * the pack and streams its rows in place. Both kernels do the same
+ * per-element work, so the choice never changes a bit.
+ */
+void
+multiplyBlock(const simd::KernelTable &kt, const float *a, int64_t a_ld,
+              bool a_k_major, const simd::PackQuant *aq, const float *bp,
+              float *c, int64_t i0, int64_t i1, int64_t n, int64_t k,
+              bool accumulate)
+{
+    const int64_t mb = i1 - i0;
+    float *cb = c + i0 * n;
+    const size_t c_bytes = sizeof(float) * static_cast<size_t>(mb * n);
+    if (mb < kGemmPackMR && !a_k_major && aq == nullptr) {
+        if (!accumulate)
+            std::memset(cb, 0, c_bytes);
+        kt.gemmPackedRows(a + i0 * a_ld, a_ld, bp, cb, n, mb, n, k);
+        return;
+    }
+    runtime::WorkspaceArena &arena =
+        runtime::WorkspaceArena::forCurrentThread();
+    runtime::ArenaScope scope(arena);
+    // +8: PackAFn transpose-store headroom (kernels.h).
+    float *ap = arena.getFloats(static_cast<size_t>(
+        packStrips(mb, kGemmPackMR) * kGemmPackMR * k + 8));
+    kt.packA(a, a_ld, a_k_major, ap, i0, i1, k, aq);
+    // Zeroed after the pack, so the rows are still cached for the
+    // kernel's adds.
+    if (!accumulate)
+        std::memset(cb, 0, c_bytes);
+    kt.gemmPackedBlock(ap, bp, cb, n, mb, n, k);
+}
+
+/**
+ * The packed loop nest: M-blocks fan out over the pool, each streaming
+ * the shared packed B panel (multiplyBlock). M-block ownership and the
+ * per-element k-ascending accumulation are identical for any thread
+ * count.
  */
 void
 gemmPhase(const PackedCtx *ctx)
@@ -291,27 +253,10 @@ gemmPhase(const PackedCtx *ctx)
         0, mBlocks(ctx->m), 1, [ctx](int64_t b0, int64_t b1) {
             for (int64_t bi = b0; bi < b1; ++bi) {
                 const int64_t i0 = bi * simd::kGemmBlockM;
-                const int64_t i1 =
-                    std::min(i0 + simd::kGemmBlockM, ctx->m);
-                const int64_t mb = i1 - i0;
-                runtime::WorkspaceArena &arena =
-                    runtime::WorkspaceArena::forCurrentThread();
-                runtime::ArenaScope scope(arena);
-                // +8: PackAFn transpose-store headroom (kernels.h).
-                float *ap = arena.getFloats(static_cast<size_t>(
-                    packStrips(mb, kGemmPackMR) * kGemmPackMR *
-                        ctx->k +
-                    8));
-                ctx->kt->packA(ctx->a, ctx->a_ld, ctx->a_k_major, ap,
-                               i0, i1, ctx->k, ctx->aq);
-                if (!ctx->accumulate)
-                    std::memset(
-                        ctx->c + i0 * ctx->n, 0,
-                        sizeof(float) *
-                            static_cast<size_t>(mb * ctx->n));
-                ctx->kt->gemmPackedBlock(ap, ctx->bp,
-                                         ctx->c + i0 * ctx->n, ctx->n,
-                                         mb, ctx->n, ctx->k);
+                multiplyBlock(*ctx->kt, ctx->a, ctx->a_ld, ctx->a_k_major,
+                              ctx->aq, ctx->bp, ctx->c, i0,
+                              std::min(i0 + simd::kGemmBlockM, ctx->m),
+                              ctx->n, ctx->k, ctx->accumulate);
             }
         });
 }
@@ -570,7 +515,6 @@ packedGemm(const float *a, int64_t a_ld, bool a_k_major, int64_t a_rows,
 struct BatchedCtx
 {
     const simd::KernelTable *kt;
-    simd::GemmBlockFn block_fn; ///< per-item legacy kernel
     const float *a;
     int64_t a_stride, a_ld;
     bool a_k_major;
@@ -581,64 +525,30 @@ struct BatchedCtx
     int64_t c_stride;
     int64_t count, m, n, k, group;
     bool accumulate;
-    bool packed;
     float *bp = nullptr;    ///< per-group packed B panels (NT/NN)
     int64_t bp_stride = 0;
 };
 
-/** One batch item on the legacy kernels: the same zero + block-kernel
- *  sequence gemmBlockedLegacy runs, serial over the item's M-blocks
- *  (the worker owns the whole item). */
-void
-runItemLegacy(const BatchedCtx *ctx, const float *a, const float *b,
-              float *c, bool accumulate)
-{
-    for (int64_t bi = 0; bi < mBlocks(ctx->m); ++bi) {
-        const int64_t i0 = bi * simd::kGemmBlockM;
-        const int64_t i1 = std::min(i0 + simd::kGemmBlockM, ctx->m);
-        if (!accumulate)
-            std::memset(c + i0 * ctx->n, 0,
-                        sizeof(float) *
-                            static_cast<size_t>((i1 - i0) * ctx->n));
-        ctx->block_fn(a, b, c, i0, i1, ctx->m, ctx->n, ctx->k);
-    }
-}
-
-/** One batch item through the packed microkernel against an already-
- *  packed B panel: per M-block the same packA + zero + block stream
- *  gemmPhase issues, so per-element accumulation order matches the
- *  per-item gemmPacked* entry points exactly. */
+/** One batch item against an already-packed B panel: per M-block the
+ *  same multiplyBlock gemmPhase issues, so per-element accumulation
+ *  order matches the per-item gemmPacked* entry points exactly. */
 void
 runItemPacked(const BatchedCtx *ctx, const float *a, const float *bp,
               float *c, bool accumulate)
 {
-    runtime::WorkspaceArena &arena =
-        runtime::WorkspaceArena::forCurrentThread();
     for (int64_t bi = 0; bi < mBlocks(ctx->m); ++bi) {
         const int64_t i0 = bi * simd::kGemmBlockM;
-        const int64_t i1 = std::min(i0 + simd::kGemmBlockM, ctx->m);
-        const int64_t mb = i1 - i0;
-        runtime::ArenaScope scope(arena);
-        // +8: PackAFn transpose-store headroom (kernels.h).
-        float *ap = arena.getFloats(static_cast<size_t>(
-            packStrips(mb, kGemmPackMR) * kGemmPackMR * ctx->k + 8));
-        ctx->kt->packA(a, ctx->a_ld, ctx->a_k_major, ap, i0, i1, ctx->k,
-                       nullptr);
-        if (!accumulate)
-            std::memset(c + i0 * ctx->n, 0,
-                        sizeof(float) *
-                            static_cast<size_t>(mb * ctx->n));
-        ctx->kt->gemmPackedBlock(ap, bp, c + i0 * ctx->n, ctx->n, mb,
-                                 ctx->n, ctx->k);
+        multiplyBlock(*ctx->kt, a, ctx->a_ld, ctx->a_k_major, nullptr, bp,
+                      c, i0, std::min(i0 + simd::kGemmBlockM, ctx->m),
+                      ctx->n, ctx->k, accumulate);
     }
 }
 
 /** Shared NT/NN batched driver: pack each group's shared B once
  *  (phase 1), then fan whole items over the pool (phase 2). */
 void
-gemmBatchedStreamB(simd::GemmBlockFn block_fn, const float *a,
-                   int64_t a_stride, const float *b, int64_t b_stride,
-                   int64_t b_ld, bool b_k_major, float *c,
+gemmBatchedStreamB(const float *a, int64_t a_stride, const float *b,
+                   int64_t b_stride, int64_t b_ld, bool b_k_major, float *c,
                    int64_t c_stride, int64_t count, int64_t m, int64_t n,
                    int64_t k, int64_t group, bool accumulate)
 {
@@ -648,7 +558,6 @@ gemmBatchedStreamB(simd::GemmBlockFn block_fn, const float *a,
                 "batched GEMM: count must be a multiple of group");
     BatchedCtx ctx;
     ctx.kt = &simd::activeKernels();
-    ctx.block_fn = block_fn;
     ctx.a = a;
     ctx.a_stride = a_stride;
     ctx.a_ld = k;
@@ -672,12 +581,9 @@ gemmBatchedStreamB(simd::GemmBlockFn block_fn, const float *a,
                             sizeof(float) * static_cast<size_t>(m * n));
         return;
     }
-    ctx.packed = gemmBatchedPackEnabled(count, m, n, k);
-
     obs::Scope timed(telemetry::Timer::Gemm, trace::Category::Gemm,
                      "gemm_batched", "items", count, "m", m);
-    telemetry::count(ctx.packed ? telemetry::Counter::GemmPackedCalls
-                                : telemetry::Counter::GemmLegacyCalls);
+    telemetry::count(telemetry::Counter::GemmPackedCalls);
     telemetry::count(telemetry::Counter::GemmBatchedItems, count);
     telemetry::count(telemetry::Counter::GemmFlops,
                      2 * count * m * n * k);
@@ -685,32 +591,20 @@ gemmBatchedStreamB(simd::GemmBlockFn block_fn, const float *a,
         runtime::WorkspaceArena::forCurrentThread();
     runtime::ArenaScope scope(arena);
     const BatchedCtx *pc = &ctx;
-    if (ctx.packed) {
-        const int64_t groups = count / group;
-        ctx.bp_stride = packStrips(n, kGemmPackNR) * kGemmPackNR * k;
-        ctx.bp =
-            arena.getFloats(static_cast<size_t>(groups * ctx.bp_stride));
-        runtime::parallelFor(0, groups, 1, [pc](int64_t g0, int64_t g1) {
-            for (int64_t g = g0; g < g1; ++g)
-                pc->kt->packB(pc->b + g * pc->b_stride, pc->b_ld,
-                              pc->b_k_major,
-                              pc->bp + g * pc->bp_stride, 0, pc->n,
-                              pc->n, pc->k, nullptr);
-        });
-    }
+    const int64_t groups = count / group;
+    ctx.bp_stride = packStrips(n, kGemmPackNR) * kGemmPackNR * k;
+    ctx.bp = arena.getFloats(static_cast<size_t>(groups * ctx.bp_stride));
+    runtime::parallelFor(0, groups, 1, [pc](int64_t g0, int64_t g1) {
+        for (int64_t g = g0; g < g1; ++g)
+            pc->kt->packB(pc->b + g * pc->b_stride, pc->b_ld,
+                          pc->b_k_major, pc->bp + g * pc->bp_stride, 0,
+                          pc->n, pc->n, pc->k, nullptr);
+    });
     runtime::parallelFor(0, count, 1, [pc](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-            const float *ai = pc->a + i * pc->a_stride;
-            float *ci = pc->c + i * pc->c_stride;
-            if (pc->packed)
-                runItemPacked(pc, ai,
-                              pc->bp + (i / pc->group) * pc->bp_stride,
-                              ci, pc->accumulate);
-            else
-                runItemLegacy(pc, ai,
-                              pc->b + (i / pc->group) * pc->b_stride,
-                              ci, pc->accumulate);
-        }
+        for (int64_t i = i0; i < i1; ++i)
+            runItemPacked(pc, pc->a + i * pc->a_stride,
+                          pc->bp + (i / pc->group) * pc->bp_stride,
+                          pc->c + i * pc->c_stride, pc->accumulate);
     });
 }
 
@@ -732,113 +626,27 @@ runItemPackedTN(const BatchedCtx *ctx, const float *a, const float *b,
 
 } // namespace
 
-// --------------------------------------------------------- mode API
-
-GemmPackMode
-gemmPackMode()
-{
-    int mode = g_pack_mode.load(std::memory_order_acquire);
-    if (mode < 0) {
-        GemmPackMode m = GemmPackMode::Auto;
-        const char *spec =
-            runtime::envConfig().gemmPack().cstrOrNull();
-        if (!parsePackMode(spec, &m)) {
-            warn("unknown SNIP_GEMM_PACK value '", spec,
-                 "' (expected auto|on|off); using auto");
-            m = GemmPackMode::Auto;
-        }
-        mode = static_cast<int>(m);
-        g_pack_mode.store(mode, std::memory_order_release);
-    }
-    return static_cast<GemmPackMode>(mode);
-}
-
-bool
-setGemmPackModeByName(const char *name)
-{
-    GemmPackMode m;
-    if (!parsePackMode(name, &m))
-        return false;
-    g_pack_mode.store(static_cast<int>(m), std::memory_order_release);
-    return true;
-}
-
-bool
-gemmPackEnabled(int64_t m, int64_t n, int64_t k)
-{
-    switch (gemmPackMode()) {
-        case GemmPackMode::Off:
-            return false;
-        case GemmPackMode::On:
-            return m > 0 && n > 0 && k > 0;
-        case GemmPackMode::Auto:
-            break;
-    }
-    // Packing copies O(MK + NK) to save on the O(MNK) streaming; below
-    // this threshold the copy dominates and the legacy path wins.
-    return m >= 4 && n >= kGemmPackNR && k >= 32 &&
-           m * n * k >= (int64_t{1} << 18);
-}
-
-bool
-gemmBatchedPackEnabled(int64_t count, int64_t m, int64_t n, int64_t k)
-{
-    switch (gemmPackMode()) {
-        case GemmPackMode::Off:
-            return false;
-        case GemmPackMode::On:
-            return count > 0 && m > 0 && n > 0 && k > 0;
-        case GemmPackMode::Auto:
-            break;
-    }
-    // The amortization unit is the WHOLE batch: the pack copies
-    // O(count*(mk + nk)) to save on O(count*mnk) streaming, so a batch
-    // of per-head attention GEMMs — each too small to pack alone —
-    // clears the same work threshold the single-GEMM heuristic uses.
-    // The per-item floors only keep degenerate panels (k or n of 1-4)
-    // off the packed kernels, where strip padding would dominate.
-    return m >= 4 && n >= 8 && k >= 8 &&
-           count * m * n * k >= (int64_t{1} << 18);
-}
-
 // ------------------------------------------------------- entry points
 
 void
 gemmNT(const float *a, const float *b, float *c, int64_t m, int64_t n,
        int64_t k, bool accumulate)
 {
-    if (gemmPackEnabled(m, n, k)) {
-        gemmPackedNT(a, m, k, nullptr, b, n, nullptr, nullptr, c,
-                     accumulate);
-        return;
-    }
-    gemmBlockedLegacy(simd::activeKernels().gemmNtBlock, a, b, c, m, n,
-                      k, accumulate);
+    gemmPackedNT(a, m, k, nullptr, b, n, nullptr, nullptr, c, accumulate);
 }
 
 void
 gemmNN(const float *a, const float *b, float *c, int64_t m, int64_t n,
        int64_t k, bool accumulate)
 {
-    if (gemmPackEnabled(m, n, k)) {
-        gemmPackedNN(a, m, k, nullptr, b, n, nullptr, nullptr, c,
-                     accumulate);
-        return;
-    }
-    gemmBlockedLegacy(simd::activeKernels().gemmNnBlock, a, b, c, m, n,
-                      k, accumulate);
+    gemmPackedNN(a, m, k, nullptr, b, n, nullptr, nullptr, c, accumulate);
 }
 
 void
 gemmTN(const float *a, const float *b, float *c, int64_t m, int64_t n,
        int64_t k, bool accumulate)
 {
-    if (gemmPackEnabled(m, n, k)) {
-        gemmPackedTN(a, m, k, nullptr, b, n, nullptr, c, accumulate);
-        return;
-    }
-    gemmBlockedLegacy(simd::activeKernels().gemmTnBlock, a, b, c, m, n,
-                      k, accumulate);
+    gemmPackedTN(a, m, k, nullptr, b, n, nullptr, c, accumulate);
 }
 
 void
@@ -847,9 +655,9 @@ gemmBatchedNT(const float *a, int64_t a_stride, const float *b,
               int64_t m, int64_t n, int64_t k, int64_t group,
               bool accumulate)
 {
-    gemmBatchedStreamB(simd::activeKernels().gemmNtBlock, a, a_stride, b,
-                       b_stride, /*b_ld=*/k, /*b_k_major=*/false, c,
-                       c_stride, count, m, n, k, group, accumulate);
+    gemmBatchedStreamB(a, a_stride, b, b_stride, /*b_ld=*/k,
+                       /*b_k_major=*/false, c, c_stride, count, m, n, k,
+                       group, accumulate);
 }
 
 void
@@ -858,9 +666,9 @@ gemmBatchedNN(const float *a, int64_t a_stride, const float *b,
               int64_t m, int64_t n, int64_t k, int64_t group,
               bool accumulate)
 {
-    gemmBatchedStreamB(simd::activeKernels().gemmNnBlock, a, a_stride, b,
-                       b_stride, /*b_ld=*/n, /*b_k_major=*/true, c,
-                       c_stride, count, m, n, k, group, accumulate);
+    gemmBatchedStreamB(a, a_stride, b, b_stride, /*b_ld=*/n,
+                       /*b_k_major=*/true, c, c_stride, count, m, n, k,
+                       group, accumulate);
 }
 
 void
@@ -875,7 +683,6 @@ gemmBatchedTN(const float *a, int64_t a_stride, const float *b,
                 "batched GEMM: count must be a multiple of group");
     BatchedCtx ctx;
     ctx.kt = &simd::activeKernels();
-    ctx.block_fn = ctx.kt->gemmTnBlock;
     ctx.a = a;
     ctx.a_stride = a_stride;
     ctx.a_ld = m;
@@ -900,11 +707,9 @@ gemmBatchedTN(const float *a, int64_t a_stride, const float *b,
                             sizeof(float) * static_cast<size_t>(m * n));
         return;
     }
-    ctx.packed = gemmBatchedPackEnabled(count, m, n, k);
     obs::Scope timed(telemetry::Timer::Gemm, trace::Category::Gemm,
                      "gemm_batched_grouped", "items", count, "m", m);
-    telemetry::count(ctx.packed ? telemetry::Counter::GemmPackedCalls
-                                : telemetry::Counter::GemmLegacyCalls);
+    telemetry::count(telemetry::Counter::GemmPackedCalls);
     telemetry::count(telemetry::Counter::GemmBatchedItems, count);
     telemetry::count(telemetry::Counter::GemmFlops,
                      2 * count * m * n * k);
@@ -929,13 +734,8 @@ gemmBatchedTN(const float *a, int64_t a_stride, const float *b,
             for (int64_t t = 0; t < pc->group; ++t) {
                 const int64_t i = g * pc->group + t;
                 const float *ai = pc->a + i * pc->a_stride;
-                const float *bi = pc->b + i * pc->b_stride;
-                if (pc->packed)
-                    runItemPackedTN(pc, ai, bi, tmp,
-                                    /*accumulate=*/false);
-                else
-                    runItemLegacy(pc, ai, bi, tmp,
-                                  /*accumulate=*/false);
+                runItemPackedTN(pc, ai, pc->b + i * pc->b_stride, tmp,
+                                /*accumulate=*/false);
                 const int64_t numel = pc->m * pc->n;
                 for (int64_t e = 0; e < numel; ++e)
                     cg[e] += tmp[e];

@@ -1,38 +1,32 @@
 /**
  * @file
- * Single-precision GEMM: packed cache-blocked pipeline + legacy path.
+ * Single-precision GEMM: one packed, cache-blocked pipeline.
  *
  * Three transpose variants cover the needs of linear-layer training:
  *   - NT: C[M,N] = A[M,K] * B[N,K]^T   (forward:  Y  = X  W^T)
  *   - NN: C[M,N] = A[M,K] * B[K,N]     (backward: dX = dY W)
  *   - TN: C[M,N] = A[K,M]^T * B[K,N]   (backward: dW = dY^T X)
  *
- * Large shapes run the PACKED pipeline: operand panels are copied once
+ * Every GEMM runs the PACKED pipeline: operand panels are copied once
  * into contiguous, strip-major buffers (simd/kernels.h PackAFn/PackBFn,
  * kGemmPackMR x kGemmPackNR register tiles) staged in per-thread
  * workspace arenas (runtime/workspace_arena.h), and the block
  * microkernel streams them with zero steady-state heap allocations.
- * The quantizing entry points additionally FUSE the nearest-rounding
- * grid-snap quantizer into the pack, so no quantized tensor copy is
- * ever materialized, and an optional PackedWeightCache keeps a
- * weight's packed+quantized panel alive across the GEMMs of one
- * training step. Small shapes (and SNIP_GEMM_PACK=off) run the legacy
- * unpacked kernels unchanged.
+ * An M-block too thin to fill one A strip (decode rows, say) skips the
+ * A pack and streams its row-major rows in place against the packed B
+ * panel (GemmPackedRowsFn). The quantizing entry points additionally
+ * FUSE the nearest-rounding grid-snap quantizer into the pack, so no
+ * quantized tensor copy is ever materialized, and an optional
+ * PackedWeightCache keeps a weight's packed+quantized panel alive
+ * across GEMMs.
  *
- *   SNIP_GEMM_PACK=auto   pack when the shape outgrows the pack
- *                         overhead (default)
- *   SNIP_GEMM_PACK=on     always pack
- *   SNIP_GEMM_PACK=off    never pack (bit-identical to the pre-packed
- *                         library, for A/B comparison)
- *
- * Determinism contract: all paths fan kGemmBlockM-row M-blocks of C
- * out over the thread pool; workers own whole rows of C and every
- * per-element accumulation order is a pure function of the shape, so
- * WITHIN one (backend, packed-or-not) configuration results are
- * bit-identical for any thread count. The packed and unpacked paths
- * may differ from each other in low-order bits (the packed microkernel
- * accumulates each C element k-ascending in one lane; the unpacked NT
- * kernel stripes across 8 lanes and reduces).
+ * Determinism contract: every path fans kGemmBlockM-row M-blocks of C
+ * (or whole batch items) out over the thread pool; workers own whole
+ * rows of C, and every C element is formed the same way — a zero
+ * accumulator, k-products added in ascending k in one lane, one add
+ * into C — whichever kernel runs it. Within one backend, results are
+ * therefore bit-identical for any thread count, any batching and any
+ * M split (a decode row equals the same row of a full-sequence GEMM).
  */
 #ifndef SNIP_TENSOR_GEMM_H
 #define SNIP_TENSOR_GEMM_H
@@ -64,13 +58,9 @@ void gemmTN(const float *a, const float *b, float *c, int64_t m, int64_t n,
 // grouping below. The batched driver fans ITEMS (not M-blocks) over
 // the thread pool — each worker owns whole items, so per-item
 // accumulation order is identical to running the per-item entry
-// points one by one, for any thread count. Whether the batch takes
-// the packed pipeline is decided from the aggregate work
-// count*m*n*k (gemmBatchedPackEnabled below), NOT the per-item
-// shape: attention-style batches of small GEMMs amortize the pack
-// cost across the batch. Under SNIP_GEMM_PACK=off every item runs
-// the per-item legacy kernels, bit-identical to a loop of
-// gemmNT/NN/TN calls.
+// points one by one, for any thread count. A batch of small GEMMs
+// (per-head attention) amortizes its B packs across the group that
+// shares each panel.
 
 /**
  * C_i[M,N] (+)= A_i[M,K] * B_{i/group}[N,K]^T for i in [0, count).
@@ -104,12 +94,6 @@ void gemmBatchedTN(const float *a, int64_t a_stride, const float *b,
                    int64_t count, int64_t m, int64_t n, int64_t k,
                    int64_t group = 1, bool accumulate = false);
 
-/** True when a batch of this aggregate shape takes the packed
- *  pipeline under the active SNIP_GEMM_PACK mode (Auto packs once
- *  count*m*n*k — the amortization unit — outgrows the pack cost). */
-bool gemmBatchedPackEnabled(int64_t count, int64_t m, int64_t n,
-                            int64_t k);
-
 /** Y = X * W^T for rank-2 tensors X[M,K], W[N,K]. */
 Tensor matmulNT(const Tensor &x, const Tensor &w);
 
@@ -118,28 +102,6 @@ Tensor matmulNN(const Tensor &a, const Tensor &b);
 
 /** Y = A^T * B for rank-2 tensors A[K,M], B[K,N]. */
 Tensor matmulTN(const Tensor &a, const Tensor &b);
-
-// --------------------------------------------------- packed-path mode
-
-/** SNIP_GEMM_PACK spellings. */
-enum class GemmPackMode
-{
-    Auto,
-    On,
-    Off,
-};
-
-/** The active mode (resolves SNIP_GEMM_PACK on first call). */
-GemmPackMode gemmPackMode();
-
-/** Select a mode programmatically ("auto" | "on" | "off"); false and
- *  unchanged for unknown names. For tests and benches; must not race
- *  with in-flight GEMMs. */
-bool setGemmPackModeByName(const char *name);
-
-/** True when a GEMM of this shape takes the packed pipeline under the
- *  active mode (Auto packs once the work outgrows the pack cost). */
-bool gemmPackEnabled(int64_t m, int64_t n, int64_t k);
 
 // ----------------------------------------------- packed-weight cache
 
@@ -199,8 +161,8 @@ class PackedWeightCache
 void invalidateWeightPacks();
 
 /** Current weight-pack epoch: 0 until the first invalidateWeightPacks()
- *  call, then bumped by every one. Caches derived from weights (packed
- *  panels, quantized inference copies) key on this to notice mutation. */
+ *  call, then bumped by every one. Caches derived from weights key on
+ *  this to notice mutation. */
 uint64_t weightPackEpoch();
 
 // ------------------------------------- quantizing packed entry points
@@ -210,9 +172,8 @@ uint64_t weightPackEpoch();
 // operand as-is; stochastic-rounding operands must be materialized by
 // the caller first — their RNG stream is order-sensitive). Results are
 // bit-identical to quantizing a copy with FakeQuantizer and running
-// the packed GEMM on it. These entries always pack regardless of mode
-// (callers gate on gemmPackEnabled()); after warm-up they perform zero
-// heap allocations (tests/test_workspace.cpp counts).
+// the GEMM on it. After warm-up these perform zero heap allocations
+// (tests/test_workspace.cpp counts).
 
 /** C[M,N] (+)= q(A[M,K]) * q(B[N,K])^T; @p bcache may cache packed B. */
 void gemmPackedNT(const float *a, int64_t m, int64_t k,

@@ -48,7 +48,7 @@ TEST(Model, LogitsShape)
 {
     LlamaModel model(microModel(), 1);
     auto tokens = someTokens(2 * 6, 16, 1);
-    Tensor logits = model.forward(tokens, 2, 6);
+    Tensor logits = model.forward(tokens, 2, 6, ForwardMode::Train);
     EXPECT_EQ(logits.size(0), 12);
     EXPECT_EQ(logits.size(1), 16);
     EXPECT_FALSE(hasNonFinite(logits));
@@ -58,10 +58,10 @@ TEST(Model, CausalityFutureTokensDoNotAffectPast)
 {
     LlamaModel model(microModel(), 2);
     auto tokens = someTokens(8, 16, 3);
-    Tensor l1 = model.forward(tokens, 1, 8);
+    Tensor l1 = model.forward(tokens, 1, 8, ForwardMode::Train);
     auto tokens2 = tokens;
     tokens2[7] = (tokens2[7] + 5) % 16; // change the LAST token
-    Tensor l2 = model.forward(tokens2, 1, 8);
+    Tensor l2 = model.forward(tokens2, 1, 8, ForwardMode::Train);
     // Rows 0..6 must be identical; row 7 must differ.
     for (int64_t r = 0; r < 7; ++r)
         for (int64_t v = 0; v < 16; ++v)
@@ -79,8 +79,8 @@ TEST(Model, BatchRowsAreIndependent)
     auto b = someTokens(6, 16, 6);
     std::vector<int32_t> both = a;
     both.insert(both.end(), b.begin(), b.end());
-    Tensor l_both = model.forward(both, 2, 6);
-    Tensor l_a = model.forward(a, 1, 6);
+    Tensor l_both = model.forward(both, 2, 6, ForwardMode::Train);
+    Tensor l_a = model.forward(a, 1, 6, ForwardMode::Train);
     for (int64_t r = 0; r < 6; ++r)
         for (int64_t v = 0; v < 16; ++v)
             EXPECT_NEAR(l_both.at(r, v), l_a.at(r, v), 1e-4);
@@ -240,94 +240,52 @@ TEST(Model, ParameterCountMatchesConfigFormula)
     EXPECT_EQ(total, cfg.parameterCount());
 }
 
-/** Restores SNIP_ATTN=par (the default schedule) when a test ends. */
-struct AttnModeGuard
+TEST(Attention, GqaBitIdenticalAcrossThreads)
 {
-    AttnModeGuard() = default;
-    AttnModeGuard(const AttnModeGuard &) = delete;
-    AttnModeGuard &operator=(const AttnModeGuard &) = delete;
-    ~AttnModeGuard() { setAttnModeByName("par"); }
-};
-
-TEST(AttnMode, KnobControl)
-{
-    AttnModeGuard guard;
-    EXPECT_TRUE(setAttnModeByName("serial"));
-    EXPECT_EQ(attnMode(), AttnMode::Serial);
-    EXPECT_TRUE(setAttnModeByName("par"));
-    EXPECT_EQ(attnMode(), AttnMode::Par);
-    EXPECT_FALSE(setAttnModeByName("banana"));
-    EXPECT_EQ(attnMode(), AttnMode::Par);
-}
-
-TEST(AttnMode, ParBitIdenticalToSerialAcrossThreadsAndPackModes)
-{
-    // The batched schedule must reproduce the serial loop bit for bit
-    // whenever the per-item GEMMs take the same packed-or-not path —
-    // i.e. under both pinned pack modes — at every thread count. The
-    // GQA config exercises the shared-K/V groups and the per-kv-head
-    // dK/dV reduction.
-    AttnModeGuard mode_guard;
-    PackModeGuard pack_guard;
-    GlobalPoolGuard pool_guard;
-    ModelConfig cfg = microModel();
-    cfg.d_model = 16;
-    cfg.n_heads = 4;
-    cfg.n_kv_heads = 2;
-    auto tokens = someTokens(2 * 8, 16, 31);
-    auto targets = someTokens(2 * 8, 16, 32);
-
-    for (const char *pack : {"off", "on"}) {
-        SCOPED_TRACE(pack);
-        setGemmPackModeByName(pack);
-
-        setAttnModeByName("serial");
-        runtime::setGlobalThreadCount(1);
-        LlamaModel ref_model(cfg, 33);
-        ref_model.zeroGrad();
-        LossResult ref = ref_model.forwardLoss(tokens, targets, 2, 8);
-        ref_model.backward(ref.dlogits);
-        const Tensor ref_logits = ref_model.forward(tokens, 2, 8);
-        const Tensor ref_grad = ref_model.linear(1).grad(); // K, GQA
-
-        setAttnModeByName("par");
-        for (int threads : {1, 2, 8}) {
-            SCOPED_TRACE(threads);
-            runtime::setGlobalThreadCount(threads);
-            LlamaModel model(cfg, 33);
-            model.zeroGrad();
-            LossResult res = model.forwardLoss(tokens, targets, 2, 8);
-            model.backward(res.dlogits);
-            EXPECT_EQ(res.loss, ref.loss);
-            EXPECT_TRUE(model.linear(1).grad() == ref_grad);
-            EXPECT_TRUE(model.forward(tokens, 2, 8) == ref_logits);
-        }
-    }
-}
-
-TEST(AttnMode, ParDeterministicAcrossThreadsUnderAuto)
-{
-    // Under the default pack heuristic the batched path may pack where
-    // serial would not (low-order bits may differ between the modes),
-    // but within the par schedule the thread count must never change
-    // numerics.
-    AttnModeGuard mode_guard;
+    // The batched schedule fans whole (b,h) items over the pool and
+    // reduces GQA dK/dV per kv head in a fixed order, so the thread
+    // count must never change the logits, the loss or any projection
+    // gradient — the K/V gradients carry the per-kv-head reduction.
     GlobalPoolGuard pool_guard;
     ModelConfig cfg = microModel();
     cfg.n_heads = 4;
     cfg.n_kv_heads = 2;
     cfg.d_model = 16;
     auto tokens = someTokens(2 * 8, 16, 41);
+    auto targets = someTokens(2 * 8, 16, 42);
+    const LayerRole roles[] = {LayerRole::Q, LayerRole::K, LayerRole::V,
+                               LayerRole::O};
 
-    setAttnModeByName("par");
-    runtime::setGlobalThreadCount(1);
-    LlamaModel m1(cfg, 42);
-    const Tensor l1 = m1.forward(tokens, 2, 8);
-    for (int threads : {2, 8}) {
+    struct Result
+    {
+        Tensor logits;
+        double loss = 0.0;
+        std::vector<Tensor> grads;
+    };
+    auto run = [&](int threads) {
         runtime::setGlobalThreadCount(threads);
-        LlamaModel m(cfg, 42);
-        EXPECT_TRUE(m.forward(tokens, 2, 8) == l1)
-            << threads << " threads";
+        LlamaModel m(cfg, 43);
+        Result r;
+        r.logits = m.forward(tokens, 2, 8, ForwardMode::Train);
+        m.zeroGrad();
+        LossResult res = m.forwardLoss(tokens, targets, 2, 8);
+        m.backward(res.dlogits);
+        r.loss = res.loss;
+        for (int b = 0; b < cfg.n_blocks; ++b)
+            for (LayerRole role : roles)
+                r.grads.push_back(
+                    m.linear(m.registry().index(b, role)).grad());
+        return r;
+    };
+
+    const Result ref = run(1);
+    for (int threads : {2, 8}) {
+        SCOPED_TRACE(threads);
+        const Result got = run(threads);
+        EXPECT_TRUE(got.logits == ref.logits);
+        EXPECT_EQ(got.loss, ref.loss);
+        for (size_t i = 0; i < ref.grads.size(); ++i)
+            EXPECT_TRUE(got.grads[i] == ref.grads[i]) << "linear " << i;
     }
 }
 
@@ -340,7 +298,7 @@ TEST(Attention, SavedStateReleasedAfterBackward)
     Tensor x = Tensor::randn({8, cfg.d_model}, rng);
 
     EXPECT_EQ(attn.savedStateBytes(), 0);
-    Tensor y1 = attn.forward(x, 1, 8);
+    Tensor y1 = attn.forward(x, 1, 8, ForwardMode::Train);
     EXPECT_GT(attn.savedStateBytes(), 0);
     Tensor dy = Tensor::randn({8, cfg.d_model}, rng);
     attn.backward(dy);
@@ -349,7 +307,7 @@ TEST(Attention, SavedStateReleasedAfterBackward)
 
     // Forward-after-backward starts a fresh episode with identical
     // results, and a second backward works against the new state.
-    Tensor y2 = attn.forward(x, 1, 8);
+    Tensor y2 = attn.forward(x, 1, 8, ForwardMode::Train);
     EXPECT_TRUE(y1 == y2);
     EXPECT_GT(attn.savedStateBytes(), 0);
     attn.backward(dy);

@@ -76,7 +76,16 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(64, 64, 64),
                       std::make_tuple(65, 63, 130),
                       std::make_tuple(1, 128, 17),
-                      std::make_tuple(33, 1, 200)));
+                      std::make_tuple(33, 1, 200),
+                      // Ragged strips and thin M: 6-row A strips,
+                      // 16-column B strips, 64-row M-blocks, and M-blocks
+                      // too thin to pack A.
+                      std::make_tuple(130, 96, 70),
+                      std::make_tuple(6, 16, 32),
+                      std::make_tuple(13, 17, 40),
+                      std::make_tuple(257, 191, 133),
+                      std::make_tuple(2, 96, 32),
+                      std::make_tuple(5, 17, 40)));
 
 TEST(Gemm, AccumulateAddsToExisting)
 {
@@ -152,19 +161,6 @@ TEST(Gemm, ZeroSizedInnerDim)
 
 // ------------------------------------------------------- packed path
 
-TEST(GemmPack, ModeControl)
-{
-    PackModeGuard guard;
-    EXPECT_TRUE(setGemmPackModeByName("off"));
-    EXPECT_FALSE(gemmPackEnabled(4096, 4096, 4096));
-    EXPECT_TRUE(setGemmPackModeByName("on"));
-    EXPECT_TRUE(gemmPackEnabled(1, 1, 1));
-    EXPECT_TRUE(setGemmPackModeByName("auto"));
-    EXPECT_FALSE(gemmPackEnabled(8, 8, 8)); // below the Auto threshold
-    EXPECT_TRUE(gemmPackEnabled(512, 512, 512));
-    EXPECT_FALSE(setGemmPackModeByName("banana"));
-}
-
 /** Ragged shapes straddling every block/strip edge (64-row M-blocks,
  *  6-row A strips, 16-column B strips). */
 class GemmPackShapes
@@ -172,38 +168,9 @@ class GemmPackShapes
 {
 };
 
-TEST_P(GemmPackShapes, PackedMatchesUnpackedAllVariants)
-{
-    PackModeGuard guard;
-    auto [m, n, k] = GetParam();
-    Rng rng(7);
-    Tensor a_nt = Tensor::randn({m, k}, rng);
-    Tensor b_nt = Tensor::randn({n, k}, rng);
-    Tensor a_nn = Tensor::randn({m, k}, rng);
-    Tensor b_nn = Tensor::randn({k, n}, rng);
-    Tensor a_tn = Tensor::randn({k, m}, rng);
-    Tensor b_tn = Tensor::randn({k, n}, rng);
-
-    setGemmPackModeByName("off");
-    const Tensor nt_u = matmulNT(a_nt, b_nt);
-    const Tensor nn_u = matmulNN(a_nn, b_nn);
-    const Tensor tn_u = matmulTN(a_tn, b_tn);
-    setGemmPackModeByName("on");
-    const Tensor nt_p = matmulNT(a_nt, b_nt);
-    const Tensor nn_p = matmulNN(a_nn, b_nn);
-    const Tensor tn_p = matmulTN(a_tn, b_tn);
-
-    // Packed and unpacked may differ in low-order bits only.
-    EXPECT_LT(diffNorm(nt_p, nt_u), 1e-5 * (1.0 + frobeniusNorm(nt_u)));
-    EXPECT_LT(diffNorm(nn_p, nn_u), 1e-5 * (1.0 + frobeniusNorm(nn_u)));
-    EXPECT_LT(diffNorm(tn_p, tn_u), 1e-5 * (1.0 + frobeniusNorm(tn_u)));
-}
-
 TEST_P(GemmPackShapes, PackedBitIdenticalAcrossThreadCounts)
 {
-    PackModeGuard guard;
     GlobalPoolGuard pool_guard;
-    setGemmPackModeByName("on");
     auto [m, n, k] = GetParam();
     Rng rng(8);
     Tensor a_nt = Tensor::randn({m, k}, rng);
@@ -236,8 +203,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(GemmPack, PackedAccumulateAddsToExisting)
 {
-    PackModeGuard guard;
-    setGemmPackModeByName("on");
     Rng rng(45);
     Tensor a = Tensor::randn({19, 23}, rng);
     Tensor b = Tensor::randn({31, 23}, rng);
@@ -252,10 +217,9 @@ TEST(GemmPack, PackedAccumulateAddsToExisting)
 // ----------------------------------------------------- batched path
 
 /** Per-item reference for the batched entry points: the same GEMMs
- *  through the ordinary per-item entries (whose packed-or-not path is
- *  pinned by the active mode), with the TN group reduction done as
- *  compute-into-scratch-then-add — the fixed order the batched driver
- *  guarantees. */
+ *  through the ordinary per-item entries, with the TN group reduction
+ *  done as compute-into-scratch-then-add — the fixed order the batched
+ *  driver guarantees. */
 void
 refBatched(int variant, const float *a, int64_t a_stride, const float *b,
            int64_t b_stride, float *c, int64_t c_stride, int64_t count,
@@ -290,10 +254,8 @@ class GemmBatchedShapes
 
 TEST_P(GemmBatchedShapes, MatchesPerItemLoopBitExact)
 {
-    // Under a pinned pack mode the batched driver runs the same
-    // per-item kernels as a loop of ordinary calls, so results are
-    // bit-identical — packed and legacy alike.
-    PackModeGuard guard;
+    // The batched driver runs the same per-item kernels as a loop of
+    // ordinary calls, so results are bit-identical.
     auto [count, m, n, k, group] = GetParam();
     Rng rng(77);
     const int64_t groups = count / group;
@@ -304,37 +266,30 @@ TEST_P(GemmBatchedShapes, MatchesPerItemLoopBitExact)
     Tensor a_tn = Tensor::randn({count * k, m}, rng);
     Tensor b_tn = Tensor::randn({count * k, n}, rng);
 
-    for (const char *mode : {"off", "on"}) {
-        SCOPED_TRACE(mode);
-        setGemmPackModeByName(mode);
+    Tensor c_ref(count * m, n), c_bat(count * m, n);
+    refBatched(0, a_nt.data(), m * k, b_nt.data(), n * k, c_ref.data(),
+               m * n, count, m, n, k, group, false);
+    gemmBatchedNT(a_nt.data(), m * k, b_nt.data(), n * k, c_bat.data(),
+                  m * n, count, m, n, k, group);
+    EXPECT_TRUE(c_ref == c_bat) << "NT";
 
-        Tensor c_ref(count * m, n), c_bat(count * m, n);
-        refBatched(0, a_nt.data(), m * k, b_nt.data(), n * k,
-                   c_ref.data(), m * n, count, m, n, k, group, false);
-        gemmBatchedNT(a_nt.data(), m * k, b_nt.data(), n * k,
-                      c_bat.data(), m * n, count, m, n, k, group);
-        EXPECT_TRUE(c_ref == c_bat) << "NT";
+    refBatched(1, a_nn.data(), m * k, b_nn.data(), k * n, c_ref.data(),
+               m * n, count, m, n, k, group, false);
+    gemmBatchedNN(a_nn.data(), m * k, b_nn.data(), k * n, c_bat.data(),
+                  m * n, count, m, n, k, group);
+    EXPECT_TRUE(c_ref == c_bat) << "NN";
 
-        refBatched(1, a_nn.data(), m * k, b_nn.data(), k * n,
-                   c_ref.data(), m * n, count, m, n, k, group, false);
-        gemmBatchedNN(a_nn.data(), m * k, b_nn.data(), k * n,
-                      c_bat.data(), m * n, count, m, n, k, group);
-        EXPECT_TRUE(c_ref == c_bat) << "NN";
-
-        Tensor g_ref(groups * m, n), g_bat(groups * m, n);
-        refBatched(2, a_tn.data(), k * m, b_tn.data(), k * n,
-                   g_ref.data(), m * n, count, m, n, k, group, false);
-        gemmBatchedTN(a_tn.data(), k * m, b_tn.data(), k * n,
-                      g_bat.data(), m * n, count, m, n, k, group);
-        EXPECT_TRUE(g_ref == g_bat) << "TN";
-    }
+    Tensor g_ref(groups * m, n), g_bat(groups * m, n);
+    refBatched(2, a_tn.data(), k * m, b_tn.data(), k * n, g_ref.data(),
+               m * n, count, m, n, k, group, false);
+    gemmBatchedTN(a_tn.data(), k * m, b_tn.data(), k * n, g_bat.data(),
+                  m * n, count, m, n, k, group);
+    EXPECT_TRUE(g_ref == g_bat) << "TN";
 }
 
 TEST_P(GemmBatchedShapes, BitIdenticalAcrossThreadCounts)
 {
-    PackModeGuard guard;
     GlobalPoolGuard pool_guard;
-    setGemmPackModeByName("on");
     auto [count, m, n, k, group] = GetParam();
     Rng rng(78);
     const int64_t groups = count / group;
@@ -369,46 +324,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(12, 64, 64, 16, 4),
                       std::make_tuple(16, 23, 40, 65, 8)));
 
-TEST(GemmBatched, AutoHeuristicUsesAggregateWork)
-{
-    PackModeGuard guard;
-    setGemmPackModeByName("auto");
-    // One 32x32x16 GEMM is far below the per-item pack threshold, but
-    // a 64-item batch of them clears the aggregate amortization unit.
-    EXPECT_FALSE(gemmPackEnabled(32, 32, 16));
-    EXPECT_TRUE(gemmBatchedPackEnabled(64, 32, 32, 16));
-    EXPECT_FALSE(gemmBatchedPackEnabled(4, 32, 32, 16));
-    setGemmPackModeByName("off");
-    EXPECT_FALSE(gemmBatchedPackEnabled(64, 32, 32, 16));
-    setGemmPackModeByName("on");
-    EXPECT_TRUE(gemmBatchedPackEnabled(1, 1, 1, 1));
-}
-
-TEST(GemmBatched, AutoAgreesWithLegacyWithinTolerance)
-{
-    // When the aggregate heuristic flips a batch of small GEMMs onto
-    // the packed path, results may differ from the legacy loop only in
-    // low-order bits (the documented packed-vs-unpacked contract).
-    PackModeGuard guard;
-    const int64_t count = 64, m = 32, n = 32, k = 16;
-    Rng rng(79);
-    Tensor a = Tensor::randn({count * m, k}, rng);
-    Tensor b = Tensor::randn({count * n, k}, rng);
-    setGemmPackModeByName("off");
-    Tensor ref(count * m, n);
-    refBatched(0, a.data(), m * k, b.data(), n * k, ref.data(), m * n,
-               count, m, n, k, 1, false);
-    setGemmPackModeByName("auto");
-    Tensor bat(count * m, n);
-    gemmBatchedNT(a.data(), m * k, b.data(), n * k, bat.data(), m * n,
-                  count, m, n, k);
-    EXPECT_LT(diffNorm(bat, ref), 1e-5 * (1.0 + frobeniusNorm(ref)));
-}
-
 TEST(GemmBatched, AccumulateAddsToExisting)
 {
-    PackModeGuard guard;
-    setGemmPackModeByName("on");
     const int64_t count = 3, m = 7, n = 9, k = 11;
     Rng rng(80);
     Tensor a = Tensor::randn({count * m, k}, rng);
@@ -432,8 +349,6 @@ TEST(GemmPack, FusedQuantMatchesMaterializedBitExact)
     // Quantize-on-pack must equal quantize-a-copy-then-pack bit for
     // bit (same scales, same grid snap), for every nearest-rounding
     // precision and in all three variants.
-    PackModeGuard guard;
-    setGemmPackModeByName("on");
     Rng rng(9);
     FakeQuantizer q(11);
     const int64_t m = 70, n = 50, k = 130;
@@ -471,8 +386,6 @@ TEST(GemmPack, FusedQuantMatchesMaterializedBitExact)
 
 TEST(GemmPack, WeightCacheHitsAndInvalidates)
 {
-    PackModeGuard guard;
-    setGemmPackModeByName("on");
     Rng rng(10);
     const int64_t m = 33, n = 40, k = 65;
     Tensor x = Tensor::randn({m, k}, rng);

@@ -24,6 +24,7 @@
 #include "runtime/fault_injection.h"
 #include "runtime/thread_pool.h"
 #include "telemetry/obs.h"
+#include "tensor/gemm.h"
 #include "testing_util.h"
 
 namespace snip {
@@ -184,9 +185,7 @@ TEST(Obs, TimerCountIsTheCallCount)
                   before.timer(telemetry::Timer::PoolJob).count,
               1);
     EXPECT_EQ(after.counter(telemetry::Counter::GemmPackedCalls) -
-                  before.counter(telemetry::Counter::GemmPackedCalls) +
-                  after.counter(telemetry::Counter::GemmLegacyCalls) -
-                  before.counter(telemetry::Counter::GemmLegacyCalls),
+                  before.counter(telemetry::Counter::GemmPackedCalls),
               3);
 }
 

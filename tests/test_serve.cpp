@@ -7,7 +7,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "nn/model.h"
@@ -136,11 +138,8 @@ fullSeqLastRow(LlamaModel &model, const std::vector<int32_t> &tokens)
 
 TEST(ServeDecode, Fp32CacheBitIdenticalToFullSequence)
 {
-    // Bitwise claims pin the packed-GEMM heuristic off: packed and
-    // unpacked GEMMs differ in low-order bits by contract, and decode
-    // rows match forward()'s legacy path.
-    PackModeGuard pack_guard;
-    ASSERT_TRUE(setGemmPackModeByName("off"));
+    // Decode rows run thin-M GEMMs (the pack-free rows kernel) that
+    // form every element exactly as the full-sequence forward does.
     GlobalPoolGuard pool_guard;
 
     ModelConfig cfg = microModel();
@@ -168,6 +167,83 @@ TEST(ServeDecode, Fp32CacheBitIdenticalToFullSequence)
                     << "step " << s << " vocab " << v;
         }
     }
+}
+
+/** Max |decode - full-sequence| over a fresh FP32-cache trajectory of
+ *  @p model, against the full-sequence rows of @p ref: 0 exactly when
+ *  every decode row is bit-identical to the matching reference row. */
+float
+decodeVsFullSequenceMaxDiff(LlamaModel &model, LlamaModel &ref,
+                            const std::vector<int32_t> &prompt,
+                            int64_t steps)
+{
+    std::vector<int32_t> generated;
+    const auto rows = decodeTrajectory(model, prompt, steps,
+                                       serve::KvCacheMode::Fp32,
+                                       &generated);
+    std::vector<int32_t> ctx = prompt;
+    float max_diff = 0.0f;
+    for (int64_t s = 0; s < steps; ++s) {
+        ctx.push_back(generated[static_cast<size_t>(s)]);
+        const auto full = fullSeqLastRow(ref, ctx);
+        for (size_t v = 0; v < full.size(); ++v)
+            max_diff = std::max(
+                max_diff,
+                std::fabs(rows[static_cast<size_t>(s)][v] - full[v]));
+    }
+    return max_diff;
+}
+
+TEST(ServeDecode, DecodeFollowsWeightUpdates)
+{
+    // Decode serves each weight panel from the layer's pack cache; a
+    // weight write must reach the next decode step. The reference is a
+    // fresh model holding a copy of the current weights, so a stale
+    // panel anywhere in the decoding model shows up as a mismatch.
+    GlobalPoolGuard pool_guard;
+    runtime::setGlobalThreadCount(1);
+    ModelConfig cfg = microModel();
+    LlamaModel model(cfg, 23);
+    const PrecisionScheme fp8 = PrecisionScheme::uniform(
+        model.registry().numLinear(), Precision::FP8);
+    model.setScheme(fp8);
+    auto freshCopy = [&] {
+        auto ref = std::make_unique<LlamaModel>(cfg, 0);
+        ref->setScheme(fp8);
+        const ParamList from = model.params();
+        const ParamList to = ref->params();
+        for (size_t i = 0; i < from.size(); ++i)
+            *to[i].value = *from[i].value;
+        return ref;
+    };
+    const auto prompt = someTokens(6, cfg.vocab_size, 24);
+    const int64_t steps = 4;
+    // Warm every decode-side cache before the weights move.
+    EXPECT_EQ(decodeVsFullSequenceMaxDiff(model, *freshCopy(), prompt,
+                                          steps),
+              0.0f);
+
+    // A write through the mutable accessor stales that layer's panels.
+    for (int i = 0; i < model.registry().numLinear(); ++i) {
+        Tensor &w = model.linear(i).weight();
+        for (int64_t e = 0; e < w.numel(); e += 3)
+            w.at(e) = -1.5f * w.at(e);
+    }
+    EXPECT_EQ(decodeVsFullSequenceMaxDiff(model, *freshCopy(), prompt,
+                                          steps),
+              0.0f);
+
+    // A raw write (the optimizer's path) followed by the global
+    // invalidation stales every panel.
+    for (const ParamRef &p : model.params()) {
+        float *d = p.value->data();
+        for (int64_t e = 1; e < p.value->numel(); e += 2)
+            d[e] += 0.25f;
+    }
+    invalidateWeightPacks();
+    EXPECT_EQ(decodeVsFullSequenceMaxDiff(model, *freshCopy(), prompt,
+                                          steps),
+              0.0f);
 }
 
 TEST(ServeDecode, BitwiseDeterministicAcrossThreadCounts)
@@ -344,8 +420,6 @@ TEST(ServeEngine, ContinuousBatchingMatchesSequentialTokens)
 
 TEST(ServeDecode, WarmedDecodeStepPerformsZeroHeapAllocations)
 {
-    PackModeGuard pack_guard;
-    ASSERT_TRUE(setGemmPackModeByName("off"));
     GlobalPoolGuard pool_guard;
     runtime::setGlobalThreadCount(1); // inline path: no pool Jobs
 
@@ -379,7 +453,7 @@ TEST(ServeDecode, WarmedDecodeStepPerformsZeroHeapAllocations)
     std::vector<float> logits(
         static_cast<size_t>(2 * cfg.vocab_size));
 
-    // Warm up arenas and the per-layer quantized-weight caches.
+    // Warm up arenas and the per-layer weight-pack caches.
     for (int i = 0; i < 3; ++i)
         model.decodeStep(toks.data(), 2, h, logits.data());
 

@@ -534,6 +534,48 @@ TEST(SimdPack, PackedBlockGemmBackendsAgreeWithinTolerance)
     EXPECT_LT(diffNorm(cs, cv), 1e-6 * (1.0 + frobeniusNorm(cs)));
 }
 
+TEST(SimdPack, PackedRowsBitExactVsPackedBlock)
+{
+    // The thin-M kernel streams A rows in place instead of packing
+    // them; on each backend it must reproduce the packed block kernel
+    // bit for bit, so a decode row equals the same row of a
+    // full-sequence GEMM.
+    std::vector<const simd::KernelTable *> tables = {
+        &simd::scalarKernels()};
+    if (simd::cpuSupportsAvx2())
+        tables.push_back(&simd::avx2Kernels());
+    Rng rng(41);
+    for (const simd::KernelTable *kt : tables) {
+        for (int64_t m = 1; m < simd::kGemmPackMR; ++m) {
+            for (int64_t n : {1, 8, 16, 17, 40}) {
+                for (int64_t k : {1, 8, 33, 160}) {
+                    SCOPED_TRACE(testing::Message()
+                                 << kt->name << " m=" << m << " n=" << n
+                                 << " k=" << k);
+                    Tensor a = Tensor::randn({m, k}, rng);
+                    Tensor b = Tensor::randn({n, k}, rng);
+                    const auto ap = packWith(*kt, true, a, false, m, k,
+                                             nullptr);
+                    const auto bp = packWith(*kt, false, b, false, n, k,
+                                             nullptr);
+                    for (bool accumulate : {false, true}) {
+                        Tensor init(m, n);
+                        if (accumulate)
+                            init = Tensor::randn({m, n}, rng);
+                        Tensor c_block = init, c_rows = init;
+                        kt->gemmPackedBlock(ap.data(), bp.data(),
+                                            c_block.data(), n, m, n, k);
+                        kt->gemmPackedRows(a.data(), k, bp.data(),
+                                           c_rows.data(), n, m, n, k);
+                        EXPECT_TRUE(c_rows == c_block)
+                            << "accumulate=" << accumulate;
+                    }
+                }
+            }
+        }
+    }
+}
+
 /** Reference transcription of the historical open-coded attention
  *  softmax loops (nn/attention.cpp pre-batching): the semantics both
  *  backends' fused kernels must reproduce bit for bit. */

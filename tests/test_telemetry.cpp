@@ -20,8 +20,8 @@
 namespace snip {
 namespace {
 
-/** Fixed instrumented workload: per-shape GEMMs on both pipelines, a
- *  strided batch, and bare parallelFor traffic. Every counter it
+/** Fixed instrumented workload: per-shape GEMMs, a strided batch, and
+ *  bare parallelFor traffic. Every counter it
  *  bumps is a pure function of these shapes, never of the thread
  *  count. */
 void
@@ -60,8 +60,6 @@ TEST(Telemetry, FoldDeterminismAcrossThreadCounts)
 {
     ObsGuard obs_guard;
     GlobalPoolGuard pool_guard;
-    PackModeGuard mode_guard;
-    setGemmPackModeByName("auto");
     telemetry::Config cfg;
     cfg.enabled = true;
     telemetry::configure(cfg);
@@ -131,8 +129,6 @@ TEST(Telemetry, InstrumentedGemmKeepsZeroAllocContract)
 {
     ObsGuard obs_guard;
     GlobalPoolGuard pool_guard;
-    PackModeGuard mode_guard;
-    setGemmPackModeByName("on");
     runtime::setGlobalThreadCount(1);
     telemetry::Config cfg;
     cfg.enabled = true;

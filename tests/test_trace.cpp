@@ -163,8 +163,6 @@ TEST(Trace, WarmedHotPathAllocatesNothing)
 TEST(Trace, WarmedTracedDecodeStepPerformsZeroHeapAllocations)
 {
     ObsGuard obs_guard;
-    PackModeGuard pack_guard;
-    ASSERT_TRUE(setGemmPackModeByName("off"));
     GlobalPoolGuard pool_guard;
     runtime::setGlobalThreadCount(1); // inline path: no pool Jobs
 
@@ -202,7 +200,7 @@ TEST(Trace, WarmedTracedDecodeStepPerformsZeroHeapAllocations)
     std::vector<int32_t> toks = {3, 4};
     std::vector<float> logits(static_cast<size_t>(2 * mc.vocab_size));
 
-    // Warm up arenas, quantized-weight caches, and the trace ring.
+    // Warm up arenas, weight-pack caches, and the trace ring.
     for (int i = 0; i < 3; ++i)
         model.decodeStep(toks.data(), 2, h, logits.data());
 

@@ -80,9 +80,7 @@ TEST(WorkspaceArena, SpillsCoalesceIntoOneSlab)
 
 TEST(WorkspaceArena, SteadyStatePackedGemmAllocatesNothing)
 {
-    PackModeGuard mode_guard;
     GlobalPoolGuard pool_guard;
-    setGemmPackModeByName("on");
     runtime::setGlobalThreadCount(1);
 
     const int64_t m = 150, n = 130, k = 170;
@@ -106,9 +104,7 @@ TEST(WorkspaceArena, SteadyStatePackedGemmAllocatesNothing)
 
 TEST(WorkspaceArena, SteadyStateFusedQuantGemmAllocatesNothing)
 {
-    PackModeGuard mode_guard;
     GlobalPoolGuard pool_guard;
-    setGemmPackModeByName("on");
     runtime::setGlobalThreadCount(1);
 
     const int64_t m = 96, n = 80, k = 140;
@@ -145,11 +141,8 @@ TEST(WorkspaceArena, SteadyStateAttentionStepAllocatesNothing)
 {
     // The attention runtime's zero-alloc contract: a warmed-up
     // forward + backward of the attention core — gathers, strided-
-    // batch GEMMs (packed and legacy), fused softmax, scatters —
-    // touches the heap exactly zero times, in BOTH schedules. All
-    // scratch (the former qb/kb/vb/cb/dp/ds vectors and the batched
-    // slabs) lives in workspace arenas.
-    PackModeGuard mode_guard;
+    // batch GEMMs, fused softmax, scatters — touches the heap exactly
+    // zero times. All scratch lives in workspace arenas.
     GlobalPoolGuard pool_guard;
     runtime::setGlobalThreadCount(1);
 
@@ -180,19 +173,10 @@ TEST(WorkspaceArena, SteadyStateAttentionStepAllocatesNothing)
                               probs.data(), dctx.data(), dq.data(),
                               dk.data(), dv.data());
     };
-    for (const char *attn : {"par", "serial"}) {
-        SCOPED_TRACE(attn);
-        ASSERT_TRUE(setAttnModeByName(attn));
-        for (const char *pack : {"on", "off"}) {
-            SCOPED_TRACE(pack);
-            setGemmPackModeByName(pack);
-            step();
-            step(); // warm: arenas sized for this (mode, pack) episode
-            EXPECT_EQ(allocDelta(step), 0)
-                << "steady-state attention step must not touch the heap";
-        }
-    }
-    setAttnModeByName("par");
+    step();
+    step(); // warm: arenas sized
+    EXPECT_EQ(allocDelta(step), 0)
+        << "steady-state attention step must not touch the heap";
 }
 
 /**
@@ -221,9 +205,7 @@ onEveryPoolThread(const std::function<void(int64_t)> &fn)
 
 TEST(WorkspaceArena, ThreadedSteadyStateStaysRecycled)
 {
-    PackModeGuard mode_guard;
     GlobalPoolGuard pool_guard;
-    setGemmPackModeByName("on");
     runtime::setGlobalThreadCount(4);
     const int threads = runtime::globalThreadPool().numThreads();
 

@@ -11,7 +11,6 @@
 #include "runtime/thread_pool.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
-#include "tensor/gemm.h"
 
 namespace snip {
 
@@ -23,16 +22,6 @@ struct GlobalPoolGuard
     GlobalPoolGuard(const GlobalPoolGuard &) = delete;
     GlobalPoolGuard &operator=(const GlobalPoolGuard &) = delete;
     ~GlobalPoolGuard() { runtime::setGlobalThreadCount(0); }
-};
-
-/** Restores SNIP_GEMM_PACK=auto semantics when a pack-mode-sweeping
- *  test ends. */
-struct PackModeGuard
-{
-    PackModeGuard() = default;
-    PackModeGuard(const PackModeGuard &) = delete;
-    PackModeGuard &operator=(const PackModeGuard &) = delete;
-    ~PackModeGuard() { setGemmPackModeByName("auto"); }
 };
 
 /** Restores telemetry and tracing to what SNIP_TELEMETRY / SNIP_TRACE
