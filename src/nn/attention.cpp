@@ -289,57 +289,32 @@ struct DecodeCtx
 };
 
 /**
- * Decode attention for items (row, kvh): gather the cached K/V head
- * into worker arena scratch and run each query head of the group as a
- * 1-row score/softmax/context chain. The softmax replicates the last
- * row of the scalar reference kernel (kernels_scalar.cpp) exactly —
- * scale + running max, scalar exp, double row-sum, float normalize —
- * so a decode row is bit-identical to row L-1 of the full-sequence
- * core.
+ * Decode attention for items (row, kvh): the kvAttend walker reads the
+ * kv head's K/V rows in place from the cache pages and runs every
+ * query head of the group through score, softmax and context. The
+ * softmax replays the last row of the scalar reference kernel and the
+ * sums keep the one-row GEMMs' per-element arithmetic, so a decode row
+ * over the fp32 cache is bit-identical to row L-1 of the
+ * full-sequence core.
  */
 void
 decodeAttendItems(const DecodeCtx *dc, int64_t i0, int64_t i1)
 {
     const int64_t hd = dc->hd;
+    const simd::KernelTable &kt = simd::activeKernels();
     runtime::WorkspaceArena &arena =
         runtime::WorkspaceArena::forCurrentThread();
     for (int64_t i = i0; i < i1; ++i) {
         const int64_t row = i / dc->n_kv;
         const int64_t kvh = i % dc->n_kv;
-        const int64_t sid = dc->kv->seq_ids[row];
-        const serve::KvCache &cache = *dc->kv->cache;
-        const int64_t len = cache.length(sid, dc->block);
-
+        const simd::KvHeadView view =
+            dc->kv->cache->headView(dc->kv->seq_ids[row], dc->block, kvh);
         runtime::ArenaScope scope(arena);
-        float *kb = arena.getFloats(static_cast<size_t>(len * hd));
-        float *vb = arena.getFloats(static_cast<size_t>(len * hd));
-        float *sc = arena.getFloats(static_cast<size_t>(len));
-        cache.gatherHeadK(sid, dc->block, kvh, kb);
-        cache.gatherHeadV(sid, dc->block, kvh, vb);
-
-        for (int64_t g = 0; g < dc->group; ++g) {
-            const int64_t h = kvh * dc->group + g;
-            const float *qh = dc->q + row * dc->n_heads * hd + h * hd;
-            gemmNT(qh, kb, sc, 1, len, hd);
-
-            float maxv = -1e30f;
-            for (int64_t j = 0; j < len; ++j) {
-                sc[j] *= dc->scale;
-                maxv = std::max(maxv, sc[j]);
-            }
-            double denom = 0.0;
-            for (int64_t j = 0; j < len; ++j) {
-                sc[j] = std::exp(sc[j] - maxv);
-                denom += sc[j];
-            }
-            const float inv =
-                static_cast<float>(1.0 / std::max(denom, 1e-30));
-            for (int64_t j = 0; j < len; ++j)
-                sc[j] *= inv;
-
-            float *ch = dc->ctx + row * dc->n_heads * hd + h * hd;
-            gemmNN(sc, vb, ch, 1, hd, len);
-        }
+        float *scratch = arena.getFloats(static_cast<size_t>(
+            simd::kvAttendScratch(view, dc->group)));
+        const int64_t off = row * dc->n_heads * hd + kvh * dc->group * hd;
+        kt.kvAttend(view, dc->q + off, dc->group, dc->scale, scratch,
+                    dc->ctx + off);
     }
 }
 
@@ -529,8 +504,8 @@ Attention::decodeForward(const float *x, int64_t count,
     wv_->forwardInference(x, count, vb);
 
     // Rotate at each sequence's current position, then append the new
-    // K/V rows serially (the cache is not thread-safe; gathers below
-    // run against an immutable cache).
+    // K/V rows serially (the cache is not thread-safe; the walkers
+    // below read an immutable cache).
     for (int64_t i = 0; i < count; ++i) {
         const int64_t sid = kv.seq_ids[i];
         const int64_t pos = kv.cache->length(sid, block_);
@@ -551,10 +526,15 @@ Attention::decodeForward(const float *x, int64_t count,
     dc.q = q;
     dc.ctx = ctx;
     const DecodeCtx *pdc = &dc;
-    runtime::parallelFor(0, count * n_kv, 1,
-                         [pdc](int64_t i0, int64_t i1) {
-                             decodeAttendItems(pdc, i0, i1);
-                         });
+    {
+        obs::Scope timed(telemetry::Timer::AttnDecode,
+                         trace::Category::Attn, "attn_decode", "rows",
+                         count, "heads", n_heads);
+        runtime::parallelFor(0, count * n_kv, 1,
+                             [pdc](int64_t i0, int64_t i1) {
+                                 decodeAttendItems(pdc, i0, i1);
+                             });
+    }
 
     wo_->forwardInference(ctx, count, y);
 }

@@ -1,6 +1,8 @@
 #include "quant/codec.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "util/logging.h"
 #include "util/rng.h"
@@ -124,6 +126,62 @@ float
 quantizeValue(float x, const FloatFormat &fmt, Rounding mode, Rng *rng)
 {
     return quantizeImpl(x, fmt, mode, rng);
+}
+
+namespace {
+
+/** Byte code of @p q by bit manipulation into @p code; true when the
+ *  code decodes back to q bit for bit (q is on the e4m3 grid). */
+inline bool
+tryEncodeE4m3(float q, uint8_t *code)
+{
+    uint32_t bits;
+    std::memcpy(&bits, &q, sizeof(bits));
+    const uint32_t abs_bits = bits & 0x7fffffffu;
+    // Below 2^-6 a grid value is a multiple of 2^-9 (exact scale);
+    // above it the float's exponent and top three mantissa bits are
+    // the code once the exponent is re-biased from 127 to 7.
+    const uint32_t mag_code =
+        abs_bits < 0x3c800000u
+            ? static_cast<uint32_t>(std::fabs(q) * 0x1p9f)
+            : (abs_bits >> 20) - (120u << 3);
+    const uint32_t sign = (bits >> 24) & 0x80u;
+    *code = static_cast<uint8_t>(sign | (mag_code & 0x7fu));
+    const float mag = e4m3Magnitude(mag_code & 0x7fu);
+    uint32_t back;
+    std::memcpy(&back, &mag, sizeof(back));
+    return mag_code < 0x7fu && (back | (sign << 24)) == bits;
+}
+
+} // namespace
+
+uint8_t
+encodeE4m3(float q)
+{
+    uint8_t code;
+    SNIP_ASSERT(tryEncodeE4m3(q, &code), "value ", q,
+                " is not on the e4m3 grid");
+    return code;
+}
+
+void
+encodeE4m3(const float *q, int64_t n, uint8_t *codes)
+{
+    bool on_grid = true;
+    for (int64_t i = 0; i < n; ++i)
+        on_grid &= tryEncodeE4m3(q[i], &codes[i]);
+    if (!on_grid)
+        for (int64_t i = 0; i < n; ++i)
+            encodeE4m3(q[i]); // dies naming the first off-grid value
+}
+
+float
+decodeE4m3(uint8_t code)
+{
+    if ((code & 0x7fu) == 0x7fu)
+        return std::numeric_limits<float>::quiet_NaN();
+    const float mag = e4m3Magnitude(code & 0x7fu);
+    return (code & 0x80u) ? -mag : mag;
 }
 
 } // namespace snip

@@ -12,6 +12,8 @@
 #define SNIP_QUANT_CODEC_H
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "quant/format.h"
 
@@ -91,6 +93,54 @@ inline bool
 stochasticConsumesDraw(float x, const QuantGrid &grid)
 {
     return x != 0.0f && std::fabs(x) < grid.max_value;
+}
+
+/*
+ * FP8-E4M3 byte codes: the storage form of values on the fp8E4m3()
+ * grid (the paged KV cache, serve/kv_cache.h). Bit 7 is the sign,
+ * bits 6..3 the biased exponent (bias 7), bits 2..0 the mantissa;
+ * 0x7f and 0xff are the NaN codes. The 7-bit magnitude code c & 0x7f
+ * of a finite value is its index in the ascending magnitude grid:
+ * codes 1..7 are the subnormals c * 2^-9, codes 8..126 the normals.
+ * Vectorized decoders (simd/) implement e4m3Magnitude() lane-wise.
+ */
+
+/** Byte code of @p q, which must lie on the e4m3 grid (a
+ *  quantizeNearest(x, fp8E4m3()) result); -0.0f encodes as 0x80. Dies
+ *  with "is not on the e4m3 grid" for any other value. */
+uint8_t encodeE4m3(float q);
+
+/** encodeE4m3() over @p n values into @p codes, one exactness check
+ *  for the run. */
+void encodeE4m3(const float *q, int64_t n, uint8_t *codes);
+
+/** Value of byte code @p code; NaN for 0x7f and 0xff. */
+float decodeE4m3(uint8_t code);
+
+/**
+ * |value| of a non-NaN magnitude code (0..126), exactly: normals by
+ * re-biasing the exponent field, subnormals as code * 2^-9 — float
+ * arithmetic on normal operands only, so no denormal reaches a
+ * multiply.
+ */
+inline float
+e4m3Magnitude(uint32_t mag_code)
+{
+    if (mag_code < 8)
+        return static_cast<float>(mag_code) * 0x1p-9f;
+    const uint32_t bits = (mag_code << 20) + (120u << 23);
+    float f;
+    std::memcpy(&f, &bits, sizeof(f));
+    return f;
+}
+
+/** A stored code times its block's inverse scale: the dequantized
+ *  value, sign applied after the multiply. */
+inline float
+dequantE4m3(uint8_t code, float inv_scale)
+{
+    const float val = e4m3Magnitude(code & 0x7fu) * inv_scale;
+    return (code & 0x80u) ? -val : val;
 }
 
 } // namespace snip

@@ -1,7 +1,5 @@
 #include "serve/kv_cache.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "quant/codec.h"
@@ -15,70 +13,6 @@
 
 namespace snip {
 namespace serve {
-
-namespace {
-
-/**
- * Every positive FP8-E4M3 magnitude in ascending order, index 0 = 0.
- * quantizeNearest() lands exactly on this grid, so encoding is an
- * exact binary search and a byte code decodes to exactly the float
- * the fake quantizer would have produced.
- */
-const std::vector<float> &
-e4m3Magnitudes()
-{
-    static const std::vector<float> mags = [] {
-        const FloatFormat &fmt = fp8E4m3();
-        const int m = fmt.mantissa_bits;
-        const int e_top = (1 << fmt.exponent_bits) - 1;
-        std::vector<float> out;
-        out.push_back(0.0f);
-        for (int e = 0; e <= e_top; ++e) {
-            for (int frac = 0; frac < (1 << m); ++frac) {
-                if (e == 0 && frac == 0)
-                    continue; // zero already present
-                if (e == e_top) {
-                    if (!fmt.finite_only)
-                        break; // IEEE-like: Inf/NaN codes
-                    if (fmt.has_nan && frac == (1 << m) - 1)
-                        continue; // the single NaN pattern
-                }
-                const double mant =
-                    static_cast<double>(frac) /
-                    static_cast<double>(1 << m);
-                const double val =
-                    (e == 0)
-                        ? std::ldexp(mant, 1 - fmt.bias)
-                        : std::ldexp(1.0 + mant, e - fmt.bias);
-                out.push_back(static_cast<float>(val));
-            }
-        }
-        std::sort(out.begin(), out.end());
-        SNIP_ASSERT(out.size() ==
-                        static_cast<size_t>(fmt.magnitudeCount() + 1),
-                    "e4m3 magnitude table size mismatch");
-        SNIP_ASSERT(out.size() <= 128, "magnitude index must fit 7 bits");
-        return out;
-    }();
-    return mags;
-}
-
-/** Byte code for one already-grid-snapped value. */
-uint8_t
-encodeE4m3(float q)
-{
-    const std::vector<float> &mags = e4m3Magnitudes();
-    const float mag = std::fabs(q);
-    const auto it =
-        std::lower_bound(mags.begin(), mags.end(), mag);
-    SNIP_ASSERT(it != mags.end() && *it == mag,
-                "value ", q, " is not on the e4m3 grid");
-    const uint8_t idx =
-        static_cast<uint8_t>(it - mags.begin());
-    return std::signbit(q) ? static_cast<uint8_t>(idx | 0x80) : idx;
-}
-
-} // namespace
 
 const char *
 kvCacheModeName(KvCacheMode mode)
@@ -149,7 +83,9 @@ KvCache::KvCache(const KvCacheConfig &config) : config_(config)
                                 config.page_tokens *
                                 config.n_kv_heads),
             0.0f);
-        e4m3Magnitudes(); // build the codec table up front
+        grid_ = quantGrid(fp8E4m3());
+        fmt_max_ = fp8E4m3().maxValue();
+        snap_.assign(static_cast<size_t>(config.head_dim), 0.0f);
     }
 }
 
@@ -236,6 +172,13 @@ KvCache::rowOffset(int64_t page, int64_t kv, int64_t tok) const
            config_.kvDim();
 }
 
+int64_t
+KvCache::scaleIndex(int64_t page, int64_t kv, int64_t tok) const
+{
+    return ((page * 2 + kv) * config_.page_tokens + tok) *
+           config_.n_kv_heads;
+}
+
 void
 KvCache::encodeRow(int64_t page, int64_t kv, int64_t tok,
                    const float *src)
@@ -247,28 +190,25 @@ KvCache::encodeRow(int64_t page, int64_t kv, int64_t tok,
                         sizeof(float));
         return;
     }
-    const FloatFormat &fmt = fp8E4m3();
-    const double fmt_max = fmt.maxValue();
     const simd::KernelTable &kt = simd::activeKernels();
     const int64_t hd = config_.head_dim;
     uint8_t *out = codes_.data() + off;
-    float *inv_out =
-        inv_scales_.data() +
-        ((page * 2 + kv) * config_.page_tokens + tok) *
-            config_.n_kv_heads;
+    float *inv_out = inv_scales_.data() + scaleIndex(page, kv, tok);
+    float *snap = snap_.data();
     for (int64_t h = 0; h < config_.n_kv_heads; ++h) {
         const float *block = src + h * hd;
         // One scale per (token, kv-head) head_dim block — the same
         // max-abs/rescale recipe FakeQuantizer applies to a tile.
         const double max_abs =
             static_cast<double>(kt.maxAbs(block, hd));
-        const double scale = regionScale(max_abs, fmt_max);
-        const float fscale = static_cast<float>(scale);
-        const float inv = static_cast<float>(1.0 / scale);
-        inv_out[h] = inv;
-        for (int64_t i = 0; i < hd; ++i)
-            out[h * hd + i] =
-                encodeE4m3(quantizeNearest(block[i] * fscale, fmt));
+        const double scale = regionScale(max_abs, fmt_max_);
+        inv_out[h] = static_cast<float>(1.0 / scale);
+        // Grid-snap x * scale; inv_scale 1 keeps the snapped grid
+        // value exactly, which is what gets encoded.
+        std::memcpy(snap, block, static_cast<size_t>(hd) * sizeof(float));
+        kt.quantizeNearest(snap, hd, fp8E4m3(), grid_,
+                           static_cast<float>(scale), 1.0f);
+        encodeE4m3(snap, hd, out + h * hd);
     }
 }
 
@@ -303,37 +243,22 @@ KvCache::gatherHead(int64_t seq_id, int64_t layer, int64_t kv,
 {
     const SeqLayer &sl = slot(seq_id, layer);
     const int64_t hd = config_.head_dim;
-    if (config_.mode == KvCacheMode::Fp32) {
-        for (int64_t t = 0; t < sl.length; ++t) {
-            const int64_t page =
-                sl.pages[static_cast<size_t>(t / config_.page_tokens)];
-            const int64_t tok = t % config_.page_tokens;
-            std::memcpy(dst + t * hd,
-                        data_.data() + rowOffset(page, kv, tok) +
-                            kvh * hd,
-                        static_cast<size_t>(hd) * sizeof(float));
-        }
-        return;
-    }
-    const std::vector<float> &mags = e4m3Magnitudes();
     for (int64_t t = 0; t < sl.length; ++t) {
         const int64_t page =
             sl.pages[static_cast<size_t>(t / config_.page_tokens)];
         const int64_t tok = t % config_.page_tokens;
         const int64_t off = rowOffset(page, kv, tok) + kvh * hd;
         float *out = dst + t * hd;
-        const uint8_t *codes = codes_.data() + off;
-        const float inv =
-            inv_scales_[static_cast<size_t>(
-                ((page * 2 + kv) * config_.page_tokens + tok) *
-                    config_.n_kv_heads +
-                kvh)];
-        for (int64_t i = 0; i < hd; ++i) {
-            const uint8_t c = codes[i];
-            const float mag = mags[static_cast<size_t>(c & 0x7f)];
-            const float val = mag * inv;
-            out[i] = (c & 0x80) ? -val : val;
+        if (config_.mode == KvCacheMode::Fp32) {
+            std::memcpy(out, data_.data() + off,
+                        static_cast<size_t>(hd) * sizeof(float));
+            continue;
         }
+        const uint8_t *codes = codes_.data() + off;
+        const float inv = inv_scales_[static_cast<size_t>(
+            scaleIndex(page, kv, tok) + kvh)];
+        for (int64_t i = 0; i < hd; ++i)
+            out[i] = dequantE4m3(codes[i], inv);
     }
 }
 
@@ -349,6 +274,34 @@ KvCache::gatherHeadV(int64_t seq_id, int64_t layer, int64_t kvh,
                      float *dst) const
 {
     gatherHead(seq_id, layer, 1, kvh, dst);
+}
+
+simd::KvHeadView
+KvCache::headView(int64_t seq_id, int64_t layer, int64_t kvh) const
+{
+    const SeqLayer &sl = slot(seq_id, layer);
+    const int64_t hd = config_.head_dim;
+    simd::KvHeadView v;
+    v.pages = sl.pages.data();
+    v.len = sl.length;
+    v.page_tokens = config_.page_tokens;
+    v.head_dim = hd;
+    v.page_stride = rowOffset(1, 0, 0);
+    v.row_stride = rowOffset(0, 0, 1);
+    const int64_t k_off = kvh * hd;
+    const int64_t v_off = rowOffset(0, 1, 0) + kvh * hd;
+    if (config_.mode == KvCacheMode::Fp32) {
+        v.k_vals = data_.data() + k_off;
+        v.v_vals = data_.data() + v_off;
+        return v;
+    }
+    v.k_codes = codes_.data() + k_off;
+    v.v_codes = codes_.data() + v_off;
+    v.inv_page_stride = scaleIndex(1, 0, 0);
+    v.inv_row_stride = scaleIndex(0, 0, 1);
+    v.k_inv = inv_scales_.data() + kvh;
+    v.v_inv = inv_scales_.data() + scaleIndex(0, 1, 0) + kvh;
+    return v;
 }
 
 } // namespace serve

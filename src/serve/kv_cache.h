@@ -10,30 +10,39 @@
  *
  * Two storage modes (SNIP_KV_CACHE):
  *
- *   fp8   (default) K/V values are stored as FP8-E4M3 byte codes with
- *         one scale per (token, kv-head) head_dim block — the paper's
- *         scale-per-block recipe (Sec. 2.3) applied as a storage
- *         format via quant/codec. A stored value decodes to exactly
- *         the float the fake quantizer would have produced, so the
- *         dequantize-on-gather path is the fake-quantized attention
- *         input, nothing looser.
+ *   fp8   (default) K/V values are stored as FP8-E4M3 byte codes
+ *         (quant/codec.h) with one scale per (token, kv-head) head_dim
+ *         block — the paper's scale-per-block recipe (Sec. 2.3)
+ *         applied as a storage format. A stored value dequantizes to
+ *         exactly the float the fake quantizer would have produced, so
+ *         decode attention reads the fake-quantized attention input,
+ *         nothing looser.
  *   fp32  reference mode: values are stored verbatim; a decode step
  *         reading this cache is bit-identical to the full-sequence
  *         forward (the serving determinism baseline).
  *
+ * Decode attention reads the pages in place: headView() hands the
+ * KernelTable's kvAttend walker (simd/kernels.h) the page table and
+ * strides of one kv head, and the walker dequantizes each row in
+ * registers. gatherHeadK/V copy the same values into a slab; they are
+ * the reference the walker is tested against.
+ *
  * Concurrency contract: the cache is not thread-safe — the engine
  * serializes begin/append/end on one thread, so there is no mutex to
- * annotate (src/util/thread_annotations.h). gatherHeadK/V are const
- * and safe to call from pool workers while no mutation is in flight
- * (the decode schedule appends serially, then fans gathers out);
- * parallelFor's join is the happens-before edge that publishes the
- * appended pages to those workers.
+ * annotate (src/util/thread_annotations.h). headView and gatherHeadK/V
+ * are const and safe to call from pool workers while no mutation is in
+ * flight (the decode schedule appends serially, then fans the walkers
+ * out); parallelFor's join is the happens-before edge that publishes
+ * the appended pages to those workers.
  */
 #ifndef SNIP_SERVE_KV_CACHE_H
 #define SNIP_SERVE_KV_CACHE_H
 
 #include <cstdint>
 #include <vector>
+
+#include "quant/codec.h"
+#include "simd/kernels.h"
 
 namespace snip {
 namespace serve {
@@ -111,6 +120,12 @@ class KvCache
     void gatherHeadV(int64_t seq_id, int64_t layer, int64_t kvh,
                      float *dst) const;
 
+    /** Page view of kv-head @p kvh's K and V rows for (seq, layer),
+     *  read in place by KernelTable::kvAttend. Valid until the next
+     *  append to or end of the sequence. */
+    simd::KvHeadView headView(int64_t seq_id, int64_t layer,
+                              int64_t kvh) const;
+
     int64_t pagesInUse() const { return pages_in_use_; }
     int64_t pagesFree() const
     {
@@ -130,8 +145,10 @@ class KvCache
     const SeqLayer &slot(int64_t seq_id, int64_t layer) const;
     int64_t allocPage();
 
-    /** Flat float offset of (page, k-or-v, token-slot). */
+    /** Flat element offset of (page, k-or-v, token-slot). */
     int64_t rowOffset(int64_t page, int64_t kv, int64_t tok) const;
+    /** Index of (page, k-or-v, token-slot)'s first inverse scale. */
+    int64_t scaleIndex(int64_t page, int64_t kv, int64_t tok) const;
 
     void encodeRow(int64_t page, int64_t kv, int64_t tok,
                    const float *src);
@@ -151,6 +168,11 @@ class KvCache
     // scale per (page, k/v, token, kv-head) head_dim block.
     std::vector<uint8_t> codes_;
     std::vector<float> inv_scales_;
+    // fp8 append: grid constants hoisted once per cache, and one
+    // head_dim block of grid-snap scratch.
+    QuantGrid grid_{};
+    double fmt_max_ = 0.0;
+    std::vector<float> snap_;
 };
 
 } // namespace serve

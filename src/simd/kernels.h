@@ -6,16 +6,19 @@
  * library dispatches at runtime (simd/dispatch.h): the packed-panel
  * GEMM microkernels with their packs, the nearest- and
  * stochastic-rounding quantize sweeps, bf16 rounding, the max-abs,
- * error-metric and sum-of-squares reductions, and the attention
- * softmax. Every GEMM runs through the packed kernels, which fix the
- * per-element accumulation order (a zero accumulator, k ascending in
- * one lane, one add into C), so each backend keeps the guarantee that
- * results are bit-identical for any thread count and any shape split.
- * Different backends may legitimately differ in low-order bits of GEMM
- * and sum-of-squares results (FMA contraction, vector-lane
- * accumulation order); the quantize (both rounding modes), bf16-round,
- * max-abs and softmax kernels are required to agree bit-for-bit across
- * backends. tests/test_simd.cpp enforces both contracts.
+ * error-metric and sum-of-squares reductions, the attention softmax,
+ * and the decode-attention page walker. Every GEMM runs through the
+ * packed kernels, which fix the per-element accumulation order (a zero
+ * accumulator, k ascending in one lane, one add into C), so each
+ * backend keeps the guarantee that results are bit-identical for any
+ * thread count and any shape split; the page walker keeps the same
+ * per-element arithmetic. Different backends may legitimately differ
+ * in low-order bits of GEMM, page-walker and sum-of-squares results
+ * (FMA contraction, vector-lane accumulation order); the quantize
+ * (both rounding modes), bf16-round, max-abs and softmax kernels are
+ * required to agree bit-for-bit across backends. tests/test_simd.cpp
+ * enforces both contracts; tests/test_serve.cpp holds each backend's
+ * walker to its own GEMMs.
  */
 #ifndef SNIP_SIMD_KERNELS_H
 #define SNIP_SIMD_KERNELS_H
@@ -214,6 +217,74 @@ using AttnSoftmaxFwdFn = void (*)(float *prob, int64_t seq, float scale);
 using AttnSoftmaxBwdFn = void (*)(const float *prob, const float *dp,
                                   float *ds, int64_t seq, float scale);
 
+/**
+ * Read-only view of one (sequence, layer, kv-head) K/V history in a
+ * paged cache; serve::KvCache fills it, so the page layout stays in
+ * serve/. Token j lives on page pages[j / page_tokens] in slot
+ * s = j % page_tokens; its K row of head_dim elements starts at
+ * element page * page_stride + s * row_stride from the K base (V
+ * likewise from the V base). fp8 pages hold FP8-E4M3 byte codes
+ * (quant/codec.h) in k_codes / v_codes, with the row's inverse scale
+ * at k_inv / v_inv[page * inv_page_stride + s * inv_row_stride]; fp32
+ * pages hold the floats themselves in k_vals / v_vals (codes null).
+ */
+struct KvHeadView
+{
+    const int32_t *pages = nullptr;
+    int64_t len = 0;
+    int64_t page_tokens = 0;
+    int64_t head_dim = 0;
+    int64_t page_stride = 0;
+    int64_t row_stride = 0;
+    const uint8_t *k_codes = nullptr;
+    const uint8_t *v_codes = nullptr;
+    const float *k_inv = nullptr;
+    const float *v_inv = nullptr;
+    int64_t inv_page_stride = 0;
+    int64_t inv_row_stride = 0;
+    const float *k_vals = nullptr;
+    const float *v_vals = nullptr;
+};
+
+/**
+ * Decode attention of one GQA group against one kv head's history,
+ * read in place from its pages (@p kv, len >= 1). For each of the
+ * @p group query heads q[g*hd, (g+1)*hd):
+ *   - scores s_j = q_g . k_j for every stored token j;
+ *   - decodeSoftmax(s, len, scale);
+ *   - ctx[g*hd + d] = sum_j p_j * v_j[d], j ascending.
+ * Both sums use GemmPackedRowsFn's per-element arithmetic — a +0
+ * accumulator, ascending order in one lane, one add into a zeroed
+ * output — so each value equals what gathering the rows into slabs
+ * and running the one-row score and context GEMMs would form on the
+ * same backend. fp8 rows are dequantized exactly as
+ * dequantE4m3(code, inv) (quant/codec.h), a page at a time and once
+ * per row for the whole group. @p scratch holds kvAttendScratch()
+ * floats; the probabilities end in its first group * len. Loads never
+ * pass a row's head_dim elements.
+ */
+using KvAttendFn = void (*)(const KvHeadView &kv, const float *q,
+                            int64_t group, float scale, float *scratch,
+                            float *ctx);
+
+/** Scratch floats kvAttend needs: the group's score rows, its context
+ *  rows padded to whole 8-lane chunks, and one page of dequantized
+ *  rows with 8 floats of vector-store headroom. */
+constexpr int64_t
+kvAttendScratch(const KvHeadView &kv, int64_t group)
+{
+    return group * (kv.len + (kv.head_dim + 7) / 8 * 8) +
+           kv.page_tokens * kv.head_dim + 8;
+}
+
+/**
+ * The decode softmax over one score row, in place: scale + running
+ * max, scalar exp, double sum, float normalize — the last row of
+ * AttnSoftmaxFwdFn's reference loop. Compiled once (scalar backend)
+ * and shared by every backend's kvAttend.
+ */
+void decodeSoftmax(float *s, int64_t len, float scale);
+
 /** The dispatchable kernel set of one backend. */
 struct KernelTable
 {
@@ -230,6 +301,7 @@ struct KernelTable
     SumSquaresFn sumSquares;
     AttnSoftmaxFwdFn attnSoftmaxFwd; ///< scale+mask+softmax, one item
     AttnSoftmaxBwdFn attnSoftmaxBwd; ///< softmax backward, one item
+    KvAttendFn kvAttend;             ///< decode attention over pages
 };
 
 /** The portable plain-C++ backend (always available). */

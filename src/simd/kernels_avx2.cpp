@@ -19,6 +19,10 @@
  *     exact equality): every step below is an exact power-of-two
  *     scale, an exact bit manipulation, or the same correctly-rounded
  *     float op the scalar path performs.
+ *   - The decode page walker forms each score and context element
+ *     with gemmPackedRowsAvx2's arithmetic, its FMAs written out
+ *     (std::fma / _mm256_fmadd_ps) rather than left to contraction, so
+ *     it equals gather + one-row GEMMs on this backend bit for bit.
  */
 #include "simd/kernels.h"
 
@@ -903,6 +907,213 @@ attnSoftmaxBwdAvx2(const float *prob, const float *dp, float *ds,
     }
 }
 
+// ------------------------------------------------- decode attention
+
+/**
+ * Eight FP8-E4M3 codes (the low 8 bytes of @p c8) times @p vinv: the
+ * lane-wise dequantE4m3() (quant/codec.h). Normal magnitudes re-bias
+ * the exponent field; subnormal codes (< 8) take code * 2^-9, so every
+ * multiply sees normal operands; the sign bit is flipped after the
+ * scale multiply, as negation would.
+ */
+inline __m256
+dequant8Avx2(__m128i c8, __m256 vinv)
+{
+    const __m256i code = _mm256_cvtepu8_epi32(c8);
+    const __m256i mag = _mm256_and_si256(code, _mm256_set1_epi32(0x7f));
+    const __m256 normal = _mm256_castsi256_ps(_mm256_add_epi32(
+        _mm256_slli_epi32(mag, 20), _mm256_set1_epi32(120 << 23)));
+    const __m256 sub =
+        _mm256_mul_ps(_mm256_cvtepi32_ps(mag), _mm256_set1_ps(0x1p-9f));
+    const __m256 is_sub = _mm256_castsi256_ps(
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(8), mag));
+    const __m256 sign = _mm256_castsi256_ps(_mm256_slli_epi32(
+        _mm256_and_si256(code, _mm256_set1_epi32(0x80)), 24));
+    return _mm256_xor_ps(
+        _mm256_mul_ps(_mm256_blendv_ps(normal, sub, is_sub), vinv), sign);
+}
+
+/** Rows [0, n) of one page, row t at base + t * stride. When
+ *  @p padded, an 8-lane load at any chunk of a row stays inside the
+ *  buffer (dequantized rows); otherwise a partial chunk is masked. */
+struct PageRows
+{
+    const float *base;
+    int64_t stride;
+    bool padded;
+};
+
+/** Lanes [0, n) of an 8-lane mask (n <= 8). */
+inline __m256i
+laneMaskAvx2(int64_t n)
+{
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/** fp8 pages: each row of a page dequantized once into the caller's
+ *  buffer (stride head_dim), eight codes per step. The codes of a
+ *  partial last step are gathered byte by byte, so no load passes the
+ *  row's head_dim codes; its full 8-lane store spills into the next
+ *  row's slot (decoded later) or, after the last row, into the
+ *  buffer's 8-float headroom (kvAttendScratch). */
+struct Fp8PagesAvx2
+{
+    const KvHeadView &kv;
+    const uint8_t *codes;
+    const float *inv;
+
+    PageRows
+    page(int64_t page, int64_t n, float *buf) const
+    {
+        const int64_t hd = kv.head_dim;
+        const int64_t full = hd & ~int64_t{7};
+        for (int64_t t = 0; t < n; ++t) {
+            const uint8_t *c =
+                codes + page * kv.page_stride + t * kv.row_stride;
+            const __m256 vinv = _mm256_set1_ps(
+                inv[page * kv.inv_page_stride + t * kv.inv_row_stride]);
+            float *out = buf + t * hd;
+            for (int64_t d = 0; d < full; d += 8)
+                _mm256_storeu_ps(
+                    out + d,
+                    dequant8Avx2(_mm_loadl_epi64(
+                                     reinterpret_cast<const __m128i *>(
+                                         c + d)),
+                                 vinv));
+            if (full < hd) {
+                uint64_t tail = 0;
+                for (int64_t d = hd - 1; d >= full; --d)
+                    tail = (tail << 8) | c[d];
+                _mm256_storeu_ps(
+                    out + full,
+                    dequant8Avx2(
+                        _mm_cvtsi64_si128(static_cast<long long>(tail)),
+                        vinv));
+            }
+        }
+        return {buf, hd, true};
+    }
+};
+
+/** fp32 pages: rows are read where they lie. */
+struct Fp32PagesAvx2
+{
+    const KvHeadView &kv;
+    const float *vals;
+
+    PageRows
+    page(int64_t page, int64_t /*n*/, float * /*buf*/) const
+    {
+        return {vals + page * kv.page_stride, kv.row_stride, false};
+    }
+};
+
+/** s[t] = 0 + q . k_t for a page's n rows: four tokens' FMA chains
+ *  run interleaved, each still d-ascending in its own lane. */
+inline void
+pageScoresAvx2(const float *q, PageRows k, int64_t n, int64_t hd, float *s)
+{
+    int64_t t = 0;
+    for (; t + 4 <= n; t += 4) {
+        const float *k0 = k.base + t * k.stride;
+        const float *k1 = k0 + k.stride;
+        const float *k2 = k1 + k.stride;
+        const float *k3 = k2 + k.stride;
+        float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
+        for (int64_t d = 0; d < hd; ++d) {
+            a0 = std::fma(q[d], k0[d], a0);
+            a1 = std::fma(q[d], k1[d], a1);
+            a2 = std::fma(q[d], k2[d], a2);
+            a3 = std::fma(q[d], k3[d], a3);
+        }
+        s[t] = 0.0f + a0;
+        s[t + 1] = 0.0f + a1;
+        s[t + 2] = 0.0f + a2;
+        s[t + 3] = 0.0f + a3;
+    }
+    for (; t < n; ++t) {
+        const float *kt = k.base + t * k.stride;
+        float a = 0.0f;
+        for (int64_t d = 0; d < hd; ++d)
+            a = std::fma(q[d], kt[d], a);
+        s[t] = 0.0f + a;
+    }
+}
+
+/** acc[d] = fma(p[t], v_t[d], acc[d]) over a page's n rows, t
+ *  ascending, on an accumulator padded to whole 8-lane chunks: each
+ *  chunk stays in a register across the page. */
+inline void
+pageContextAvx2(const float *p, PageRows v, int64_t n, int64_t hd,
+                float *acc)
+{
+    for (int64_t d = 0; d < hd; d += 8) {
+        __m256 a = _mm256_loadu_ps(acc + d);
+        if (d + 8 <= hd || v.padded) {
+            for (int64_t t = 0; t < n; ++t)
+                a = _mm256_fmadd_ps(
+                    _mm256_set1_ps(p[t]),
+                    _mm256_loadu_ps(v.base + t * v.stride + d), a);
+        } else {
+            const __m256i mask = laneMaskAvx2(hd - d);
+            for (int64_t t = 0; t < n; ++t)
+                a = _mm256_fmadd_ps(
+                    _mm256_set1_ps(p[t]),
+                    _mm256_maskload_ps(v.base + t * v.stride + d, mask), a);
+        }
+        _mm256_storeu_ps(acc + d, a);
+    }
+}
+
+/** kvAttend over one page format, a page at a time; the sums are
+ *  gemmPackedRowsAvx2's (explicit FMA, +0 start, one add into 0). */
+template <class Pages>
+void
+kvAttendPagesAvx2(const KvHeadView &kv, const Pages &k_pages,
+                  const Pages &v_pages, const float *q, int64_t group,
+                  float scale, float *scratch, float *ctx)
+{
+    const int64_t len = kv.len, hd = kv.head_dim, pt = kv.page_tokens;
+    const int64_t hd8 = (hd + 7) & ~int64_t{7};
+    float *scores = scratch;
+    float *acc = scores + group * len;
+    float *buf = acc + group * hd8;
+    for (int64_t j0 = 0, p = 0; j0 < len; j0 += pt, ++p) {
+        const int64_t n = std::min(pt, len - j0);
+        const PageRows k = k_pages.page(kv.pages[p], n, buf);
+        for (int64_t g = 0; g < group; ++g)
+            pageScoresAvx2(q + g * hd, k, n, hd, scores + g * len + j0);
+    }
+    for (int64_t g = 0; g < group; ++g)
+        decodeSoftmax(scores + g * len, len, scale);
+    std::memset(acc, 0, sizeof(float) * static_cast<size_t>(group * hd8));
+    for (int64_t j0 = 0, p = 0; j0 < len; j0 += pt, ++p) {
+        const int64_t n = std::min(pt, len - j0);
+        const PageRows v = v_pages.page(kv.pages[p], n, buf);
+        for (int64_t g = 0; g < group; ++g)
+            pageContextAvx2(scores + g * len + j0, v, n, hd, acc + g * hd8);
+    }
+    for (int64_t g = 0; g < group; ++g)
+        for (int64_t d = 0; d < hd; ++d)
+            ctx[g * hd + d] = 0.0f + acc[g * hd8 + d];
+}
+
+void
+kvAttendAvx2(const KvHeadView &kv, const float *q, int64_t group,
+             float scale, float *scratch, float *ctx)
+{
+    if (kv.k_codes != nullptr) {
+        kvAttendPagesAvx2(kv, Fp8PagesAvx2{kv, kv.k_codes, kv.k_inv},
+                          Fp8PagesAvx2{kv, kv.v_codes, kv.v_inv}, q, group,
+                          scale, scratch, ctx);
+    } else {
+        kvAttendPagesAvx2(kv, Fp32PagesAvx2{kv, kv.k_vals},
+                          Fp32PagesAvx2{kv, kv.v_vals}, q, group, scale,
+                          scratch, ctx);
+    }
+}
+
 double
 sumSquaresAvx2(const float *p, int64_t count)
 {
@@ -948,6 +1159,7 @@ avx2Kernels()
         sumSquaresAvx2,
         attnSoftmaxFwdAvx2,
         attnSoftmaxBwdAvx2,
+        kvAttendAvx2,
     };
     return table;
 }

@@ -270,6 +270,110 @@ attnSoftmaxFwdScalar(float *prob, int64_t seq, float scale)
     }
 }
 
+// ------------------------------------------------- decode attention
+
+/** Rows [0, n) of one page, row t at base + t * stride. */
+struct PageRows
+{
+    const float *base;
+    int64_t stride;
+};
+
+/** fp8 pages: each row of a page dequantized once into the caller's
+ *  buffer (stride head_dim). */
+struct Fp8Pages
+{
+    const KvHeadView &kv;
+    const uint8_t *codes;
+    const float *inv;
+
+    PageRows
+    page(int64_t page, int64_t n, float *buf) const
+    {
+        const int64_t hd = kv.head_dim;
+        for (int64_t t = 0; t < n; ++t) {
+            const uint8_t *c =
+                codes + page * kv.page_stride + t * kv.row_stride;
+            const float s =
+                inv[page * kv.inv_page_stride + t * kv.inv_row_stride];
+            for (int64_t d = 0; d < hd; ++d)
+                buf[t * hd + d] = dequantE4m3(c[d], s);
+        }
+        return {buf, hd};
+    }
+};
+
+/** fp32 pages: rows are read where they lie. */
+struct Fp32Pages
+{
+    const KvHeadView &kv;
+    const float *vals;
+
+    PageRows
+    page(int64_t page, int64_t /*n*/, float * /*buf*/) const
+    {
+        return {vals + page * kv.page_stride, kv.row_stride};
+    }
+};
+
+/** kvAttend over one page format, a page at a time; the sums are
+ *  gemmPackedRowsScalar's (mul + add, +0 start, one add into 0). */
+template <class Pages>
+void
+kvAttendPages(const KvHeadView &kv, const Pages &k_pages,
+              const Pages &v_pages, const float *q, int64_t group,
+              float scale, float *scratch, float *ctx)
+{
+    const int64_t len = kv.len, hd = kv.head_dim, pt = kv.page_tokens;
+    float *scores = scratch;
+    float *buf = scratch + group * len;
+    for (int64_t j0 = 0, p = 0; j0 < len; j0 += pt, ++p) {
+        const int64_t n = std::min(pt, len - j0);
+        const PageRows k = k_pages.page(kv.pages[p], n, buf);
+        for (int64_t g = 0; g < group; ++g) {
+            const float *qg = q + g * hd;
+            for (int64_t t = 0; t < n; ++t) {
+                const float *kt = k.base + t * k.stride;
+                float acc = 0.0f;
+                for (int64_t d = 0; d < hd; ++d)
+                    acc += qg[d] * kt[d];
+                scores[g * len + j0 + t] = 0.0f + acc;
+            }
+        }
+    }
+    for (int64_t g = 0; g < group; ++g)
+        decodeSoftmax(scores + g * len, len, scale);
+    std::fill(ctx, ctx + group * hd, 0.0f);
+    for (int64_t j0 = 0, p = 0; j0 < len; j0 += pt, ++p) {
+        const int64_t n = std::min(pt, len - j0);
+        const PageRows v = v_pages.page(kv.pages[p], n, buf);
+        for (int64_t g = 0; g < group; ++g) {
+            const float *pg = scores + g * len + j0;
+            float *cg = ctx + g * hd;
+            for (int64_t t = 0; t < n; ++t)
+                for (int64_t d = 0; d < hd; ++d)
+                    cg[d] += pg[t] * v.base[t * v.stride + d];
+        }
+    }
+    for (int64_t i = 0; i < group * hd; ++i)
+        ctx[i] = 0.0f + ctx[i];
+}
+
+void
+kvAttendScalar(const KvHeadView &kv, const float *q, int64_t group,
+               float scale, float *scratch, float *ctx)
+{
+    if (kv.k_codes != nullptr) {
+        kvAttendPages(kv, Fp8Pages{kv, kv.k_codes, kv.k_inv},
+                      Fp8Pages{kv, kv.v_codes, kv.v_inv}, q, group, scale,
+                      scratch, ctx);
+    } else {
+        kvAttendPages(kv, Fp32Pages{kv, kv.k_vals},
+                      Fp32Pages{kv, kv.v_vals}, q, group, scale, scratch,
+                      ctx);
+    }
+}
+
 void
 attnSoftmaxBwdScalar(const float *prob, const float *dp, float *ds,
                      int64_t seq, float scale)
@@ -310,8 +414,27 @@ scalarKernels()
         sumSquaresScalar,
         attnSoftmaxFwdScalar,
         attnSoftmaxBwdScalar,
+        kvAttendScalar,
     };
     return table;
+}
+
+void
+decodeSoftmax(float *s, int64_t len, float scale)
+{
+    float maxv = -1e30f;
+    for (int64_t j = 0; j < len; ++j) {
+        s[j] *= scale;
+        maxv = std::max(maxv, s[j]);
+    }
+    double denom = 0.0;
+    for (int64_t j = 0; j < len; ++j) {
+        s[j] = std::exp(s[j] - maxv);
+        denom += s[j];
+    }
+    const float inv = static_cast<float>(1.0 / std::max(denom, 1e-30));
+    for (int64_t j = 0; j < len; ++j)
+        s[j] *= inv;
 }
 
 } // namespace simd

@@ -141,6 +141,7 @@ enum class Timer : int
     AttnBwd,     ///< one attentionBackwardCore invocation
     PoolJob,     ///< one parallelFor (incl. inline), submitter wall
     SchemeWait,  ///< one handoff: trainer blocked at apply boundary
+    AttnDecode,  ///< one decode-step attention fan-out (kvAttend)
     kCount
 };
 

@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "nn/model.h"
@@ -17,10 +19,12 @@
 #include "serve/engine.h"
 #include "serve/kv_cache.h"
 #include "serve/request_queue.h"
+#include "simd/dispatch.h"
 #include "tensor/gemm.h"
 #include "alloc_counter.h"
 #include "testing_util.h"
 #include "train/presets.h"
+#include "util/crc32.h"
 
 namespace snip {
 namespace {
@@ -165,6 +169,297 @@ TEST(ServeDecode, Fp32CacheBitIdenticalToFullSequence)
                               [static_cast<size_t>(v)],
                           ref[static_cast<size_t>(v)])
                     << "step " << s << " vocab " << v;
+        }
+    }
+}
+
+/** Index of the largest of @p n logits (first on ties). */
+int32_t
+argmax(const float *logits, int64_t n)
+{
+    int32_t best = 0;
+    for (int64_t v = 1; v < n; ++v)
+        if (logits[v] > logits[best])
+            best = static_cast<int32_t>(v);
+    return best;
+}
+
+/**
+ * CRC32 of a greedy decode stream: each of @p prompts is prefilled
+ * into its own slot, then the sequences decode @p steps coalesced
+ * steps. The CRC covers every token fed to a step and every decode
+ * step's logits rows, in step order.
+ */
+uint32_t
+decodeStreamCrc(LlamaModel &model, serve::KvCacheMode mode,
+                int64_t page_tokens,
+                const std::vector<std::vector<int32_t>> &prompts,
+                int64_t steps)
+{
+    const ModelConfig &cfg = model.config();
+    const int64_t n = static_cast<int64_t>(prompts.size());
+    const int64_t vocab = cfg.vocab_size;
+    serve::KvCache cache(cacheConfigFor(cfg, mode, n, page_tokens));
+    std::vector<int64_t> sids;
+    std::vector<int32_t> toks;
+    for (int64_t i = 0; i < n; ++i) {
+        sids.push_back(i);
+        cache.beginSequence(i);
+    }
+    for (int64_t i = 0; i < n; ++i) {
+        const std::vector<int32_t> &p = prompts[static_cast<size_t>(i)];
+        const int64_t len = static_cast<int64_t>(p.size());
+        KvCacheHandle one;
+        one.cache = &cache;
+        one.seq_ids = &sids[static_cast<size_t>(i)];
+        one.count = 1;
+        Tensor plog =
+            model.forward(p, 1, len, ForwardMode::Prefill, one);
+        toks.push_back(argmax(plog.data() + (len - 1) * vocab, vocab));
+    }
+    KvCacheHandle h;
+    h.cache = &cache;
+    h.seq_ids = sids.data();
+    h.count = n;
+    std::vector<float> logits(static_cast<size_t>(n * vocab));
+    uint32_t crc = 0;
+    for (int64_t s = 0; s < steps; ++s) {
+        crc = crc32(toks.data(), toks.size() * sizeof(int32_t), crc);
+        model.decodeStep(toks.data(), n, h, logits.data());
+        crc = crc32(logits.data(), logits.size() * sizeof(float), crc);
+        for (int64_t i = 0; i < n; ++i)
+            toks[static_cast<size_t>(i)] =
+                argmax(logits.data() + i * vocab, vocab);
+    }
+    return crc;
+}
+
+TEST(ServeDecode, GoldenDecodeBits)
+{
+    // Absolute pin of the decode bits: two coalesced sequences, 12
+    // greedy steps, in both KV modes, on a GQA model (hd 4, 4-token
+    // pages) and on a 2-block tinyllamaSim (MHA, hd 8, 16-token
+    // pages). GEMM low-order bits are backend-specific, so the pins
+    // are keyed by backend: scalar rows are checked on every host,
+    // AVX2 rows where the CPU has AVX2+FMA.
+    BackendGuard backend_guard;
+    ModelConfig tiny = tinyllamaSim();
+    tiny.n_blocks = 2;
+    struct Stream
+    {
+        const char *name;
+        ModelConfig cfg;
+        int64_t page_tokens;
+        std::vector<int64_t> prompt_lens;
+    };
+    const Stream streams[] = {
+        {"micro", microModel(), 4, {5, 7}},
+        {"tinyllama2", tiny, 16, {9, 14}},
+    };
+    struct Pin
+    {
+        const char *backend;
+        const char *stream;
+        serve::KvCacheMode mode;
+        uint32_t crc;
+    };
+    const Pin pins[] = {
+        {"scalar", "micro", serve::KvCacheMode::Fp8, 0xdd2d175fu},
+        {"scalar", "micro", serve::KvCacheMode::Fp32, 0x99426b80u},
+        {"scalar", "tinyllama2", serve::KvCacheMode::Fp8, 0xa93ab310u},
+        {"scalar", "tinyllama2", serve::KvCacheMode::Fp32, 0x763d8e24u},
+        {"avx2", "micro", serve::KvCacheMode::Fp8, 0x26da38cbu},
+        {"avx2", "micro", serve::KvCacheMode::Fp32, 0x1adc42e1u},
+        {"avx2", "tinyllama2", serve::KvCacheMode::Fp8, 0x6e560937u},
+        {"avx2", "tinyllama2", serve::KvCacheMode::Fp32, 0x8b7c6e3au},
+    };
+    const int64_t steps = 12;
+    for (const Pin &pin : pins) {
+        if (std::strcmp(pin.backend, "avx2") == 0 &&
+            !simd::cpuSupportsAvx2())
+            continue;
+        ASSERT_TRUE(simd::setBackendByName(pin.backend));
+        for (const Stream &st : streams) {
+            if (std::strcmp(st.name, pin.stream) != 0)
+                continue;
+            LlamaModel model(st.cfg, 91);
+            model.setScheme(PrecisionScheme::uniform(
+                model.registry().numLinear(), Precision::FP8));
+            std::vector<std::vector<int32_t>> prompts;
+            for (int64_t len : st.prompt_lens)
+                prompts.push_back(someTokens(
+                    len, st.cfg.vocab_size, 92 + static_cast<uint64_t>(len)));
+            const uint32_t crc = decodeStreamCrc(model, pin.mode,
+                                                 st.page_tokens, prompts,
+                                                 steps);
+            EXPECT_EQ(crc, pin.crc)
+                << pin.backend << " " << pin.stream << " "
+                << serve::kvCacheModeName(pin.mode) << ": got 0x"
+                << std::hex << crc;
+        }
+    }
+}
+
+// ----------------------------------------------- page walker identity
+
+/** The decode softmax as decode attention ran it over gathered slabs:
+ *  scale + running max, scalar exp, double sum, float normalize. */
+void
+referenceDecodeSoftmax(float *s, int64_t len, float scale)
+{
+    float maxv = -1e30f;
+    for (int64_t j = 0; j < len; ++j) {
+        s[j] *= scale;
+        maxv = std::max(maxv, s[j]);
+    }
+    double denom = 0.0;
+    for (int64_t j = 0; j < len; ++j) {
+        s[j] = std::exp(s[j] - maxv);
+        denom += s[j];
+    }
+    const float inv = static_cast<float>(1.0 / std::max(denom, 1e-30));
+    for (int64_t j = 0; j < len; ++j)
+        s[j] *= inv;
+}
+
+/** One [2 * kv_dim] K+V token row: gaussians at a per-block
+ *  magnitude, with zeros, -0, values that land on the E4M3 subnormal
+ *  grid or flush to zero, exact block maxima (the saturating top code
+ *  ±448) and, every few tokens, an all-zero or single-spike block. */
+std::vector<float>
+walkerTestRow(Rng &rng, int64_t kv_dim, int64_t hd, int64_t t)
+{
+    std::vector<float> row(static_cast<size_t>(2 * kv_dim));
+    for (int64_t b = 0; b < 2 * kv_dim / hd; ++b) {
+        float *blk = row.data() + b * hd;
+        const float mag =
+            std::ldexp(1.0f, static_cast<int>(rng.nextBelow(12)) - 6);
+        for (int64_t d = 0; d < hd; ++d)
+            blk[d] = static_cast<float>(rng.nextGaussian()) * mag;
+        const int64_t kind = (t + b) % 5;
+        if (kind == 0) {
+            std::fill(blk, blk + hd, 0.0f);
+        } else if (kind == 1) {
+            std::fill(blk, blk + hd, -0.0f);
+            blk[(t + b) % hd] = mag; // one spike: the rest code as -0
+        } else {
+            blk[0] = 4.0f * mag;      // the block max -> code 0x7e
+            blk[hd - 1] = -4.0f * mag; // -> 0xfe
+            if (hd > 2) {
+                blk[1] = 4.0f * mag * 1e-5f; // E4M3 subnormal range
+                blk[hd - 2] = -0.0f;
+            }
+            if (hd > 4) {
+                blk[2] = 4.0f * mag * 1e-7f; // flushes to +0
+                // The largest subnormal, 7 * 2^-9 after scaling: 0x87.
+                blk[3] = -4.0f * mag * (7.0f / 512.0f / 448.0f);
+            }
+        }
+    }
+    return row;
+}
+
+/**
+ * One walker case on the active backend: a 2-kv-head cache of @p len
+ * tokens in @p pt-token pages, interleaved with a second sequence so
+ * the walked pages are not contiguous; for each kv head, the walker's
+ * probabilities and context rows must memcmp-equal gathering the
+ * rows, a one-row gemmNT, the decode softmax and a one-row gemmNN.
+ */
+void
+expectWalkerMatchesGemms(serve::KvCacheMode mode, int64_t hd,
+                         int64_t group, int64_t pt, int64_t len)
+{
+    const int64_t n_kv = 2;
+    const int64_t kv_dim = n_kv * hd;
+    serve::KvCacheConfig kc;
+    kc.n_layers = 1;
+    kc.n_kv_heads = n_kv;
+    kc.head_dim = hd;
+    kc.page_tokens = pt;
+    kc.max_seqs = 2;
+    kc.max_seq_tokens = len;
+    kc.max_pages = 2 * ((len + pt - 1) / pt);
+    kc.mode = mode;
+    serve::KvCache cache(kc);
+    cache.beginSequence(0);
+    cache.beginSequence(1);
+    Rng rng(static_cast<uint64_t>(hd * 1000 + group * 100 + pt * 10 + len));
+    for (int64_t t = 0; t < len; ++t) {
+        const auto mine = walkerTestRow(rng, kv_dim, hd, t);
+        const auto other = walkerTestRow(rng, kv_dim, hd, t + 1);
+        cache.append(0, 0, other.data(), other.data() + kv_dim);
+        cache.append(1, 0, mine.data(), mine.data() + kv_dim);
+    }
+    const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+    const simd::KernelTable &kt = simd::activeKernels();
+    for (int64_t kvh = 0; kvh < n_kv; ++kvh) {
+        SCOPED_TRACE(kvh);
+        std::vector<float> q(static_cast<size_t>(group * hd));
+        for (float &x : q)
+            x = static_cast<float>(rng.nextGaussian());
+        q[0] = 0.0f;
+        q[q.size() - 1] = -0.0f;
+
+        std::vector<float> kb(static_cast<size_t>(len * hd));
+        std::vector<float> vb(kb.size());
+        cache.gatherHeadK(1, 0, kvh, kb.data());
+        cache.gatherHeadV(1, 0, kvh, vb.data());
+        std::vector<float> ref_p(static_cast<size_t>(group * len));
+        std::vector<float> ref_ctx(static_cast<size_t>(group * hd));
+        for (int64_t g = 0; g < group; ++g) {
+            float *sc = ref_p.data() + g * len;
+            gemmNT(q.data() + g * hd, kb.data(), sc, 1, len, hd);
+            referenceDecodeSoftmax(sc, len, scale);
+            gemmNN(sc, vb.data(), ref_ctx.data() + g * hd, 1, hd, len);
+        }
+
+        const simd::KvHeadView view = cache.headView(1, 0, kvh);
+        std::vector<float> scratch(
+            static_cast<size_t>(simd::kvAttendScratch(view, group)));
+        std::vector<float> ctx(ref_ctx.size(), 1.0f);
+        kt.kvAttend(view, q.data(), group, scale, scratch.data(),
+                    ctx.data());
+        EXPECT_EQ(std::memcmp(scratch.data(), ref_p.data(),
+                              ref_p.size() * sizeof(float)),
+                  0)
+            << "probabilities";
+        EXPECT_EQ(std::memcmp(ctx.data(), ref_ctx.data(),
+                              ctx.size() * sizeof(float)),
+                  0)
+            << "context";
+    }
+}
+
+TEST(KvAttend, BitIdenticalToGatherThenGemm)
+{
+    // The page walker must reproduce, bit for bit on each backend, the
+    // decode attention it replaced, for any head_dim (vector chunks and
+    // tails), GQA group, page size and length around page boundaries.
+    BackendGuard backend_guard;
+    std::vector<const char *> backends = {"scalar"};
+    if (simd::cpuSupportsAvx2())
+        backends.push_back("avx2");
+    for (const char *backend : backends) {
+        ASSERT_TRUE(simd::setBackendByName(backend));
+        for (serve::KvCacheMode mode :
+             {serve::KvCacheMode::Fp8, serve::KvCacheMode::Fp32}) {
+            for (int64_t hd : {2, 4, 8, 10, 16})
+                for (int64_t group : {1, 2, 4})
+                    for (int64_t pt : {1, 3, 16})
+                        for (int64_t len : {int64_t{1}, pt - 1, pt, pt + 1,
+                                            5 * pt + 3}) {
+                            if (len < 1)
+                                continue;
+                            SCOPED_TRACE(std::string(backend) + " " +
+                                         serve::kvCacheModeName(mode) +
+                                         " hd " + std::to_string(hd) +
+                                         " group " + std::to_string(group) +
+                                         " pt " + std::to_string(pt) +
+                                         " len " + std::to_string(len));
+                            expectWalkerMatchesGemms(mode, hd, group, pt,
+                                                     len);
+                        }
         }
     }
 }

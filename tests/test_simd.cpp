@@ -34,35 +34,6 @@
 namespace snip {
 namespace {
 
-/** Restores the pre-test SNIP_SIMD value (and the dispatch decision
- *  derived from it) when a test ends, so an externally forced backend
- *  — e.g. CI's `SNIP_SIMD=scalar ctest -L simd` — stays forced for
- *  the tests that follow. */
-struct BackendGuard
-{
-    BackendGuard()
-    {
-        const char *v = std::getenv("SNIP_SIMD");
-        had_value_ = v != nullptr;
-        if (had_value_)
-            saved_ = v;
-    }
-    BackendGuard(const BackendGuard &) = delete;
-    BackendGuard &operator=(const BackendGuard &) = delete;
-    ~BackendGuard()
-    {
-        if (had_value_)
-            setenv("SNIP_SIMD", saved_.c_str(), 1);
-        else
-            unsetenv("SNIP_SIMD");
-        simd::reinitFromEnv();
-    }
-
-  private:
-    bool had_value_ = false;
-    std::string saved_;
-};
-
 #define SKIP_WITHOUT_AVX2()                                               \
     do {                                                                  \
         if (!simd::cpuSupportsAvx2())                                     \
