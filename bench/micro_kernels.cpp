@@ -15,6 +15,8 @@
 #include "core/snip_optimizer.h"
 #include "core/stats_collector.h"
 #include "nn/attention.h"
+#include "nn/model.h"
+#include "optim/adamw.h"
 #include "quant/quantizer.h"
 #include "runtime/thread_pool.h"
 #include "simd/dispatch.h"
@@ -422,6 +424,34 @@ BM_ParallelForDispatch(benchmark::State &state)
     runtime::setGlobalThreadCount(0);
 }
 
+/**
+ * One AdamW::step() over the fig8 model's parameters (tinyllamaSim:
+ * 201 tensors, 298,400 elements) at a pinned pool width: the grad-norm
+ * and update sweeps, whole tensors per chunk. The rows carry
+ * "threads:" in their names, so the regression gate skips them like
+ * the other thread sweeps.
+ */
+void
+BM_AdamWStep(benchmark::State &state)
+{
+    runtime::setGlobalThreadCount(static_cast<int>(state.range(0)));
+    LlamaModel model(tinyllamaSim(), 5);
+    ParamList params = model.params();
+    Rng rng(6);
+    int64_t elems = 0;
+    for (ParamRef &p : params) {
+        float *g = p.grad->data();
+        for (int64_t j = 0; j < p.grad->numel(); ++j)
+            g[j] = static_cast<float>(rng.nextGaussian() * 1e-2);
+        elems += p.grad->numel();
+    }
+    AdamW opt(params, trainerPreset(tinyllamaSim()).adamw);
+    for (auto _ : state)
+        opt.step();
+    state.SetItemsProcessed(state.iterations() * elems);
+    runtime::setGlobalThreadCount(0);
+}
+
 /** Paper-sized ILP: 80 blocks x 7 layers, 4 options. */
 IlpProblem
 paperIlp(int n_layers, double target)
@@ -534,6 +564,13 @@ BENCHMARK(BM_AttnThreads)
 BENCHMARK(BM_ParallelForDispatch)
     ->ArgNames({"chunks", "threads"})
     ->ArgsProduct({{2, 8}, {1, 2, 4, 8}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_AdamWStep)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_StatsCollection);

@@ -1,20 +1,43 @@
 #include "optim/adamw.h"
 
 #include <cmath>
+#include <string>
+#include <unordered_map>
 
+#include "runtime/thread_pool.h"
+#include "simd/dispatch.h"
+#include "simd/kernels.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 
 namespace snip {
 
+namespace {
+
+/** Parameter tensors per parallelFor chunk of step() (fig8's 201
+ *  tensors make 26 chunks). A tensor is never split: the largest holds
+ *  a few thousand elements, too few to pay for a fan-out of its own. */
+constexpr int64_t kParamGrain = 8;
+
+} // namespace
+
 AdamW::AdamW(ParamList params, AdamWConfig config)
-    : params_(std::move(params)), config_(config)
+    : params_(std::move(params)), config_(config),
+      grad_sq_(params_.size())
 {
     states_.reserve(params_.size());
+    // step() sweeps the entries in parallel: a tensor named twice would
+    // be updated twice, and raced on.
+    std::unordered_map<const Tensor *, const std::string *> named;
     for (auto &p : params_) {
         SNIP_ASSERT(p.value && p.grad && p.value->sameShape(*p.grad),
                     "bad param ref: ", p.name);
+        for (const Tensor *t : {p.value, p.grad}) {
+            const auto seen = named.emplace(t, &p.name);
+            SNIP_ASSERT(seen.second, "param list names one tensor twice: ",
+                        *seen.first->second, " and ", p.name);
+        }
         states_.push_back(
             {Tensor::zeros(p.value->shape()),
              Tensor::zeros(p.value->shape())});
@@ -38,46 +61,56 @@ AdamW::step()
     // Every parameter is about to change: packed+quantized weight
     // panels cached from this step are stale.
     invalidateWeightPacks();
-    const double b1 = config_.beta1;
-    const double b2 = config_.beta2;
-    const double bias1 =
-        1.0 - std::pow(b1, static_cast<double>(step_count_));
-    const double bias2 =
-        1.0 - std::pow(b2, static_cast<double>(step_count_));
-    const double lr = config_.lr;
+    const double t = static_cast<double>(step_count_);
+    simd::AdamwCoeffs c;
+    c.decay = 1.0 - config_.lr * config_.weight_decay;
+    c.b1 = config_.beta1;
+    c.one_minus_b1 = 1.0 - config_.beta1;
+    c.b2 = config_.beta2;
+    c.one_minus_b2 = 1.0 - config_.beta2;
+    c.bias1 = 1.0 - std::pow(config_.beta1, t);
+    c.bias2 = 1.0 - std::pow(config_.beta2, t);
+    c.lr = config_.lr;
+    c.eps = config_.eps;
 
-    // Global gradient-norm clipping.
-    double clip_scale = 1.0;
+    // Both sweeps run whole tensors per chunk, and each lambda captures
+    // one pointer so its std::function stays in the small buffer.
+    const int64_t n = static_cast<int64_t>(params_.size());
+
+    // Global gradient-norm clipping: per-tensor sums of squares in
+    // parallel, added serially in parameter order.
     if (config_.grad_clip > 0.0) {
+        runtime::parallelFor(0, n, kParamGrain,
+                             [this](int64_t i0, int64_t i1) {
+                                 for (int64_t i = i0; i < i1; ++i)
+                                     grad_sq_[i] =
+                                         sumSquares(*params_[i].grad);
+                             });
         double total_sq = 0.0;
-        for (auto &p : params_)
-            total_sq += sumSquares(*p.grad);
+        for (double sq : grad_sq_)
+            total_sq += sq;
         const double norm = std::sqrt(total_sq);
         if (norm > config_.grad_clip)
-            clip_scale = config_.grad_clip / norm;
+            c.clip_scale = config_.grad_clip / norm;
     }
 
-    for (size_t i = 0; i < params_.size(); ++i) {
-        float *w = params_[i].value->data();
-        const float *g = params_[i].grad->data();
-        float *m = states_[i].m.data();
-        float *v = states_[i].v.data();
-        const int64_t n = params_[i].value->numel();
-        for (int64_t j = 0; j < n; ++j) {
-            const double gj = static_cast<double>(g[j]) * clip_scale;
-            // Decoupled weight decay.
-            double wj = static_cast<double>(w[j]) *
-                        (1.0 - lr * config_.weight_decay);
-            const double mj = b1 * m[j] + (1.0 - b1) * gj;
-            const double vj = b2 * v[j] + (1.0 - b2) * gj * gj;
-            m[j] = static_cast<float>(mj);
-            v[j] = static_cast<float>(vj);
-            const double mhat = mj / bias1;
-            const double vhat = vj / bias2;
-            wj -= lr * mhat / (std::sqrt(vhat) + config_.eps);
-            w[j] = static_cast<float>(wj);
+    struct Sweep
+    {
+        AdamW *self;
+        const simd::KernelTable *kt;
+        simd::AdamwCoeffs c;
+    };
+    const Sweep sweep{this, &simd::activeKernels(), c};
+    const Sweep *ps = &sweep;
+    runtime::parallelFor(0, n, kParamGrain, [ps](int64_t i0, int64_t i1) {
+        for (int64_t i = i0; i < i1; ++i) {
+            const ParamRef &p = ps->self->params_[i];
+            State &s = ps->self->states_[i];
+            ps->kt->adamwUpdate(p.value->data(), p.grad->data(),
+                                s.m.data(), s.v.data(), p.value->numel(),
+                                ps->c);
         }
-    }
+    });
 }
 
 double
@@ -125,6 +158,7 @@ AdamW::restore(const std::vector<State> &states, int64_t step_count)
     SNIP_ASSERT(states.size() == states_.size());
     for (size_t i = 0; i < states.size(); ++i) {
         SNIP_ASSERT(states[i].m.sameShape(states_[i].m));
+        SNIP_ASSERT(states[i].v.sameShape(states_[i].v));
         states_[i] = states[i];
     }
     step_count_ = step_count;

@@ -44,9 +44,16 @@ class AdamW
         Tensor v;
     };
 
+    /** No tensor may appear twice among the values and grads of
+     *  @p params: step() updates the entries in parallel. */
     AdamW(ParamList params, AdamWConfig config);
 
-    /** Apply one update from the gradients currently in the params. */
+    /**
+     * Apply one update from the gradients currently in the params. The
+     * grad-norm reduction and the update sweep run on the global pool,
+     * whole tensors per chunk, through KernelTable::adamwUpdate;
+     * results are bit-identical for any thread count and backend.
+     */
     void step();
 
     /** Override the learning rate (schedules call this per step). */
@@ -79,13 +86,17 @@ class AdamW
     /** Deep-copy optimizer state (checkpointing). */
     std::vector<State> snapshot() const { return states_; }
 
-    /** Restore a snapshot taken on an identical parameter list. */
+    /** Restore a snapshot taken on an identical parameter list (every
+     *  m and v must have its parameter's shape). */
     void restore(const std::vector<State> &states, int64_t step_count);
 
   private:
     ParamList params_;
     AdamWConfig config_;
     std::vector<State> states_;
+    /** Per-tensor gradient sums of squares, one slot per parameter:
+     *  step() fills them in parallel and adds them in parameter order. */
+    std::vector<double> grad_sq_;
     int64_t step_count_ = 0;
 };
 

@@ -7,18 +7,18 @@
  * GEMM microkernels with their packs, the nearest- and
  * stochastic-rounding quantize sweeps, bf16 rounding, the max-abs,
  * error-metric and sum-of-squares reductions, the attention softmax,
- * and the decode-attention page walker. Every GEMM runs through the
- * packed kernels, which fix the per-element accumulation order (a zero
- * accumulator, k ascending in one lane, one add into C), so each
- * backend keeps the guarantee that results are bit-identical for any
- * thread count and any shape split; the page walker keeps the same
- * per-element arithmetic. Different backends may legitimately differ
- * in low-order bits of GEMM, page-walker and sum-of-squares results
- * (FMA contraction, vector-lane accumulation order); the quantize
- * (both rounding modes), bf16-round, max-abs and softmax kernels are
- * required to agree bit-for-bit across backends. tests/test_simd.cpp
- * enforces both contracts; tests/test_serve.cpp holds each backend's
- * walker to its own GEMMs.
+ * the decode-attention page walker and the AdamW update. Every GEMM
+ * runs through the packed kernels, which fix the per-element
+ * accumulation order (a zero accumulator, k ascending in one lane, one
+ * add into C), so each backend keeps the guarantee that results are
+ * bit-identical for any thread count and any shape split; the page
+ * walker keeps the same per-element arithmetic. Different backends may
+ * legitimately differ in low-order bits of GEMM, page-walker and
+ * sum-of-squares results (FMA contraction, vector-lane accumulation
+ * order); the quantize (both rounding modes), bf16-round, max-abs,
+ * softmax and AdamW-update kernels are required to agree bit-for-bit
+ * across backends. tests/test_simd.cpp enforces both contracts;
+ * tests/test_serve.cpp holds each backend's walker to its own GEMMs.
  */
 #ifndef SNIP_SIMD_KERNELS_H
 #define SNIP_SIMD_KERNELS_H
@@ -285,6 +285,41 @@ kvAttendScratch(const KvHeadView &kv, int64_t group)
  */
 void decodeSoftmax(float *s, int64_t len, float scale);
 
+/**
+ * The per-step constants of one AdamW update (optim/adamw.h), computed
+ * once per step by the optimizer.
+ */
+struct AdamwCoeffs
+{
+    double clip_scale = 1.0;   ///< global grad-norm clip factor
+    double decay = 1.0;        ///< 1 - lr * weight_decay
+    double b1 = 0.0;           ///< beta1
+    double one_minus_b1 = 1.0; ///< 1 - beta1
+    double b2 = 0.0;           ///< beta2
+    double one_minus_b2 = 1.0; ///< 1 - beta2
+    double bias1 = 1.0;        ///< 1 - beta1^t
+    double bias2 = 1.0;        ///< 1 - beta2^t
+    double lr = 0.0;
+    double eps = 0.0;
+};
+
+/**
+ * One AdamW update of @p n parameters in place, in double precision
+ * per element and stored back to float (c = @p coeffs):
+ *     g' = g * c.clip_scale
+ *     m  = c.b1 * m + c.one_minus_b1 * g'
+ *     v  = c.b2 * v + (c.one_minus_b2 * g') * g'
+ *     w  = w * c.decay - (c.lr * (m / c.bias1))
+ *                        / (sqrt(v / c.bias2) + c.eps)
+ * with m and v the double values before their float stores. Every
+ * step is one correctly-rounded IEEE operation in this association
+ * and no multiply-add is fused, so the kernel is bit-exact across
+ * backends.
+ */
+using AdamwUpdateFn = void (*)(float *w, const float *g, float *m,
+                               float *v, int64_t n,
+                               const AdamwCoeffs &coeffs);
+
 /** The dispatchable kernel set of one backend. */
 struct KernelTable
 {
@@ -302,6 +337,7 @@ struct KernelTable
     AttnSoftmaxFwdFn attnSoftmaxFwd; ///< scale+mask+softmax, one item
     AttnSoftmaxBwdFn attnSoftmaxBwd; ///< softmax backward, one item
     KvAttendFn kvAttend;             ///< decode attention over pages
+    AdamwUpdateFn adamwUpdate;       ///< one AdamW update sweep
 };
 
 /** The portable plain-C++ backend (always available). */

@@ -23,6 +23,13 @@
  *     with gemmPackedRowsAvx2's arithmetic, its FMAs written out
  *     (std::fma / _mm256_fmadd_ps) rather than left to contraction, so
  *     it equals gather + one-row GEMMs on this backend bit for bit.
+ *   - The AdamW update reproduces the scalar kernel bit for bit, which
+ *     needs every multiply rounded before its add. GCC contracts an
+ *     intrinsic mul feeding an add into an FMA under -mfma even in ISO
+ *     mode, so that kernel alone is fenced with fp-contract=off (GCC
+ *     push/pop_options; clang's fp contract pragma); the translation
+ *     unit's flags are unchanged and the other kernels keep their
+ *     FMAs.
  */
 #include "simd/kernels.h"
 
@@ -1140,6 +1147,63 @@ sumSquaresAvx2(const float *p, int64_t count)
     return sum;
 }
 
+// The contraction fence of the AdamW contract above: this kernel alone
+// must round after every multiply, as the scalar kernel does.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+#endif
+
+void
+adamwUpdateAvx2(float *w, const float *g, float *m, float *v, int64_t n,
+                const AdamwCoeffs &c)
+{
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#endif
+    // Four lanes of the scalar kernel's double arithmetic, in its
+    // association; cvtps_pd is exact, vdivpd/vsqrtpd round correctly
+    // and cvtpd_ps rounds like static_cast<float>.
+    const __m256d clip = _mm256_set1_pd(c.clip_scale);
+    const __m256d decay = _mm256_set1_pd(c.decay);
+    const __m256d b1 = _mm256_set1_pd(c.b1);
+    const __m256d one_minus_b1 = _mm256_set1_pd(c.one_minus_b1);
+    const __m256d b2 = _mm256_set1_pd(c.b2);
+    const __m256d one_minus_b2 = _mm256_set1_pd(c.one_minus_b2);
+    const __m256d bias1 = _mm256_set1_pd(c.bias1);
+    const __m256d bias2 = _mm256_set1_pd(c.bias2);
+    const __m256d lr = _mm256_set1_pd(c.lr);
+    const __m256d eps = _mm256_set1_pd(c.eps);
+    const int64_t n4 = n & ~int64_t{3};
+    for (int64_t j = 0; j < n4; j += 4) {
+        const __m256d gj =
+            _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(g + j)), clip);
+        const __m256d wj =
+            _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(w + j)), decay);
+        const __m256d mj = _mm256_add_pd(
+            _mm256_mul_pd(b1, _mm256_cvtps_pd(_mm_loadu_ps(m + j))),
+            _mm256_mul_pd(one_minus_b1, gj));
+        const __m256d vj = _mm256_add_pd(
+            _mm256_mul_pd(b2, _mm256_cvtps_pd(_mm_loadu_ps(v + j))),
+            _mm256_mul_pd(_mm256_mul_pd(one_minus_b2, gj), gj));
+        _mm_storeu_ps(m + j, _mm256_cvtpd_ps(mj));
+        _mm_storeu_ps(v + j, _mm256_cvtpd_ps(vj));
+        const __m256d mhat = _mm256_div_pd(mj, bias1);
+        const __m256d vhat = _mm256_div_pd(vj, bias2);
+        const __m256d upd =
+            _mm256_div_pd(_mm256_mul_pd(lr, mhat),
+                          _mm256_add_pd(_mm256_sqrt_pd(vhat), eps));
+        _mm_storeu_ps(w + j, _mm256_cvtpd_ps(_mm256_sub_pd(wj, upd)));
+    }
+    // The scalar kernel on the tail: bit-exact by the backend contract.
+    scalarKernels().adamwUpdate(w + n4, g + n4, m + n4, v + n4, n - n4,
+                                c);
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC pop_options
+#endif
+
 } // namespace
 
 const KernelTable &
@@ -1160,6 +1224,7 @@ avx2Kernels()
         attnSoftmaxFwdAvx2,
         attnSoftmaxBwdAvx2,
         kvAttendAvx2,
+        adamwUpdateAvx2,
     };
     return table;
 }

@@ -395,6 +395,25 @@ attnSoftmaxBwdScalar(const float *prob, const float *dp, float *ds,
     }
 }
 
+void
+adamwUpdateScalar(float *w, const float *g, float *m, float *v, int64_t n,
+                  const AdamwCoeffs &c)
+{
+    for (int64_t j = 0; j < n; ++j) {
+        const double gj = static_cast<double>(g[j]) * c.clip_scale;
+        // Decoupled weight decay.
+        double wj = static_cast<double>(w[j]) * c.decay;
+        const double mj = c.b1 * m[j] + c.one_minus_b1 * gj;
+        const double vj = c.b2 * v[j] + c.one_minus_b2 * gj * gj;
+        m[j] = static_cast<float>(mj);
+        v[j] = static_cast<float>(vj);
+        const double mhat = mj / c.bias1;
+        const double vhat = vj / c.bias2;
+        wj -= c.lr * mhat / (std::sqrt(vhat) + c.eps);
+        w[j] = static_cast<float>(wj);
+    }
+}
+
 } // namespace
 
 const KernelTable &
@@ -415,6 +434,7 @@ scalarKernels()
         attnSoftmaxFwdScalar,
         attnSoftmaxBwdScalar,
         kvAttendScalar,
+        adamwUpdateScalar,
     };
     return table;
 }

@@ -306,7 +306,8 @@ renderStepRecord(int64_t step, double wall_seconds, const Snapshot &now,
 }
 
 const char *const kTimerNames[kNumTimers] = {
-    "gemm", "attn_fwd", "attn_bwd", "pool_job", "scheme_wait", "attn_decode"};
+    "gemm",        "attn_fwd",    "attn_bwd", "pool_job",
+    "scheme_wait", "attn_decode", "swiglu"};
 
 /** Cumulative timer histograms: the per-step records stay lean, the
  *  full log2(ns) distributions land once per document. */

@@ -142,6 +142,7 @@ enum class Timer : int
     PoolJob,     ///< one parallelFor (incl. inline), submitter wall
     SchemeWait,  ///< one handoff: trainer blocked at apply boundary
     AttnDecode,  ///< one decode-step attention fan-out (kvAttend)
+    SwiGlu,      ///< one SwiGLU pointwise pass (fwd or bwd)
     kCount
 };
 

@@ -68,7 +68,8 @@ namespace trace {
  *  Perfetto can color/filter by subsystem. */
 enum class Category : int
 {
-    Train,  ///< trainStep phases: fwd, bwd, optim, scheme_apply
+    Train,  ///< trainStep phases (fwd, bwd, optim, scheme_apply) and
+            ///< the SwiGLU pointwise passes inside fwd/bwd (swiglu)
     Scheme, ///< async update service: snapshot, solve, handoff_wait
     Pool,   ///< sampled parallelFor jobs
     Gemm,   ///< GEMM driver invocations

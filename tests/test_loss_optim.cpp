@@ -7,10 +7,15 @@
 
 #include <cmath>
 
+#include "alloc_counter.h"
 #include "nn/loss.h"
+#include "nn/model.h"
 #include "optim/adamw.h"
 #include "optim/lr_schedule.h"
+#include "simd/kernels.h"
 #include "tensor/ops.h"
+#include "testing_util.h"
+#include "train/presets.h"
 #include "util/rng.h"
 
 namespace snip {
@@ -265,6 +270,134 @@ TEST(AdamW, UpdateSensitivityMatchesDirectPerturbation)
     const double predicted = scale * sens * frobeniusNorm(dg);
     EXPECT_GT(predicted, 0.0);
     EXPECT_NEAR(actual, predicted, 0.5 * std::max(actual, predicted));
+}
+
+TEST(AdamW, RestoreRejectsAMisshapedSecondMoment)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // step() sweeps v by the value's numel, so restore() must check v's
+    // shape as it checks m's.
+    Quad q;
+    AdamW opt(q.params(), {});
+    std::vector<AdamW::State> snap = opt.snapshot();
+    snap[0].v = Tensor::zeros({1});
+    EXPECT_DEATH(opt.restore(snap, 1), "v.sameShape");
+}
+
+TEST(AdamW, RejectsATensorListedTwice)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // The serial update applied a twice-listed tensor's step twice;
+    // the parallel sweep would race on it, so construction refuses.
+    Quad a, b;
+    const ParamList shared_value = {{"a", &a.w, &a.g}, {"b", &a.w, &b.g}};
+    EXPECT_DEATH(AdamW(shared_value, {}), "names one tensor twice: a and b");
+    const ParamList shared_grad = {{"a", &a.w, &a.g}, {"b", &b.w, &a.g}};
+    EXPECT_DEATH(AdamW(shared_grad, {}), "names one tensor twice: a and b");
+}
+
+TEST(AdamW, StepMatchesTheSerialNormAndUpdateAtEveryWidth)
+{
+    // One step against the optimizer's serial definition: the grad norm
+    // is the per-tensor sums of squares added in parameter order, and
+    // the update is the kernel's loop at that clip factor. The first
+    // gradient dwarfs the rest, each of which alone is below half an
+    // ulp of the running sum, so the summation order shows in the norm.
+    // m starts where b1*m cancels (1-b1)*g', so the new m is a rounding
+    // residue and a clip factor one double ulp off changes a few
+    // percent of its floats.
+    GlobalPoolGuard pool_guard;
+    AdamWConfig cfg;
+    cfg.grad_clip = 0.5;
+    Rng rng(8);
+    std::vector<Tensor> w0, g, m0;
+    for (int i = 0; i < 24; ++i) {
+        const int64_t n = 257 + 97 * i;
+        w0.push_back(Tensor::randn({n}, rng, 0.02f));
+        g.push_back(Tensor::randn({n}, rng, i == 0 ? 1e4f : 2e-5f));
+    }
+    double total_sq = 0.0;
+    for (const Tensor &t : g)
+        total_sq += sumSquares(t);
+    double reversed_sq = 0.0;
+    for (auto it = g.rbegin(); it != g.rend(); ++it)
+        reversed_sq += sumSquares(*it);
+    ASSERT_NE(total_sq, reversed_sq);
+    ASSERT_GT(std::sqrt(total_sq), cfg.grad_clip);
+    simd::AdamwCoeffs c;
+    c.clip_scale = cfg.grad_clip / std::sqrt(total_sq);
+    c.decay = 1.0 - cfg.lr * cfg.weight_decay;
+    c.b1 = cfg.beta1;
+    c.one_minus_b1 = 1.0 - cfg.beta1;
+    c.b2 = cfg.beta2;
+    c.one_minus_b2 = 1.0 - cfg.beta2;
+    c.bias1 = 1.0 - cfg.beta1;
+    c.bias2 = 1.0 - cfg.beta2;
+    c.lr = cfg.lr;
+    c.eps = cfg.eps;
+    for (const Tensor &t : g) {
+        Tensor m(t.shape());
+        for (int64_t j = 0; j < t.numel(); ++j)
+            m.at(j) = static_cast<float>(
+                -c.one_minus_b1 * (t.at(j) * c.clip_scale) / c.b1);
+        m0.push_back(m);
+    }
+    std::vector<AdamW::State> ref;
+    std::vector<Tensor> w_ref = w0;
+    for (size_t i = 0; i < g.size(); ++i) {
+        ref.push_back({m0[i], Tensor::zeros(g[i].shape())});
+        simd::scalarKernels().adamwUpdate(
+            w_ref[i].data(), g[i].data(), ref[i].m.data(), ref[i].v.data(),
+            w_ref[i].numel(), c);
+    }
+
+    for (int threads : {1, 4}) {
+        runtime::setGlobalThreadCount(threads);
+        std::vector<Tensor> w = w0;
+        ParamList params;
+        std::vector<AdamW::State> start;
+        for (size_t i = 0; i < g.size(); ++i) {
+            params.push_back({"p" + std::to_string(i), &w[i], &g[i]});
+            start.push_back({m0[i], Tensor::zeros(g[i].shape())});
+        }
+        AdamW opt(params, cfg);
+        opt.restore(start, 0);
+        opt.step();
+        for (size_t i = 0; i < g.size(); ++i) {
+            EXPECT_TRUE(w[i] == w_ref[i])
+                << "w" << i << ", " << threads << " threads";
+            EXPECT_TRUE(opt.state(i).m == ref[i].m)
+                << "m" << i << ", " << threads << " threads";
+            EXPECT_TRUE(opt.state(i).v == ref[i].v)
+                << "v" << i << ", " << threads << " threads";
+        }
+    }
+}
+
+TEST(AdamW, WarmedStepAllocatesNothing)
+{
+    // The fig8 parameter list: both parallel sweeps (grad norm and
+    // update) capture one pointer, so a warmed step never touches the
+    // heap at any pool width.
+    GlobalPoolGuard pool_guard;
+    LlamaModel model(tinyllamaSim(), 5);
+    ParamList params = model.params();
+    Rng rng(6);
+    for (ParamRef &p : params) {
+        float *g = p.grad->data();
+        for (int64_t j = 0; j < p.grad->numel(); ++j)
+            g[j] = static_cast<float>(rng.nextGaussian() * 1e-2);
+    }
+    AdamWConfig cfg;
+    cfg.grad_clip = 1e-3; // the clip path runs the grad-norm sweep
+    AdamW opt(params, cfg);
+    for (int threads : {1, 4}) {
+        runtime::setGlobalThreadCount(threads);
+        opt.step(); // warm the pool's workers
+        opt.step();
+        EXPECT_EQ(allocDelta([&opt] { opt.step(); }), 0)
+            << threads << " threads";
+    }
 }
 
 TEST(LrSchedule, ConstantIsConstant)

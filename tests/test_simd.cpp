@@ -9,7 +9,9 @@
  *     than the 1-ULP requirement), and the stochastic kernels replay
  *     the scalar codec's draws;
  *   - GEMM agrees across backends within a relative-error bound and
- *     is bit-identical across 1/2/8 threads within each backend.
+ *     is bit-identical across 1/2/8 threads within each backend;
+ *   - the AdamW update reproduces the optimizer's historical per-element
+ *     loop bit for bit on every backend.
  * AVX2 comparisons skip with a message on hosts without AVX2+FMA.
  */
 #include <gtest/gtest.h>
@@ -753,6 +755,207 @@ TEST(SimdErrorStats, MeasureQuantErrorStableAcrossBackends)
     EXPECT_EQ(es.max_error, ea.max_error);
     EXPECT_NEAR(es.abs_error, ea.abs_error, 1e-9 * (1.0 + es.abs_error));
     EXPECT_NEAR(es.rel_error, ea.rel_error, 1e-9);
+}
+
+// ------------------------------------------------------------- AdamW
+
+/** The AdamW hyperparameters of one step, as optim/adamw.h holds them
+ *  plus the step's clip factor and step count. */
+struct AdamwHyper
+{
+    double lr = 2e-3;
+    double b1 = 0.9;
+    double b2 = 0.95;
+    double eps = 1e-8;
+    double wd = 0.01;
+    double clip_scale = 1.0;
+    int64_t t = 1;
+};
+
+/** AdamW::step's per-element loop as it ran before the kernel existed:
+ *  the reference both backends must reproduce bit for bit. */
+void
+refAdamwUpdate(float *w, const float *g, float *m, float *v, int64_t n,
+               const AdamwHyper &h)
+{
+    const double bias1 = 1.0 - std::pow(h.b1, static_cast<double>(h.t));
+    const double bias2 = 1.0 - std::pow(h.b2, static_cast<double>(h.t));
+    for (int64_t j = 0; j < n; ++j) {
+        const double gj = static_cast<double>(g[j]) * h.clip_scale;
+        double wj = static_cast<double>(w[j]) * (1.0 - h.lr * h.wd);
+        const double mj = h.b1 * m[j] + (1.0 - h.b1) * gj;
+        const double vj = h.b2 * v[j] + (1.0 - h.b2) * gj * gj;
+        m[j] = static_cast<float>(mj);
+        v[j] = static_cast<float>(vj);
+        const double mhat = mj / bias1;
+        const double vhat = vj / bias2;
+        wj -= h.lr * mhat / (std::sqrt(vhat) + h.eps);
+        w[j] = static_cast<float>(wj);
+    }
+}
+
+/** The kernel coefficients, formed as AdamW::step forms them. */
+simd::AdamwCoeffs
+adamwCoeffs(const AdamwHyper &h)
+{
+    simd::AdamwCoeffs c;
+    c.clip_scale = h.clip_scale;
+    c.decay = 1.0 - h.lr * h.wd;
+    c.b1 = h.b1;
+    c.one_minus_b1 = 1.0 - h.b1;
+    c.b2 = h.b2;
+    c.one_minus_b2 = 1.0 - h.b2;
+    c.bias1 = 1.0 - std::pow(h.b1, static_cast<double>(h.t));
+    c.bias2 = 1.0 - std::pow(h.b2, static_cast<double>(h.t));
+    c.lr = h.lr;
+    c.eps = h.eps;
+    return c;
+}
+
+/** One optimizer state: w, g, m, v of equal length. */
+struct AdamwState
+{
+    std::vector<float> w, g, m, v;
+};
+
+/** Inputs of kind @p kind (see the test) over @p n elements for a
+ *  step with hyperparameters @p h. */
+AdamwState
+adamwInputs(int kind, int64_t n, const AdamwHyper &h, Rng &rng)
+{
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    auto gauss = [&rng](double s) {
+        return static_cast<float>(rng.nextGaussian() * s);
+    };
+    auto tiny = [&rng, denorm]() {
+        // A float subnormal: k * denorm_min for k in [1, 2^22].
+        const double k = std::floor(rng.nextDouble() * 4194304.0) + 1.0;
+        return static_cast<float>(k) * denorm *
+               (rng.nextDouble() < 0.5 ? -1.0f : 1.0f);
+    };
+    AdamwState st;
+    for (int64_t j = 0; j < n; ++j) {
+        // Kind 6 mixes the other kinds element by element, so vector
+        // lanes see unlike cases side by side.
+        const int k = kind == 6 ? static_cast<int>(rng.nextRange(0, 5))
+                                : kind;
+        float w = gauss(0.02), g = gauss(1.0), m = gauss(1e-2),
+              v = std::fabs(gauss(1e-4));
+        switch (k) {
+            case 1: // zeros
+                w = g = m = v = 0.0f;
+                break;
+            case 2: // negative zeros
+                w = g = m = v = -0.0f;
+                break;
+            case 3: // subnormal g, m, v
+                g = tiny();
+                m = tiny();
+                v = std::fabs(tiny());
+                break;
+            case 4: // v = 0 and g = 0: the denominator is sqrt(0) + eps
+                g = 0.0f;
+                v = 0.0f;
+                break;
+            case 5: // huge gradients and moments (g^2 still fits a
+                    // float, so no hyperparameter set overflows v)
+                g = gauss(1e18);
+                m = gauss(1e17);
+                v = std::fabs(gauss(1e35));
+                break;
+            case 7: // b1*m cancels (1-b1)*g': the new m is a rounding
+                    // residue, so a change in the double arithmetic
+                    // (an FMA, another association) reaches the
+                    // stored float for a few percent of elements
+                m = static_cast<float>(-(1.0 - h.b1) *
+                                       (static_cast<double>(g) *
+                                        h.clip_scale) /
+                                       h.b1);
+                break;
+            case 8: { // w*decay cancels the Adam step, likewise for w
+                const double gj = static_cast<double>(g) * h.clip_scale;
+                const double mj = h.b1 * m + (1.0 - h.b1) * gj;
+                const double vj = h.b2 * v + (1.0 - h.b2) * gj * gj;
+                const double t = static_cast<double>(h.t);
+                const double step =
+                    h.lr * (mj / (1.0 - std::pow(h.b1, t))) /
+                    (std::sqrt(vj / (1.0 - std::pow(h.b2, t))) + h.eps);
+                w = static_cast<float>(step / (1.0 - h.lr * h.wd));
+                break;
+            }
+            default: // ordinary values across binades
+                g = static_cast<float>(rng.nextGaussian() *
+                                       std::pow(10.0,
+                                                rng.nextRange(-6, 2)));
+                break;
+        }
+        st.w.push_back(w);
+        st.g.push_back(g);
+        st.m.push_back(m);
+        st.v.push_back(v);
+    }
+    return st;
+}
+
+/** memcmp equality of two float runs (empty runs are equal). */
+bool
+sameBits(const std::vector<float> &a, const std::vector<float> &b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+TEST(SimdAdamw, BitExactAcrossBackendsAndVsReference)
+{
+    AdamwHyper typical;
+    AdamwHyper later = typical;
+    later.t = 7;
+    later.clip_scale = 0.37;
+    AdamwHyper no_lr = later;
+    no_lr.lr = 0.0;
+    AdamwHyper no_wd = later;
+    no_wd.wd = 0.0;
+    AdamwHyper hard_clip = typical;
+    hard_clip.t = 3;
+    hard_clip.clip_scale = 1e-18;
+    const AdamwHyper hypers[] = {typical, later, no_lr, no_wd, hard_clip};
+    const char *const kinds[] = {"ordinary", "zeros",    "-0",
+                                 "subnormal", "v=0",     "huge",
+                                 "mixed",    "m cancels", "w cancels"};
+    std::vector<int64_t> lengths;
+    for (int64_t n = 0; n <= 17; ++n)
+        lengths.push_back(n);
+    lengths.push_back(4099);
+
+    Rng rng(61);
+    for (size_t hi = 0; hi < std::size(hypers); ++hi) {
+        const AdamwHyper &h = hypers[hi];
+        const simd::AdamwCoeffs c = adamwCoeffs(h);
+        for (int kind = 0; kind < static_cast<int>(std::size(kinds));
+             ++kind) {
+            for (int64_t n : lengths) {
+                const AdamwState in = adamwInputs(kind, n, h, rng);
+                AdamwState ref = in;
+                refAdamwUpdate(ref.w.data(), ref.g.data(), ref.m.data(),
+                               ref.v.data(), n, h);
+                for (const simd::KernelTable *kt : runnableBackends()) {
+                    AdamwState out = in;
+                    kt->adamwUpdate(out.w.data(), out.g.data(),
+                                    out.m.data(), out.v.data(), n, c);
+                    const std::string where =
+                        std::string(kt->name) + " " + kinds[kind] +
+                        " hyper " + std::to_string(hi) + " n=" +
+                        std::to_string(n);
+                    EXPECT_TRUE(sameBits(ref.w, out.w)) << "w, " << where;
+                    EXPECT_TRUE(sameBits(ref.m, out.m)) << "m, " << where;
+                    EXPECT_TRUE(sameBits(ref.v, out.v)) << "v, " << where;
+                    EXPECT_TRUE(sameBits(in.g, out.g))
+                        << "g written, " << where;
+                }
+            }
+        }
+    }
 }
 
 } // namespace
