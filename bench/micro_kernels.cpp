@@ -14,6 +14,7 @@
 
 #include "core/snip_optimizer.h"
 #include "core/stats_collector.h"
+#include "ilp/branch_and_bound.h"
 #include "nn/attention.h"
 #include "nn/model.h"
 #include "optim/adamw.h"

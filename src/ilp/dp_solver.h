@@ -18,8 +18,12 @@
 
 namespace snip {
 
+/** Default discretization, the one solveIlp() solves at. */
+constexpr int kDpResolution = 20000;
+
 /** Solve a single-constraint instance by DP over discretized units. */
-IlpSolution solveDp(const IlpProblem &problem, int resolution = 20000);
+IlpSolution solveDp(const IlpProblem &problem,
+                    int resolution = kDpResolution);
 
 } // namespace snip
 

@@ -7,8 +7,9 @@
  * IlpProblem. Warm-restarted or repeated searches (bench sweeps, resumed
  * pretraining, the async service re-solving a checkpointed interval)
  * hence re-pose problems the process — or a previous process — has
- * already solved. The cache maps ilpProblemHash() x solve options to the
- * stored IlpSolution so those solves are skipped entirely.
+ * already solved. The cache maps solveCacheKey() (ilpProblemHash() x
+ * the DP resolution) to the stored IlpSolution so those solves are
+ * skipped entirely.
  *
  * Entries are verified against the live problem on every hit
  * (verifySolution), so a hash collision or a stale file can never

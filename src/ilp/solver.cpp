@@ -1,49 +1,26 @@
 #include "ilp/solver.h"
 
 #include <chrono>
-#include <cstring>
 
 #include "ilp/solve_cache.h"
 #include "util/logging.h"
 
 namespace snip {
 
-IlpBackend
-ilpBackendByName(const std::string &name)
-{
-    if (name == "bnb")
-        return IlpBackend::BranchAndBound;
-    if (name == "dp")
-        return IlpBackend::Dp;
-    fatal("unknown ILP backend: ", name);
-}
-
 namespace {
 
 IlpSolution
-solveSingle(const IlpProblem &problem, const IlpSolveOptions &options)
-{
-    switch (options.backend) {
-        case IlpBackend::BranchAndBound:
-            return solveBranchAndBound(problem, options.bnb_limits);
-        case IlpBackend::Dp:
-            return solveDp(problem, options.dp_resolution);
-    }
-    panic("bad backend");
-}
-
-IlpSolution
-solveUncached(const IlpProblem &problem, const IlpSolveOptions &options)
+solveUncached(const IlpProblem &problem)
 {
     if (problem.groups.empty())
-        return solveSingle(problem, options);
+        return solveDp(problem, kDpResolution);
 
     IlpSolution total;
     total.feasible = true;
     total.choice.assign(static_cast<size_t>(problem.numItems()), 0);
     for (const auto &g : problem.groups) {
         IlpProblem sub = problem.slice(g.first, g.count, g.target);
-        IlpSolution s = solveSingle(sub, options);
+        IlpSolution s = solveDp(sub, kDpResolution);
         total.nodes_explored += s.nodes_explored;
         total.solve_seconds += s.solve_seconds;
         if (!s.feasible) {
@@ -64,7 +41,8 @@ solveUncached(const IlpProblem &problem, const IlpSolveOptions &options)
 inline void
 mixU64(uint64_t &h, uint64_t v)
 {
-    // Same FNV-1a step ilpProblemHash uses, continued over the knobs.
+    // Same FNV-1a step ilpProblemHash uses, continued over the
+    // resolution.
     for (int b = 0; b < 8; ++b) {
         h ^= (v >> (b * 8)) & 0xFFu;
         h *= 0x100000001B3ull;
@@ -74,21 +52,10 @@ mixU64(uint64_t &h, uint64_t v)
 } // namespace
 
 uint64_t
-solveCacheKey(const IlpProblem &problem, const IlpSolveOptions &options)
+solveCacheKey(const IlpProblem &problem)
 {
     uint64_t h = ilpProblemHash(problem);
-    mixU64(h, static_cast<uint64_t>(options.backend));
-    if (options.backend == IlpBackend::Dp) {
-        mixU64(h, static_cast<uint64_t>(options.dp_resolution));
-    } else {
-        // B&B limits can truncate the search, so a solution obtained
-        // under tighter limits must not serve a looser request.
-        uint64_t bits;
-        double t = options.bnb_limits.time_limit_seconds;
-        std::memcpy(&bits, &t, sizeof(bits));
-        mixU64(h, bits);
-        mixU64(h, static_cast<uint64_t>(options.bnb_limits.max_nodes));
-    }
+    mixU64(h, static_cast<uint64_t>(kDpResolution));
     return h;
 }
 
@@ -97,10 +64,10 @@ solveIlp(const IlpProblem &problem, const IlpSolveOptions &options)
 {
     problem.validate();
     if (!options.cache)
-        return solveUncached(problem, options);
+        return solveUncached(problem);
 
     const auto start = std::chrono::steady_clock::now();
-    const uint64_t key = solveCacheKey(problem, options);
+    const uint64_t key = solveCacheKey(problem);
     IlpSolution cached;
     if (options.cache->lookup(key, &cached)) {
         // Trust nothing from disk: a collision or stale file must not
@@ -123,7 +90,7 @@ solveIlp(const IlpProblem &problem, const IlpSolveOptions &options)
         }
         warn("solve cache entry failed verification; re-solving");
     }
-    IlpSolution fresh = solveUncached(problem, options);
+    IlpSolution fresh = solveUncached(problem);
     if (fresh.feasible)
         options.cache->insert(key, fresh);
     return fresh;

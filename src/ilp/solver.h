@@ -1,10 +1,15 @@
 /**
  * @file
- * Solver front-end: group decomposition + backend selection.
+ * Solver front-end: group decomposition, the DP solve and the solve
+ * cache.
  *
  * Grouped (pipeline-aware, Sec. 5.3) instances decompose into one
  * independent subproblem per group, because each group has its own
- * efficiency constraint and items appear in exactly one group.
+ * efficiency constraint and items appear in exactly one group. Every
+ * (sub)problem is solved by the DP (ilp/dp_solver.h) at kDpResolution:
+ * it is exact up to a fine discretization and has predictable
+ * sub-second runtime. Branch & bound (ilp/branch_and_bound.h) stays as
+ * the tests' exact reference.
  *
  * Reentrancy: solveIlp() is a pure function of its snapshot-style
  * inputs — it reads only the IlpProblem and options it is handed and
@@ -16,45 +21,25 @@
 #ifndef SNIP_ILP_SOLVER_H
 #define SNIP_ILP_SOLVER_H
 
-#include <string>
-
-#include "ilp/branch_and_bound.h"
 #include "ilp/dp_solver.h"
 
 namespace snip {
 
 class SolveCache;
 
-/** Which backend solves each (sub)problem. */
-enum class IlpBackend
-{
-    BranchAndBound,
-    Dp,
-};
-
-/** Parse "bnb"/"dp". */
-IlpBackend ilpBackendByName(const std::string &name);
-
-/** Options for solveIlp. The DP backend is the default: it is exact up
- *  to a fine discretization and has predictable sub-second runtime,
- *  whereas branch & bound is exact but can hit its (paper-matching)
- *  30 s limit on degenerate instances. */
+/** Options for solveIlp. */
 struct IlpSolveOptions
 {
-    IlpBackend backend = IlpBackend::Dp;
-    BnbLimits bnb_limits;
-    int dp_resolution = 20000;
     /** Optional persistent solve cache (ilp/solve_cache.h). Hits skip
      *  the search entirely; every hit is re-verified against the live
      *  problem before being trusted. Not owned. */
     SolveCache *cache = nullptr;
 };
 
-/** Cache key of one (problem, options) pairing: the content hash of
- *  the instance folded with the solver knobs that can change the
- *  returned solution. */
-uint64_t solveCacheKey(const IlpProblem &problem,
-                       const IlpSolveOptions &options);
+/** Cache key of one problem: the content hash of the instance folded
+ *  with kDpResolution, so a change to the resolution invalidates
+ *  persisted entries. */
+uint64_t solveCacheKey(const IlpProblem &problem);
 
 /**
  * Solve a (possibly grouped) instance. Statistics are summed across

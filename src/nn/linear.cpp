@@ -1,11 +1,6 @@
 #include "nn/linear.h"
 
-#include <cstring>
-
 #include "quant/scaling.h"
-#include "runtime/workspace_arena.h"
-#include "simd/dispatch.h"
-#include "simd/kernels.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
@@ -78,62 +73,24 @@ Linear::forward(const Tensor &x)
 void
 Linear::forwardInference(const float *x, int64_t rows, float *y)
 {
-    const int64_t in = inFeatures();
-    const int64_t out = outFeatures();
     const QuantPlan xp = plan(GemmKind::Fwd, TensorRole::Activation);
     const QuantPlan wp = plan(GemmKind::Fwd, TensorRole::Weight);
-    SNIP_ASSERT(!wp.materialize,
-                "stochastic-rounding weights are training-only (", name_,
+    // fusedCfg() is null for a materialized operand, so a stochastic
+    // one would silently go unquantized.
+    SNIP_ASSERT(!xp.materialize && !wp.materialize,
+                "stochastic-rounding operands are training-only (", name_,
                 ")");
-    // Passing the cache explicitly opts in whatever the implicit-reuse
-    // state: weight() and invalidateWeightPacks() stale it on mutation.
-    if (!xp.fused && !xp.materialize) {
-        gemmPackedNT(x, rows, in, nullptr, w_.data(), out, wp.fusedCfg(),
-                     &w_packs_, y);
-        return;
-    }
-
-    // Quantize the activation rows into arena scratch, replicating
-    // FakeQuantizer::quantizeInPlace exactly for the row-local
-    // granularities (a decode row must quantize identically to the
-    // same row inside a full-sequence activation, which only holds
-    // when no region spans rows). Quantizing here rather than on the
-    // pack keeps thin decode GEMMs on the pack-free rows kernel.
-    SNIP_ASSERT(xp.cfg.rounding == Rounding::Nearest,
-                "stochastic-rounding activations are training-only (",
-                name_, ")");
+    // A decode row must quantize like the same row of a full-sequence
+    // activation, which holds only when no scaling region spans rows.
     const Granularity gran = xp.cfg.scaling.granularity;
-    SNIP_ASSERT(gran == Granularity::Tilewise ||
+    SNIP_ASSERT(!xp.fused || gran == Granularity::Tilewise ||
                     gran == Granularity::Rowwise,
                 "inference needs row-local activation scaling (", name_,
                 " uses ", granularityName(gran), ")");
-    const int64_t nb =
-        gran == Granularity::Tilewise
-            ? std::max<int64_t>(1, xp.cfg.scaling.block)
-            : in;
-    const simd::KernelTable &kt = simd::activeKernels();
-    const QuantGrid grid = quantGrid(xp.cfg.format);
-    const double fmt_max = xp.cfg.format.maxValue();
-
-    runtime::WorkspaceArena &arena =
-        runtime::WorkspaceArena::forCurrentThread();
-    runtime::ArenaScope scope(arena);
-    float *xq = arena.getFloats(static_cast<size_t>(rows * in));
-    std::memcpy(xq, x, static_cast<size_t>(rows * in) * sizeof(float));
-    for (int64_t r = 0; r < rows; ++r) {
-        float *row = xq + r * in;
-        for (int64_t c0 = 0; c0 < in; c0 += nb) {
-            const int64_t len = std::min(nb, in - c0);
-            const double max_abs =
-                static_cast<double>(kt.maxAbs(row + c0, len));
-            const double scale = regionScale(max_abs, fmt_max);
-            kt.quantizeNearest(row + c0, len, xp.cfg.format, grid,
-                               static_cast<float>(scale),
-                               static_cast<float>(1.0 / scale));
-        }
-    }
-    gemmPackedNT(xq, rows, in, nullptr, w_.data(), out, wp.fusedCfg(),
-                 &w_packs_, y);
+    // Passing the cache explicitly opts in whatever the implicit-reuse
+    // state: weight() and invalidateWeightPacks() stale it on mutation.
+    gemmPackedNT(x, rows, inFeatures(), xp.fusedCfg(), w_.data(),
+                 outFeatures(), wp.fusedCfg(), &w_packs_, y);
 }
 
 Tensor

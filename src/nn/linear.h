@@ -80,14 +80,17 @@ class Linear
 
     /**
      * Inference-only forward on raw buffers: y[rows, out] = x W^T
-     * with the layer's forward fake quantization applied (activation
-     * tiles quantized into arena scratch, the weight panel served from
-     * the layer's PackedWeightCache, which is repacked when the
-     * weight-pack epoch moves, the scheme changes or weight() is
-     * taken). Saves nothing, fires no tap, and after warm-up performs
-     * zero heap allocations. Rows are bit-identical to the same rows
-     * of forward(). Stochastic-rounding schemes are a training-only
-     * feature and hard-error here.
+     * with the layer's forward fake quantization applied. It is one
+     * gemmPackedNT call: the GEMM driver quantizes the activation
+     * (fused into the pack, or into arena scratch for a block too
+     * thin to pack), and the weight panel comes from the layer's
+     * PackedWeightCache, which is repacked when the weight-pack epoch
+     * moves, the scheme changes or weight() is taken. Saves nothing,
+     * fires no tap, and after warm-up performs zero heap allocations.
+     * Rows are bit-identical to the same rows of forward(), which
+     * needs row-local activation scaling (tile- or row-wise); other
+     * granularities hard-error, and so do stochastic-rounding
+     * operands, a training-only feature.
      */
     void forwardInference(const float *x, int64_t rows, float *y);
 

@@ -157,33 +157,22 @@ FakeQuantizer::quantizeInPlace(Tensor &t, const QuantConfig &cfg)
     // Stochastic rounding pre-draws its uniforms into a stack buffer
     // of this many elements per kernel call.
     constexpr int64_t kDrawChunk = 256;
-    const std::vector<ScalingRegion> regions =
-        collectRegions(rows, cols, cfg.scaling);
+    const RegionGrid regions = regionGrid(rows, cols, cfg.scaling);
     const QuantGrid grid = quantGrid(cfg.format);
     runtime::parallelFor(
-        0, static_cast<int64_t>(regions.size()), 8,
-        [&](int64_t g0, int64_t g1) {
+        0, regions.count(), 8, [&](int64_t g0, int64_t g1) {
             const simd::KernelTable &kt = simd::activeKernels();
             for (int64_t g = g0; g < g1; ++g) {
-                const ScalingRegion &reg =
-                    regions[static_cast<size_t>(g)];
-                double max_abs = 0.0;
-                for (int64_t r = reg.r0; r < reg.r1; ++r) {
-                    max_abs = std::max(
-                        max_abs, static_cast<double>(kt.maxAbs(
-                                     p + r * cols + reg.c0,
-                                     reg.c1 - reg.c0)));
-                }
-                const double scale = regionScale(max_abs, fmt_max);
-                const float fscale = static_cast<float>(scale);
-                const float inv = static_cast<float>(1.0 / scale);
+                const ScalingRegion reg = regions.region(g);
+                const RegionScale rs =
+                    scaleRegion(kt, p, cols, reg, fmt_max);
                 if (!stochastic) {
                     // Nearest rounding takes the vectorized grid-snap
                     // kernel (bit-exact across backends).
                     for (int64_t r = reg.r0; r < reg.r1; ++r) {
                         kt.quantizeNearest(p + r * cols + reg.c0,
                                            reg.c1 - reg.c0, cfg.format,
-                                           grid, fscale, inv);
+                                           grid, rs.scale, rs.inv);
                     }
                     continue;
                 }
@@ -201,13 +190,13 @@ FakeQuantizer::quantizeInPlace(Tensor &t, const QuantConfig &cfg)
                          c0 += kDrawChunk) {
                         const int64_t n = std::min(kDrawChunk, reg.c1 - c0);
                         for (int64_t i = 0; i < n; ++i) {
-                            const float s = row[c0 + i] * fscale;
+                            const float s = row[c0 + i] * rs.scale;
                             draws[i] = stochasticConsumesDraw(s, grid)
                                            ? region_rng.nextDouble()
                                            : 0.0;
                         }
-                        kt.quantizeStochastic(row + c0, n, grid, fscale,
-                                              inv, draws);
+                        kt.quantizeStochastic(row + c0, n, grid,
+                                              rs.scale, rs.inv, draws);
                     }
                 }
             }

@@ -73,11 +73,13 @@ Rounding fp4GradRounding();
  * Owns the Rng seeding stochastic rounding so repeated calls advance
  * one deterministic stream: each stochastic call draws one 64-bit call
  * key from it, and every scaling region derives an independent stream
- * from (call key, region index). Regions are swept in parallel on the
- * shared thread pool (runtime/thread_pool.h); because the per-region
- * streams and region order are fixed, results are bit-identical for
- * any thread count. Nearest-rounding calls never touch the Rng, so
- * distinct tensors may be quantized concurrently with Nearest configs.
+ * from (call key, region index in its RegionGrid, quant/scaling.h).
+ * Each region is scaled by scaleRegion. Regions are swept in parallel
+ * on the shared thread pool (runtime/thread_pool.h); because the
+ * per-region streams and region order are fixed, results are
+ * bit-identical for any thread count. Nearest-rounding calls never
+ * touch the Rng, so distinct tensors may be quantized concurrently
+ * with Nearest configs.
  */
 class FakeQuantizer
 {

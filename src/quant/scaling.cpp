@@ -20,75 +20,38 @@ granularityName(Granularity g)
     return "?";
 }
 
-void
-forEachRegion(
-    int64_t rows, int64_t cols, const ScalingSpec &spec,
-    const std::function<void(int64_t, int64_t, int64_t, int64_t)> &fn)
+RegionGrid
+regionGrid(int64_t rows, int64_t cols, const ScalingSpec &spec)
 {
     const int64_t nb = std::max<int64_t>(1, spec.block);
+    RegionGrid g;
+    g.rows = rows;
+    g.cols = cols;
+    g.rb = rows;
+    g.cb = cols;
     switch (spec.granularity) {
         case Granularity::Tensorwise:
-            fn(0, rows, 0, cols);
             break;
         case Granularity::Rowwise:
-            for (int64_t r = 0; r < rows; ++r)
-                fn(r, r + 1, 0, cols);
+            g.rb = 1;
             break;
         case Granularity::Columnwise:
-            for (int64_t c = 0; c < cols; ++c)
-                fn(0, rows, c, c + 1);
+            g.cb = 1;
             break;
         case Granularity::Blockwise:
-            for (int64_t r = 0; r < rows; r += nb)
-                for (int64_t c = 0; c < cols; c += nb)
-                    fn(r, std::min(r + nb, rows), c, std::min(c + nb, cols));
+            g.rb = nb;
+            g.cb = nb;
             break;
         case Granularity::Tilewise:
-            for (int64_t r = 0; r < rows; ++r)
-                for (int64_t c = 0; c < cols; c += nb)
-                    fn(r, r + 1, c, std::min(c + nb, cols));
+            g.rb = 1;
+            g.cb = nb;
             break;
     }
-}
-
-std::vector<ScalingRegion>
-collectRegions(int64_t rows, int64_t cols, const ScalingSpec &spec)
-{
-    std::vector<ScalingRegion> regions;
-    regions.reserve(static_cast<size_t>(scaleCount(rows, cols, spec)));
-    forEachRegion(rows, cols, spec,
-                  [&](int64_t r0, int64_t r1, int64_t c0, int64_t c1) {
-                      regions.push_back({r0, r1, c0, c1});
-                  });
-    return regions;
-}
-
-double
-regionScale(double max_abs, double fmt_max)
-{
-    if (max_abs <= 0.0)
-        return 1.0;
-    return fmt_max / max_abs;
-}
-
-int64_t
-scaleCount(int64_t rows, int64_t cols, const ScalingSpec &spec)
-{
-    const int64_t nb = std::max<int64_t>(1, spec.block);
-    auto ceil_div = [](int64_t a, int64_t b) { return (a + b - 1) / b; };
-    switch (spec.granularity) {
-        case Granularity::Tensorwise:
-            return 1;
-        case Granularity::Rowwise:
-            return rows;
-        case Granularity::Columnwise:
-            return cols;
-        case Granularity::Blockwise:
-            return ceil_div(rows, nb) * ceil_div(cols, nb);
-        case Granularity::Tilewise:
-            return rows * ceil_div(cols, nb);
-    }
-    return 0;
+    g.rb = std::max<int64_t>(1, std::min(g.rb, rows));
+    g.cb = std::max<int64_t>(1, std::min(g.cb, cols));
+    g.nrr = (rows + g.rb - 1) / g.rb;
+    g.ncr = (cols + g.cb - 1) / g.cb;
+    return g;
 }
 
 void

@@ -196,18 +196,16 @@ KvCache::encodeRow(int64_t page, int64_t kv, int64_t tok,
     float *inv_out = inv_scales_.data() + scaleIndex(page, kv, tok);
     float *snap = snap_.data();
     for (int64_t h = 0; h < config_.n_kv_heads; ++h) {
-        const float *block = src + h * hd;
-        // One scale per (token, kv-head) head_dim block — the same
-        // max-abs/rescale recipe FakeQuantizer applies to a tile.
-        const double max_abs =
-            static_cast<double>(kt.maxAbs(block, hd));
-        const double scale = regionScale(max_abs, fmt_max_);
-        inv_out[h] = static_cast<float>(1.0 / scale);
+        // One scaling region per (token, kv-head) head_dim block.
+        const RegionScale rs =
+            scaleRegion(kt, src, config_.kvDim(),
+                        {0, 1, h * hd, (h + 1) * hd}, fmt_max_);
+        inv_out[h] = rs.inv;
         // Grid-snap x * scale; inv_scale 1 keeps the snapped grid
         // value exactly, which is what gets encoded.
-        std::memcpy(snap, block, static_cast<size_t>(hd) * sizeof(float));
-        kt.quantizeNearest(snap, hd, fp8E4m3(), grid_,
-                           static_cast<float>(scale), 1.0f);
+        std::memcpy(snap, src + h * hd,
+                    static_cast<size_t>(hd) * sizeof(float));
+        kt.quantizeNearest(snap, hd, fp8E4m3(), grid_, rs.scale, 1.0f);
         encodeE4m3(snap, hd, out + h * hd);
     }
 }

@@ -55,11 +55,12 @@ packStrips(int64_t extent, int64_t strip)
  * Fused quantize-on-pack parameters: the grid-snap (nearest-rounding)
  * quantizer applied to every element as it is copied into a packed
  * panel, so no quantized tensor copy is ever materialized. Scales are
- * per scaling region of the SOURCE matrix (quant/scaling.h geometry):
- * the region of source element (r, c) is
+ * per scaling region of the SOURCE matrix, indexed like its RegionGrid
+ * (quant/scaling.h; row_block, col_block, regions_per_row are the
+ * grid's rb, cb, ncr): the region of source element (r, c) is
  *     (r / row_block) * regions_per_row + c / col_block
- * and the caller precomputes scale[] / inv_scale[] exactly as the
- * materializing quantizer would, so fused and materialized results are
+ * and the caller fills scale[] / inv_scale[] with scaleRegion, as the
+ * materializing quantizer does, so fused and materialized results are
  * bit-identical (both backends' grid snap already is). Stochastic
  * rounding does not fuse: its uniforms are drawn per scaling region in
  * row-major order (QuantizeStochasticFn), while a pack walks strips,

@@ -34,96 +34,16 @@ mBlocks(int64_t m)
 
 // ---------------------------------------------- fused-quant plumbing
 
-/** Region grid of a scaling spec on a rows x cols source matrix;
- *  mirrors forEachRegion() (quant/scaling.cpp) exactly. */
-struct RegionGeom
-{
-    int64_t rb, cb;  ///< region edge in rows / cols
-    int64_t nrr, ncr; ///< region-grid extents
-};
-
-RegionGeom
-regionGeom(int64_t rows, int64_t cols, const ScalingSpec &spec)
-{
-    const int64_t nb = std::max<int64_t>(1, spec.block);
-    RegionGeom g{rows, cols, 1, 1};
-    switch (spec.granularity) {
-        case Granularity::Tensorwise:
-            break;
-        case Granularity::Rowwise:
-            g.rb = 1;
-            break;
-        case Granularity::Columnwise:
-            g.cb = 1;
-            break;
-        case Granularity::Blockwise:
-            g.rb = nb;
-            g.cb = nb;
-            break;
-        case Granularity::Tilewise:
-            g.rb = 1;
-            g.cb = nb;
-            break;
-    }
-    g.rb = std::max<int64_t>(1, std::min(g.rb, rows));
-    g.cb = std::max<int64_t>(1, std::min(g.cb, cols));
-    g.nrr = (rows + g.rb - 1) / g.rb;
-    g.ncr = (cols + g.cb - 1) / g.cb;
-    return g;
-}
-
-struct ScaleCtx
-{
-    const simd::KernelTable *kt;
-    const float *p;
-    int64_t rows, cols;
-    RegionGeom geom;
-    double fmt_max;
-    float *scale;
-    float *inv;
-};
-
-/**
- * Per-region scale pass: the same max-|x| reduction and float
- * narrowing the materializing quantizer performs (quant/quantizer.cpp),
- * so fused quantize-on-pack is bit-identical to quantize-then-pack.
- * Regions are independent, so any parallel partition is deterministic.
- */
-void
-computeRegionScales(const simd::KernelTable &kt, const float *p,
-                    int64_t rows, int64_t cols, const RegionGeom &geom,
-                    double fmt_max, float *scale, float *inv)
-{
-    ScaleCtx ctx{&kt, p, rows, cols, geom, fmt_max, scale, inv};
-    const ScaleCtx *pc = &ctx;
-    runtime::parallelFor(
-        0, geom.nrr * geom.ncr, 8, [pc](int64_t g0, int64_t g1) {
-            const RegionGeom &g = pc->geom;
-            for (int64_t reg = g0; reg < g1; ++reg) {
-                const int64_t r0 = (reg / g.ncr) * g.rb;
-                const int64_t r1 = std::min(pc->rows, r0 + g.rb);
-                const int64_t c0 = (reg % g.ncr) * g.cb;
-                const int64_t c1 = std::min(pc->cols, c0 + g.cb);
-                double max_abs = 0.0;
-                for (int64_t r = r0; r < r1; ++r) {
-                    max_abs = std::max(
-                        max_abs,
-                        static_cast<double>(pc->kt->maxAbs(
-                            pc->p + r * pc->cols + c0, c1 - c0)));
-                }
-                const double s = regionScale(max_abs, pc->fmt_max);
-                pc->scale[reg] = static_cast<float>(s);
-                pc->inv[reg] = static_cast<float>(1.0 / s);
-            }
-        });
-}
-
-/** A fully-resolved fused-quant operand: grid constants plus bound
- *  scale buffers. pq points into this object — never copy it. */
+/** A fully-resolved fused-quant operand: its region grid, format
+ *  constants and bound scale buffers. pq points into this object —
+ *  never copy it. */
 struct OperandQuant
 {
+    RegionGrid regions;
     QuantGrid grid;
-    const QuantConfig *cfg = nullptr;
+    double fmt_max = 0.0;
+    float *scale = nullptr; ///< pq's tables, writable for the scale pass
+    float *inv = nullptr;
     simd::PackQuant pq;
 
     OperandQuant() = default;
@@ -131,37 +51,72 @@ struct OperandQuant
     OperandQuant &operator=(const OperandQuant &) = delete;
 };
 
-/** Bind @p oq to (source, cfg), computing scales into the caller's
- *  buffers (arena or cache vectors). */
+/** Bind @p oq to (cfg, region grid) over the caller's scale buffers
+ *  (arena or cache vectors), without computing the scales. */
 void
-setupOperandQuant(OperandQuant &oq, const simd::KernelTable &kt,
-                  const QuantConfig &cfg, const float *src, int64_t rows,
-                  int64_t cols, float *scale, float *inv)
+bindOperandQuant(OperandQuant &oq, const QuantConfig &cfg,
+                 const RegionGrid &regions, float *scale, float *inv)
 {
     SNIP_ASSERT(cfg.rounding == Rounding::Nearest,
                 "stochastic rounding cannot fuse into a pack; "
                 "materialize the operand first");
     SNIP_ASSERT(cfg.format.name != "bf16",
                 "bf16 operands take the passthrough path");
-    const RegionGeom geom = regionGeom(rows, cols, cfg.scaling);
-    computeRegionScales(kt, src, rows, cols, geom,
-                        cfg.format.maxValue(), scale, inv);
+    oq.regions = regions;
     oq.grid = quantGrid(cfg.format);
-    oq.cfg = &cfg;
+    oq.fmt_max = cfg.format.maxValue();
+    oq.scale = scale;
+    oq.inv = inv;
     oq.pq.fmt = &cfg.format;
     oq.pq.grid = &oq.grid;
     oq.pq.scale = scale;
     oq.pq.inv_scale = inv;
-    oq.pq.row_block = geom.rb;
-    oq.pq.col_block = geom.cb;
-    oq.pq.regions_per_row = geom.ncr;
+    oq.pq.row_block = regions.rb;
+    oq.pq.col_block = regions.cb;
+    oq.pq.regions_per_row = regions.ncr;
 }
 
-int64_t
-regionCount(int64_t rows, int64_t cols, const ScalingSpec &spec)
+/**
+ * bindOperandQuant, then the per-region scale pass over @p src: the
+ * materializing quantizer's scaleRegion, so fused quantize-on-pack is
+ * bit-identical to quantize-then-pack. Regions are independent, so any
+ * parallel partition is deterministic.
+ */
+void
+setupOperandQuant(OperandQuant &oq, const QuantConfig &cfg,
+                  const float *src, const RegionGrid &regions,
+                  float *scale, float *inv)
 {
-    const RegionGeom g = regionGeom(rows, cols, spec);
-    return g.nrr * g.ncr;
+    bindOperandQuant(oq, cfg, regions, scale, inv);
+    const OperandQuant *q = &oq;
+    runtime::parallelFor(
+        0, regions.count(), 8, [q, src](int64_t g0, int64_t g1) {
+            const simd::KernelTable &kt = simd::activeKernels();
+            for (int64_t g = g0; g < g1; ++g) {
+                const RegionScale rs = scaleRegion(
+                    kt, src, q->regions.cols, q->regions.region(g),
+                    q->fmt_max);
+                q->scale[g] = rs.scale;
+                q->inv[g] = rs.inv;
+            }
+        });
+}
+
+/** setupOperandQuant with scale buffers from @p arena; null (no
+ *  quantization) when @p cfg is. */
+const simd::PackQuant *
+arenaOperandQuant(OperandQuant &oq, runtime::WorkspaceArena &arena,
+                  const QuantConfig *cfg, const float *src, int64_t rows,
+                  int64_t cols)
+{
+    if (cfg == nullptr)
+        return nullptr;
+    const RegionGrid regions = regionGrid(rows, cols, cfg->scaling);
+    const size_t nreg = static_cast<size_t>(regions.count());
+    float *scale = arena.getFloats(nreg);
+    float *inv = arena.getFloats(nreg);
+    setupOperandQuant(oq, *cfg, src, regions, scale, inv);
+    return &oq.pq;
 }
 
 // ----------------------------------------------------- packed driver
@@ -206,10 +161,12 @@ packBPhase(const PackedCtx *ctx)
 /**
  * C rows [i0, i1) (+)= A rows * packed B. The rows' A panel is packed
  * into the executing thread's arena (fused-quantizing when @p aq is
- * set) and streamed through the block microkernel; a block of fewer
- * rows than one A strip, row-major with nothing to quantize, skips
- * the pack and streams its rows in place. Both kernels do the same
- * per-element work, so the choice never changes a bit.
+ * set) and streamed through the block microkernel. A row-major block
+ * of fewer rows than one A strip skips the pack and streams its rows
+ * in place; when @p aq is set it first quantizes them into arena
+ * scratch with the operand's scales — the row segments and the grid
+ * snap the pack would apply. Both kernels do the same per-element
+ * work, so the choice never changes a bit.
  */
 void
 multiplyBlock(const simd::KernelTable &kt, const float *a, int64_t a_ld,
@@ -220,15 +177,36 @@ multiplyBlock(const simd::KernelTable &kt, const float *a, int64_t a_ld,
     const int64_t mb = i1 - i0;
     float *cb = c + i0 * n;
     const size_t c_bytes = sizeof(float) * static_cast<size_t>(mb * n);
-    if (mb < kGemmPackMR && !a_k_major && aq == nullptr) {
-        if (!accumulate)
-            std::memset(cb, 0, c_bytes);
-        kt.gemmPackedRows(a + i0 * a_ld, a_ld, bp, cb, n, mb, n, k);
-        return;
-    }
     runtime::WorkspaceArena &arena =
         runtime::WorkspaceArena::forCurrentThread();
     runtime::ArenaScope scope(arena);
+    if (mb < kGemmPackMR && !a_k_major) {
+        const float *rows = a + i0 * a_ld;
+        int64_t lda = a_ld;
+        if (aq != nullptr) {
+            float *q = arena.getFloats(static_cast<size_t>(mb * k));
+            for (int64_t r = 0; r < mb; ++r) {
+                float *row = q + r * k;
+                std::memcpy(row, rows + r * a_ld,
+                            sizeof(float) * static_cast<size_t>(k));
+                const int64_t g0 =
+                    (i0 + r) / aq->row_block * aq->regions_per_row;
+                for (int64_t c0 = 0; c0 < k; c0 += aq->col_block) {
+                    const int64_t g = g0 + c0 / aq->col_block;
+                    kt.quantizeNearest(row + c0,
+                                       std::min(aq->col_block, k - c0),
+                                       *aq->fmt, *aq->grid, aq->scale[g],
+                                       aq->inv_scale[g]);
+                }
+            }
+            rows = q;
+            lda = k;
+        }
+        if (!accumulate)
+            std::memset(cb, 0, c_bytes);
+        kt.gemmPackedRows(rows, lda, bp, cb, n, mb, n, k);
+        return;
+    }
     // +8: PackAFn transpose-store headroom (kernels.h).
     float *ap = arena.getFloats(static_cast<size_t>(
         packStrips(mb, kGemmPackMR) * kGemmPackMR * k + 8));
@@ -386,10 +364,10 @@ cachedPackB(PackedWeightCache *cache, int orient, PackedCtx *ctx,
         packStrips(ctx->n, kGemmPackNR) * kGemmPackNR * ctx->k));
     OperandQuant bq;
     if (cfg != nullptr) {
-        const int64_t nreg =
-            regionCount(src_rows, src_cols, cfg->scaling);
-        slot.scale.resize(static_cast<size_t>(nreg));
-        slot.inv.resize(static_cast<size_t>(nreg));
+        const RegionGrid regions =
+            regionGrid(src_rows, src_cols, cfg->scaling);
+        slot.scale.resize(static_cast<size_t>(regions.count()));
+        slot.inv.resize(static_cast<size_t>(regions.count()));
         PackedWeightCache::Impl::Slot &other = impl.slots[1 - orient];
         if (other.valid && other.epoch == epoch && other.key == key &&
             other.src_rows == src_rows && other.src_cols == src_cols &&
@@ -400,17 +378,11 @@ cachedPackB(PackedWeightCache *cache, int orient, PackedCtx *ctx,
                       slot.scale.begin());
             std::copy(other.inv.begin(), other.inv.end(),
                       slot.inv.begin());
-            const RegionGeom geom =
-                regionGeom(src_rows, src_cols, cfg->scaling);
-            bq.grid = quantGrid(cfg->format);
-            bq.cfg = cfg;
-            bq.pq = {&cfg->format, &bq.grid,      slot.scale.data(),
-                     slot.inv.data(), geom.rb,    geom.cb,
-                     geom.ncr};
+            bindOperandQuant(bq, *cfg, regions, slot.scale.data(),
+                             slot.inv.data());
         } else {
-            setupOperandQuant(bq, *ctx->kt, *cfg, ctx->b, src_rows,
-                              src_cols, slot.scale.data(),
-                              slot.inv.data());
+            setupOperandQuant(bq, *cfg, ctx->b, regions,
+                              slot.scale.data(), slot.inv.data());
         }
         ctx->bq = &bq.pq;
     }
@@ -476,29 +448,14 @@ packedGemm(const float *a, int64_t a_ld, bool a_k_major, int64_t a_rows,
     ctx.accumulate = accumulate;
 
     OperandQuant aq;
-    if (aq_cfg != nullptr) {
-        const int64_t nreg = regionCount(a_rows, a_cols, aq_cfg->scaling);
-        float *scale = arena.getFloats(static_cast<size_t>(nreg));
-        float *inv = arena.getFloats(static_cast<size_t>(nreg));
-        setupOperandQuant(aq, kt, *aq_cfg, a, a_rows, a_cols, scale,
-                          inv);
-        ctx.aq = &aq.pq;
-    }
+    ctx.aq = arenaOperandQuant(aq, arena, aq_cfg, a, a_rows, a_cols);
 
     if (bcache != nullptr) {
         ctx.bp = cachedPackB(bcache, orient, &ctx, bq_cfg, b_rows,
                              b_cols);
     } else {
         OperandQuant bq;
-        if (bq_cfg != nullptr) {
-            const int64_t nreg =
-                regionCount(b_rows, b_cols, bq_cfg->scaling);
-            float *scale = arena.getFloats(static_cast<size_t>(nreg));
-            float *inv = arena.getFloats(static_cast<size_t>(nreg));
-            setupOperandQuant(bq, kt, *bq_cfg, b, b_rows, b_cols, scale,
-                              inv);
-            ctx.bq = &bq.pq;
-        }
+        ctx.bq = arenaOperandQuant(bq, arena, bq_cfg, b, b_rows, b_cols);
         float *bp = arena.getFloats(static_cast<size_t>(
             packStrips(n, kGemmPackNR) * kGemmPackNR * k));
         ctx.bp_mut = bp;

@@ -15,10 +15,11 @@
  * An M-block too thin to fill one A strip (decode rows, say) skips the
  * A pack and streams its row-major rows in place against the packed B
  * panel (GemmPackedRowsFn). The quantizing entry points additionally
- * FUSE the nearest-rounding grid-snap quantizer into the pack, so no
- * quantized tensor copy is ever materialized, and an optional
- * PackedWeightCache keeps a weight's packed+quantized panel alive
- * across GEMMs.
+ * FUSE the nearest-rounding grid-snap quantizer into the operand path:
+ * into the pack, or, for a thin M-block, into an arena copy of its rows
+ * just before the rows kernel. No quantized copy of a whole operand is
+ * ever materialized, and an optional PackedWeightCache keeps a
+ * weight's packed+quantized panel alive across GEMMs.
  *
  * Determinism contract: every path fans kGemmBlockM-row M-blocks of C
  * (or whole batch items) out over the thread pool; workers own whole
@@ -170,9 +171,12 @@ uint64_t weightPackEpoch();
 // The packed pipeline with fused quantize-on-pack. aq/bq describe the
 // nearest-rounding fake quantization of each operand (null = use the
 // operand as-is; stochastic-rounding operands must be materialized by
-// the caller first — their RNG stream is order-sensitive). Results are
-// bit-identical to quantizing a copy with FakeQuantizer and running
-// the GEMM on it. After warm-up these perform zero heap allocations
+// the caller first — their RNG stream is order-sensitive). Each
+// operand's scales are computed once over the whole source matrix
+// with quant/scaling's regionGrid + scaleRegion, FakeQuantizer's
+// recipe, so results are bit-identical to quantizing a copy with
+// FakeQuantizer and running the GEMM on it, whichever M-block a row
+// lands in. After warm-up these perform zero heap allocations
 // (tests/test_workspace.cpp counts).
 
 /** C[M,N] (+)= q(A[M,K]) * q(B[N,K])^T; @p bcache may cache packed B. */

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -348,39 +349,45 @@ TEST(GemmPack, FusedQuantMatchesMaterializedBitExact)
 {
     // Quantize-on-pack must equal quantize-a-copy-then-pack bit for
     // bit (same scales, same grid snap), for every nearest-rounding
-    // precision and in all three variants.
+    // precision and in all three variants. M sweeps the thin-block
+    // path: 1, 2 and 5 rows quantize into scratch for the rows kernel,
+    // 6 rows fill one A strip, and 69 / 70 end in a 5- / 6-row block
+    // at row 64, whose regions sit at source rows 64 + r.
     Rng rng(9);
     FakeQuantizer q(11);
-    const int64_t m = 70, n = 50, k = 130;
-    for (Precision p : {Precision::FP8, Precision::FP6, Precision::FP4}) {
-        QuantConfig act = rolePolicy(p, TensorRole::Activation);
-        QuantConfig wt = rolePolicy(p, TensorRole::Weight);
-        act.rounding = Rounding::Nearest; // FP4 grads aside, all are
-        SCOPED_TRACE(act.describe());
+    const int64_t n = 50, k = 130;
+    for (int64_t m : {1, 2, 5, 6, 69, 70}) {
+        for (Precision p :
+             {Precision::FP8, Precision::FP6, Precision::FP4}) {
+            QuantConfig act = rolePolicy(p, TensorRole::Activation);
+            QuantConfig wt = rolePolicy(p, TensorRole::Weight);
+            act.rounding = Rounding::Nearest; // FP4 grads aside, all are
+            SCOPED_TRACE(act.describe() + " m=" + std::to_string(m));
 
-        Tensor x = Tensor::randn({m, k}, rng);
-        Tensor w = Tensor::randn({n, k}, rng);
-        Tensor xm = q.quantize(x, act);
-        Tensor wm = q.quantize(w, wt);
-        Tensor fused = quantMatmulNT(x, &act, w, &wt, nullptr);
-        Tensor mat = quantMatmulNT(xm, nullptr, wm, nullptr, nullptr);
-        EXPECT_TRUE(fused == mat);
+            Tensor x = Tensor::randn({m, k}, rng);
+            Tensor w = Tensor::randn({n, k}, rng);
+            Tensor xm = q.quantize(x, act);
+            Tensor wm = q.quantize(w, wt);
+            Tensor fused = quantMatmulNT(x, &act, w, &wt, nullptr);
+            Tensor mat = quantMatmulNT(xm, nullptr, wm, nullptr, nullptr);
+            EXPECT_TRUE(fused == mat);
 
-        Tensor dy = Tensor::randn({m, n}, rng);
-        Tensor w2 = Tensor::randn({n, k}, rng);
-        QuantConfig og = rolePolicy(p, TensorRole::OutputGrad);
-        og.rounding = Rounding::Nearest;
-        Tensor dym = q.quantize(dy, og);
-        Tensor w2m = q.quantize(w2, wt);
-        Tensor f_nn = quantMatmulNN(dy, &og, w2, &wt, nullptr);
-        Tensor m_nn = quantMatmulNN(dym, nullptr, w2m, nullptr, nullptr);
-        EXPECT_TRUE(f_nn == m_nn);
+            Tensor dy = Tensor::randn({m, n}, rng);
+            Tensor w2 = Tensor::randn({n, k}, rng);
+            QuantConfig og = rolePolicy(p, TensorRole::OutputGrad);
+            og.rounding = Rounding::Nearest;
+            Tensor dym = q.quantize(dy, og);
+            Tensor w2m = q.quantize(w2, wt);
+            Tensor f_nn = quantMatmulNN(dy, &og, w2, &wt, nullptr);
+            Tensor m_nn = quantMatmulNN(dym, nullptr, w2m, nullptr, nullptr);
+            EXPECT_TRUE(f_nn == m_nn);
 
-        Tensor dw_f(n, k), dw_m(n, k);
-        quantGemmTN(dy, &og, x, &act, dw_f, /*accumulate=*/false);
-        quantGemmTN(dym, nullptr, xm, nullptr, dw_m,
-                    /*accumulate=*/false);
-        EXPECT_TRUE(dw_f == dw_m);
+            Tensor dw_f(n, k), dw_m(n, k);
+            quantGemmTN(dy, &og, x, &act, dw_f, /*accumulate=*/false);
+            quantGemmTN(dym, nullptr, xm, nullptr, dw_m,
+                        /*accumulate=*/false);
+            EXPECT_TRUE(dw_f == dw_m);
+        }
     }
 }
 

@@ -11,6 +11,7 @@
 #include <functional>
 #include <string>
 
+#include "ilp/branch_and_bound.h"
 #include "ilp/lp_relaxation.h"
 #include "ilp/solve_cache.h"
 #include "ilp/solver.h"

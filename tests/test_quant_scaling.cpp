@@ -1,24 +1,30 @@
 /**
  * @file
- * Scaling granularities: region iteration, scale counts (the memory-
+ * Scaling granularities: the region grid, scale counts (the memory-
  * overhead accounting of Sec. 6.3), and scale values.
  */
 #include <gtest/gtest.h>
 
+#include <array>
+#include <utility>
+#include <vector>
+
 #include "quant/scaling.h"
+#include "simd/dispatch.h"
 
 namespace snip {
 namespace {
 
-/** Collect regions into a list for inspection. */
+/** The grid's regions, in index order, for inspection. */
 std::vector<std::array<int64_t, 4>>
 regions(int64_t rows, int64_t cols, const ScalingSpec &spec)
 {
+    const RegionGrid grid = regionGrid(rows, cols, spec);
     std::vector<std::array<int64_t, 4>> out;
-    forEachRegion(rows, cols, spec,
-                  [&](int64_t r0, int64_t r1, int64_t c0, int64_t c1) {
-                      out.push_back({r0, r1, c0, c1});
-                  });
+    for (int64_t i = 0; i < grid.count(); ++i) {
+        const ScalingRegion r = grid.region(i);
+        out.push_back({r.r0, r.r1, r.c0, r.c1});
+    }
     return out;
 }
 
@@ -27,12 +33,10 @@ void
 expectPartition(int64_t rows, int64_t cols, const ScalingSpec &spec)
 {
     std::vector<int> hits(static_cast<size_t>(rows * cols), 0);
-    forEachRegion(rows, cols, spec,
-                  [&](int64_t r0, int64_t r1, int64_t c0, int64_t c1) {
-                      for (int64_t r = r0; r < r1; ++r)
-                          for (int64_t c = c0; c < c1; ++c)
-                              hits[static_cast<size_t>(r * cols + c)]++;
-                  });
+    for (const auto &r : regions(rows, cols, spec))
+        for (int64_t row = r[0]; row < r[1]; ++row)
+            for (int64_t c = r[2]; c < r[3]; ++c)
+                hits[static_cast<size_t>(row * cols + c)]++;
     for (int h : hits)
         EXPECT_EQ(h, 1);
 }
@@ -73,15 +77,35 @@ TEST(Scaling, TilewisePartitionsRowsIntoTiles)
     expectPartition(3, 300, {Granularity::Tilewise, 128});
 }
 
-TEST(Scaling, ScaleCountMatchesRegionCount)
+TEST(Scaling, RegionIndexIsRowMajor)
 {
-    for (auto g : {Granularity::Tensorwise, Granularity::Rowwise,
-                   Granularity::Columnwise, Granularity::Blockwise,
-                   Granularity::Tilewise}) {
+    // The per-region SR streams and the fused pack's scale tables are
+    // keyed on this order: region 1 is the second block of the first
+    // block row, the ragged 6-column one.
+    const ScalingRegion r =
+        regionGrid(130, 70, {Granularity::Blockwise, 64}).region(1);
+    EXPECT_EQ((std::array<int64_t, 4>{r.r0, r.r1, r.c0, r.c1}),
+              (std::array<int64_t, 4>{0, 64, 64, 70}));
+}
+
+TEST(Scaling, RegionCountPerGranularity)
+{
+    // 50 x 130 with 32-blocks: 2 block rows, 5 block columns.
+    const std::pair<Granularity, int64_t> expected[] = {
+        {Granularity::Tensorwise, 1},
+        {Granularity::Rowwise, 50},
+        {Granularity::Columnwise, 130},
+        {Granularity::Blockwise, 2 * 5},
+        {Granularity::Tilewise, 50 * 5},
+    };
+    for (const auto &[g, count] : expected) {
         ScalingSpec spec{g, 32};
-        EXPECT_EQ(scaleCount(50, 130, spec),
-                  static_cast<int64_t>(regions(50, 130, spec).size()))
+        EXPECT_EQ(regionGrid(50, 130, spec).count(), count)
             << granularityName(g);
+        EXPECT_EQ(static_cast<int64_t>(regions(50, 130, spec).size()),
+                  count)
+            << granularityName(g);
+        expectPartition(50, 130, spec);
     }
 }
 
@@ -90,20 +114,27 @@ TEST(Scaling, DeepSeekRecipeMemoryOverheadIsTiny)
     // 128x128 blockwise on a 4096x4096 weight: 1024 scales for 16.7M
     // elements (< 0.01%), matching the paper's <1% memory claim.
     const int64_t scales =
-        scaleCount(4096, 4096, {Granularity::Blockwise, 128});
+        regionGrid(4096, 4096, {Granularity::Blockwise, 128}).count();
     EXPECT_EQ(scales, 32 * 32);
     EXPECT_LT(static_cast<double>(scales) / (4096.0 * 4096.0), 0.01);
 }
 
 TEST(Scaling, RegionScaleMapsMaxAbsToFormatMax)
 {
-    EXPECT_DOUBLE_EQ(regionScale(2.0, 6.0), 3.0);
-    EXPECT_DOUBLE_EQ(regionScale(448.0, 448.0), 1.0);
+    const float x[] = {2.0f, -1.0f};
+    const RegionScale rs = scaleRegion(simd::activeKernels(), x, 2,
+                                       {0, 1, 0, 2}, /*fmt_max=*/6.0);
+    EXPECT_EQ(rs.scale, 3.0f);
+    EXPECT_EQ(rs.inv, static_cast<float>(1.0 / 3.0));
 }
 
 TEST(Scaling, ZeroRegionGetsUnitScale)
 {
-    EXPECT_DOUBLE_EQ(regionScale(0.0, 6.0), 1.0);
+    const float x[] = {0.0f, -0.0f, 0.0f, 0.0f};
+    const RegionScale rs = scaleRegion(simd::activeKernels(), x, 2,
+                                       {0, 2, 0, 2}, /*fmt_max=*/6.0);
+    EXPECT_EQ(rs.scale, 1.0f);
+    EXPECT_EQ(rs.inv, 1.0f);
 }
 
 TEST(Scaling, MatrixViewFlattensLeadingDims)

@@ -107,34 +107,39 @@ TEST(WorkspaceArena, SteadyStateFusedQuantGemmAllocatesNothing)
     GlobalPoolGuard pool_guard;
     runtime::setGlobalThreadCount(1);
 
-    const int64_t m = 96, n = 80, k = 140;
-    Rng rng(4);
-    Tensor x = Tensor::randn({m, k}, rng);
-    Tensor w = Tensor::randn({n, k}, rng);
-    std::vector<float> y(static_cast<size_t>(m * n));
-    const QuantConfig xq =
-        rolePolicy(Precision::FP8, TensorRole::Activation);
-    const QuantConfig wq = rolePolicy(Precision::FP8, TensorRole::Weight);
-    PackedWeightCache cache;
+    // m = 3 is a thin decode-style block: its rows are quantized into
+    // arena scratch for the pack-free rows kernel.
+    for (int64_t m : {96, 3}) {
+        SCOPED_TRACE(m);
+        const int64_t n = 80, k = 140;
+        Rng rng(4);
+        Tensor x = Tensor::randn({m, k}, rng);
+        Tensor w = Tensor::randn({n, k}, rng);
+        std::vector<float> y(static_cast<size_t>(m * n));
+        const QuantConfig xq =
+            rolePolicy(Precision::FP8, TensorRole::Activation);
+        const QuantConfig wq = rolePolicy(Precision::FP8, TensorRole::Weight);
+        PackedWeightCache cache;
 
-    auto fwd = [&] {
-        gemmPackedNT(x.data(), m, k, &xq, w.data(), n, &wq, &cache,
-                     y.data());
-    };
-    fwd();
-    fwd();
-    // Cache-hit steady state: zero heap traffic.
-    EXPECT_EQ(allocDelta(fwd), 0)
-        << "fused quantize-on-pack forward must not touch the heap";
-    // Steady-state repack (optimizer stepped, buffers retained): the
-    // pack runs again but every buffer is reused.
-    auto stepped = [&] {
-        invalidateWeightPacks();
+        auto fwd = [&] {
+            gemmPackedNT(x.data(), m, k, &xq, w.data(), n, &wq, &cache,
+                         y.data());
+        };
         fwd();
-    };
-    stepped();
-    EXPECT_EQ(allocDelta(stepped), 0)
-        << "steady-state weight repack must not touch the heap";
+        fwd();
+        // Cache-hit steady state: zero heap traffic.
+        EXPECT_EQ(allocDelta(fwd), 0)
+            << "fused quantize-on-pack forward must not touch the heap";
+        // Steady-state repack (optimizer stepped, buffers retained):
+        // the pack runs again but every buffer is reused.
+        auto stepped = [&] {
+            invalidateWeightPacks();
+            fwd();
+        };
+        stepped();
+        EXPECT_EQ(allocDelta(stepped), 0)
+            << "steady-state weight repack must not touch the heap";
+    }
 }
 
 TEST(WorkspaceArena, SteadyStateAttentionStepAllocatesNothing)
