@@ -90,10 +90,10 @@ BM_GemmPack(benchmark::State &state)
 }
 
 /**
- * Fused quantize-on-pack vs materialize-then-multiply: the forward
- * GEMM with FP8 operand quantization either fused into the operand
- * packs (no quantized copy exists) or via FakeQuantizer tensor copies
- * feeding the same packed GEMM.
+ * GEMM-driver quantization vs materialize-then-multiply: the forward
+ * GEMM with FP8 operand quantization either done by the GEMM driver
+ * into arena scratch ("fused": no quantized tensor is allocated) or
+ * via FakeQuantizer tensor copies feeding the same packed GEMM.
  */
 void
 BM_QuantGemmNT(benchmark::State &state, bool fused)
@@ -150,8 +150,8 @@ BM_PlainStep(benchmark::State &state)
 /**
  * fig8-style training step (excluded from the CI regression gate —
  * end-to-end steps are too noisy for a 25% bound). Layers run FP8 so
- * the step exercises fused quantize-on-pack and the per-step
- * weight-pack cache.
+ * the step exercises the GEMM driver's operand quantization and the
+ * per-step weight-pack cache.
  */
 void
 BM_TrainStepPack(benchmark::State &state)

@@ -60,10 +60,6 @@ SchemeUpdateService::submit(SchemeUpdateRequest request)
 {
     SNIP_ASSERT(request.epoch > 0, "epochs are 1-based");
     const uint64_t epoch = request.epoch;
-    if (mode_ == Mode::Inline) {
-        publish(runSchemeUpdateGuarded(request));
-        return epoch;
-    }
     // The worker owns the snapshot; nothing in it aliases trainer
     // state, so the solve proceeds while training continues. The
     // guarded runner publishes even on failure, so the trainer's

@@ -23,10 +23,12 @@
  *      application step are independent of worker timing, training is
  *      bit-identical for any thread count and any worker speed.
  *
- * Mode::Inline computes the result synchronously inside submit() using
- * the exact same runSchemeUpdate() path, so the inline fallback is
- * bit-identical to the async mode with apply_delay = 0 — tests assert
- * the same scheme sequence either way.
+ * Only async controllers submit. An inline controller
+ * (SnipController::Config::async = false) runs runSchemeUpdateGuarded()
+ * itself, the exact path the worker runs, so inline updates are
+ * bit-identical to async mode with apply_delay = 0 — tests assert the
+ * same scheme sequence either way. The worker thread starts on the
+ * first submit(), so a service that never gets one costs nothing.
  */
 #ifndef SNIP_ASYNC_SCHEME_SERVICE_H
 #define SNIP_ASYNC_SCHEME_SERVICE_H
@@ -86,7 +88,7 @@ struct SchemeUpdateResult
 
 /**
  * Steps 4-5 as a pure function of the snapshot — the single code path
- * both the inline fallback and the async worker execute, which is what
+ * both inline updates and the async worker execute, which is what
  * makes the two modes bit-identical. Throws whatever the analysis or
  * the solver throws.
  */
@@ -106,18 +108,9 @@ runSchemeUpdateGuarded(const SchemeUpdateRequest &request);
 class SchemeUpdateService
 {
   public:
-    enum class Mode
-    {
-        Inline, ///< submit() computes synchronously on the caller
-        Async,  ///< submit() enqueues onto the dedicated worker
-    };
-
-    explicit SchemeUpdateService(Mode mode) : mode_(mode) {}
-
-    Mode mode() const { return mode_; }
-
-    /** Hand over a snapshot. Returns request.epoch. At most one update
-     *  may be in flight per service (the controller enforces this). */
+    /** Hand a snapshot to the worker. Returns request.epoch. At most
+     *  one update may be in flight per service (the controller
+     *  enforces this). */
     uint64_t submit(SchemeUpdateRequest request);
 
     /** True when @p epoch has been published (non-blocking). */
@@ -131,8 +124,6 @@ class SchemeUpdateService
 
   private:
     void publish(SchemeUpdateResult result);
-
-    Mode mode_;
 
     /**
      * Double buffer: the worker writes a finished result into the slot

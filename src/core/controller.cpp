@@ -23,9 +23,7 @@ secondsSince(const std::chrono::steady_clock::time_point &t0)
 
 SnipController::SnipController(const Config &config)
     : config_(config),
-      service_(std::make_unique<SchemeUpdateService>(
-          config.async ? SchemeUpdateService::Mode::Async
-                       : SchemeUpdateService::Mode::Inline))
+      service_(std::make_unique<SchemeUpdateService>())
 {
 }
 

@@ -7,8 +7,10 @@
  * Two execution modes mirror the paper's Sec. 6.3 overhead discussion:
  *
  *  - **Inline** (Config::async = false, the default): Steps 1-6 run
- *    synchronously at the update boundary, exactly the historical
- *    behaviour. All solve time is *exposed* (the trainer waits).
+ *    synchronously at the update boundary through updateScheme(),
+ *    which calls runSchemeUpdateGuarded() (src/async/) directly; the
+ *    service's worker never starts. All solve time is *exposed* (the
+ *    trainer waits).
  *  - **Async** (Config::async = true): Steps 1-3 still run inline at
  *    the boundary (they need the model), but the snapshot is handed to
  *    the background SchemeUpdateService (src/async/), which runs the

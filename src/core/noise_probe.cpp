@@ -27,8 +27,8 @@ runNoiseProbe(LlamaModel &model, const Batch &batch,
                 static_cast<size_t>(reg.numLinear()));
     SNIP_ASSERT(!baseline.layers.empty() &&
                 baseline.layers[0].dw_dump.numel() > 0,
-                "probe requires gradient dumps (StatsOptions::"
-                "dump_gradients)");
+                "probe requires the gradient dumps of "
+                "collectTrainingStats");
 
     ProbeResult result;
     result.kind = kind;

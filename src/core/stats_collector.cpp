@@ -40,30 +40,25 @@ class CollectorTap : public LinearTap
         s.x_norm = frobeniusNorm(x);
         s.w_norm = frobeniusNorm(w);
         s.y_norm = frobeniusNorm(y);
-        if (options_.measure_quant_errors) {
-            // Each (candidate, role) measurement quantizes its own
-            // tensor copy with nearest rounding (measureQuantError
-            // forces Nearest, which never touches the quantizer's Rng),
-            // so the sweep is embarrassingly parallel and writes
-            // disjoint qerr slots.
-            runtime::poolOrGlobal(options_.pool)
-                .parallelFor(0, kNumCandidates * 2, 1,
-                             [&](int64_t t0, int64_t t1) {
-                for (int64_t t = t0; t < t1; ++t) {
-                    const int c = static_cast<int>(t / 2);
-                    const Precision p = kCandidatePrecisions[c];
-                    const TensorRole role = (t % 2 == 0)
-                                                ? TensorRole::Activation
-                                                : TensorRole::Weight;
-                    const Tensor &src =
-                        role == TensorRole::Activation ? x : w;
-                    s.qerr[c][static_cast<int>(role)] =
-                        measureQuantError(src, rolePolicy(p, role),
-                                          quantizer_)
-                            .abs_error;
-                }
-            });
-        }
+        // Each (candidate, role) measurement quantizes its own tensor
+        // copy with nearest rounding (measureQuantError forces Nearest,
+        // which never touches the quantizer's Rng), so the sweep is
+        // embarrassingly parallel and writes disjoint qerr slots.
+        runtime::poolOrGlobal(options_.pool)
+            .parallelFor(0, kNumCandidates * 2, 1,
+                         [&](int64_t t0, int64_t t1) {
+            for (int64_t t = t0; t < t1; ++t) {
+                const int c = static_cast<int>(t / 2);
+                const Precision p = kCandidatePrecisions[c];
+                const TensorRole role = (t % 2 == 0)
+                                            ? TensorRole::Activation
+                                            : TensorRole::Weight;
+                const Tensor &src = role == TensorRole::Activation ? x : w;
+                s.qerr[c][static_cast<int>(role)] =
+                    measureQuantError(src, rolePolicy(p, role), quantizer_)
+                        .abs_error;
+            }
+        });
     }
 
     void
@@ -74,23 +69,18 @@ class CollectorTap : public LinearTap
         s.dy_norm = frobeniusNorm(dy);
         s.dx_norm = frobeniusNorm(dx);
         s.dw_norm = frobeniusNorm(dw);
-        if (options_.measure_quant_errors) {
-            runtime::poolOrGlobal(options_.pool)
-                .parallelFor(0, kNumCandidates, 1,
-                             [&](int64_t c0, int64_t c1) {
-                for (int64_t c = c0; c < c1; ++c) {
-                    const Precision p =
-                        kCandidatePrecisions[static_cast<int>(c)];
-                    s.qerr[c][static_cast<int>(TensorRole::OutputGrad)] =
-                        measureQuantError(
-                            dy, rolePolicy(p, TensorRole::OutputGrad),
-                            quantizer_)
-                            .abs_error;
-                }
-            });
-        }
-        if (options_.dump_gradients)
-            s.dw_dump = dw;
+        runtime::poolOrGlobal(options_.pool)
+            .parallelFor(0, kNumCandidates, 1, [&](int64_t c0, int64_t c1) {
+            for (int64_t c = c0; c < c1; ++c) {
+                const Precision p = kCandidatePrecisions[static_cast<int>(c)];
+                s.qerr[c][static_cast<int>(TensorRole::OutputGrad)] =
+                    measureQuantError(dy,
+                                      rolePolicy(p, TensorRole::OutputGrad),
+                                      quantizer_)
+                        .abs_error;
+            }
+        });
+        s.dw_dump = dw;
     }
 
   private:

@@ -79,10 +79,6 @@ class ThreadPool;
 /** Knobs for the statistics pass. */
 struct StatsOptions
 {
-    /** Also measure per-candidate quantization error norms. */
-    bool measure_quant_errors = true;
-    /** Keep per-layer dW dumps (needed by the probes). */
-    bool dump_gradients = true;
     /** Pool for the per-candidate error sweep; null = the process-wide
      *  shared pool (runtime::globalThreadPool()). */
     runtime::ThreadPool *pool = nullptr;

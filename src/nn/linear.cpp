@@ -17,7 +17,7 @@ Linear::Linear(std::string name, int64_t out_features, int64_t in_features,
 }
 
 Linear::QuantPlan
-Linear::plan(GemmKind kind, TensorRole role) const
+Linear::plan(GemmKind kind, TensorRole role, const Tensor *operand)
 {
     QuantPlan p;
     const Precision prec = scheme_.of(kind);
@@ -26,25 +26,12 @@ Linear::plan(GemmKind kind, TensorRole role) const
     // exact, as the paper treats its BF16 baseline).
     if (quantizer_ == nullptr || prec == Precision::BF16)
         return p;
+    p.quantize = true;
     p.cfg = rolePolicy(prec, role);
-    if (p.cfg.rounding == Rounding::Stochastic)
-        p.materialize = true; // RNG stream order forbids fusing
-    else
-        p.fused = true;
+    if (p.cfg.rounding == Rounding::Stochastic && operand != nullptr &&
+        operand->numel() > 0)
+        p.cfg.call_key = quantizer_->nextCallKey();
     return p;
-}
-
-const Tensor &
-Linear::packedSrc(const Tensor &t, const QuantPlan &plan, Tensor &storage,
-                  const QuantConfig **fused)
-{
-    if (plan.materialize) {
-        storage = quantizer_->quantize(t, plan.cfg);
-        *fused = nullptr;
-        return storage;
-    }
-    *fused = plan.fusedCfg();
-    return t;
 }
 
 PackedWeightCache *
@@ -59,12 +46,9 @@ Linear::forward(const Tensor &x)
     SNIP_ASSERT(x.rank() == 2 && x.size(1) == inFeatures(),
                 "bad input shape for ", name_);
     saved_x_ = x;
-    const QuantPlan xp = plan(GemmKind::Fwd, TensorRole::Activation);
-    const QuantPlan wp = plan(GemmKind::Fwd, TensorRole::Weight);
-    Tensor xs;
-    const QuantConfig *xq = nullptr;
-    const Tensor &xa = packedSrc(x, xp, xs, &xq);
-    Tensor y = quantMatmulNT(xa, xq, w_, wp.fusedCfg(), activeCache());
+    const QuantPlan xp = plan(GemmKind::Fwd, TensorRole::Activation, &x);
+    const QuantPlan wp = plan(GemmKind::Fwd, TensorRole::Weight, &w_);
+    Tensor y = quantMatmulNT(x, xp.config(), w_, wp.config(), activeCache());
     if (tap_)
         tap_->onForward(tap_idx_, x, w_, y);
     return y;
@@ -75,22 +59,22 @@ Linear::forwardInference(const float *x, int64_t rows, float *y)
 {
     const QuantPlan xp = plan(GemmKind::Fwd, TensorRole::Activation);
     const QuantPlan wp = plan(GemmKind::Fwd, TensorRole::Weight);
-    // fusedCfg() is null for a materialized operand, so a stochastic
-    // one would silently go unquantized.
-    SNIP_ASSERT(!xp.materialize && !wp.materialize,
+    // Decode must never draw from the training stream.
+    SNIP_ASSERT(xp.cfg.rounding != Rounding::Stochastic &&
+                    wp.cfg.rounding != Rounding::Stochastic,
                 "stochastic-rounding operands are training-only (", name_,
                 ")");
     // A decode row must quantize like the same row of a full-sequence
     // activation, which holds only when no scaling region spans rows.
     const Granularity gran = xp.cfg.scaling.granularity;
-    SNIP_ASSERT(!xp.fused || gran == Granularity::Tilewise ||
+    SNIP_ASSERT(!xp.quantize || gran == Granularity::Tilewise ||
                     gran == Granularity::Rowwise,
                 "inference needs row-local activation scaling (", name_,
                 " uses ", granularityName(gran), ")");
     // Passing the cache explicitly opts in whatever the implicit-reuse
     // state: weight() and invalidateWeightPacks() stale it on mutation.
-    gemmPackedNT(x, rows, inFeatures(), xp.fusedCfg(), w_.data(),
-                 outFeatures(), wp.fusedCfg(), &w_packs_, y);
+    gemmPackedNT(x, rows, inFeatures(), xp.config(), w_.data(),
+                 outFeatures(), wp.config(), &w_packs_, y);
 }
 
 Tensor
@@ -102,31 +86,29 @@ Linear::backward(const Tensor &dy)
                 name_);
 
     // dX = dY W (Dgrad GEMM).
-    const QuantPlan dgp = plan(GemmKind::Dgrad, TensorRole::OutputGrad);
-    const QuantPlan wp = plan(GemmKind::Dgrad, TensorRole::Weight);
-    Tensor dys;
-    const QuantConfig *dq = nullptr;
-    const Tensor &dya = packedSrc(dy, dgp, dys, &dq);
-    Tensor dx = quantMatmulNN(dya, dq, w_, wp.fusedCfg(), activeCache());
+    const QuantPlan dgp =
+        plan(GemmKind::Dgrad, TensorRole::OutputGrad, &dy);
+    const QuantPlan wp = plan(GemmKind::Dgrad, TensorRole::Weight, &w_);
+    Tensor dx = quantMatmulNN(dy, dgp.config(), w_, wp.config(),
+                              activeCache());
 
     // dW = dY^T X (Wgrad GEMM). Without a tap the GEMM accumulates
     // straight into grad_w_ (one add of the full k-sum per element —
     // bit-identical to materializing dW and adding it).
-    const QuantPlan wgp = plan(GemmKind::Wgrad, TensorRole::OutputGrad);
-    const QuantPlan xp = plan(GemmKind::Wgrad, TensorRole::Activation);
-    Tensor dyws;
-    const QuantConfig *dwq = nullptr;
-    const Tensor &dyw = packedSrc(dy, wgp, dyws, &dwq);
+    const QuantPlan wgp =
+        plan(GemmKind::Wgrad, TensorRole::OutputGrad, &dy);
+    const QuantPlan xp =
+        plan(GemmKind::Wgrad, TensorRole::Activation, &saved_x_);
     if (tap_) {
         // The tap observes the dW increment, so materialize it.
         Tensor dw(outFeatures(), inFeatures());
-        quantGemmTN(dyw, dwq, saved_x_, xp.fusedCfg(), dw,
+        quantGemmTN(dy, wgp.config(), saved_x_, xp.config(), dw,
                     /*accumulate=*/false);
         addInPlace(grad_w_, dw);
         tap_->onBackward(tap_idx_, dy, dx, dw);
         return dx;
     }
-    quantGemmTN(dyw, dwq, saved_x_, xp.fusedCfg(), grad_w_,
+    quantGemmTN(dy, wgp.config(), saved_x_, xp.config(), grad_w_,
                 /*accumulate=*/true);
     return dx;
 }

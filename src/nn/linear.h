@@ -50,13 +50,16 @@ class LinearTap
  * One forward() must be followed by at most one backward() (the layer
  * saves its input activation in between).
  *
- * Every GEMM takes the packed pipeline (tensor/gemm.h): nearest-rounded
- * operands are quantized ON THE PACK (no quantized tensor copy is
- * materialized — the quantization decision is a pack policy),
- * stochastic-rounded operands (FP4 gradients) are materialized first,
- * and the layer's PackedWeightCache keeps the packed+quantized weight
- * panels alive across GEMMs — the training step's and every decode
- * step's. Mutating the weight through the non-const weight() accessor
+ * Every GEMM takes the packed pipeline (tensor/gemm.h), and the layer
+ * hands each operand's quantization to it as a config: the GEMM driver
+ * quantizes the operand into arena scratch and packs that, so the
+ * layer keeps no quantized copy. A stochastic-rounding operand (FP4
+ * gradients) carries a call key the layer draws from its FakeQuantizer
+ * where quantizing a copy would draw it, so the stream's order, and
+ * with it checkpoint resume, is that of FakeQuantizer-then-GEMM. The
+ * layer's PackedWeightCache keeps the packed+quantized weight panels
+ * alive across GEMMs — the training step's and every decode step's.
+ * Mutating the weight through the non-const weight() accessor
  * invalidates the cache; the optimizer and checkpoint paths invalidate
  * globally via invalidateWeightPacks().
  */
@@ -82,8 +85,7 @@ class Linear
      * Inference-only forward on raw buffers: y[rows, out] = x W^T
      * with the layer's forward fake quantization applied. It is one
      * gemmPackedNT call: the GEMM driver quantizes the activation
-     * (fused into the pack, or into arena scratch for a block too
-     * thin to pack), and the weight panel comes from the layer's
+     * into arena scratch, and the weight panel comes from the layer's
      * PackedWeightCache, which is repacked when the weight-pack epoch
      * moves, the scheme changes or weight() is taken. Saves nothing,
      * fires no tap, and after warm-up performs zero heap allocations.
@@ -140,34 +142,28 @@ class Linear
   private:
     /**
      * How one operand of one GEMM is quantized under the current
-     * scheme: a pack policy (`fused` — applied during the operand
-     * pack, nothing materialized), a materialization (`materialize` —
-     * stochastic rounding, whose RNG stream is order-sensitive), or
-     * passthrough (BF16 / no quantizer; both false).
+     * scheme: by the GEMM driver under `cfg` (`quantize`), or not at
+     * all (BF16 / no quantizer).
      */
     struct QuantPlan
     {
-        bool fused = false;
-        bool materialize = false;
+        bool quantize = false;
         QuantConfig cfg;
 
-        const QuantConfig *fusedCfg() const
+        const QuantConfig *config() const
         {
-            return fused ? &cfg : nullptr;
+            return quantize ? &cfg : nullptr;
         }
     };
 
-    QuantPlan plan(GemmKind kind, TensorRole role) const;
-
     /**
-     * Resolve one packed-GEMM operand: returns the tensor to feed the
-     * GEMM (@p t, or @p storage after materializing a
-     * stochastic-rounded copy into it) and sets @p fused to the
-     * pack-policy config (null when materialized or passthrough).
-     * @p plan and @p storage must outlive the GEMM call.
+     * The plan of one operand. A stochastic plan for a non-empty
+     * @p operand draws its call key from the quantizer's stream here,
+     * as quantizing a copy of the operand would; without an operand
+     * nothing is drawn.
      */
-    const Tensor &packedSrc(const Tensor &t, const QuantPlan &plan,
-                            Tensor &storage, const QuantConfig **fused);
+    QuantPlan plan(GemmKind kind, TensorRole role,
+                   const Tensor *operand = nullptr);
 
     /** The weight cache, or null while implicit reuse is unsafe. */
     PackedWeightCache *activeCache();

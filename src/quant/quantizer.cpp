@@ -114,6 +114,102 @@ rolePolicy(Precision precision, TensorRole role)
     return cfg;
 }
 
+namespace {
+
+/** One quantizeMatrix call; its parallelFor body captures a pointer to
+ *  this, which keeps the std::function off the heap. */
+struct MatrixJob
+{
+    const float *src;
+    float *dst;
+    int64_t cols;
+    RegionGrid regions;
+    const FloatFormat *format;
+    QuantGrid grid;
+    double fmt_max;
+    bool stochastic;
+    uint64_t call_key;
+};
+
+/** Stochastic rounding pre-draws its uniforms into a stack buffer of
+ *  this many elements per kernel call. */
+constexpr int64_t kDrawChunk = 256;
+
+/** Row @p r of dst, with @p reg's segment first copied from src when
+ *  the call is out of place. */
+float *
+dstRow(const MatrixJob &job, const ScalingRegion &reg, int64_t r)
+{
+    float *row = job.dst + r * job.cols;
+    if (job.src != job.dst)
+        std::memcpy(row + reg.c0, job.src + r * job.cols + reg.c0,
+                    sizeof(float) * static_cast<size_t>(reg.c1 - reg.c0));
+    return row;
+}
+
+/** Quantize region @p g of @p job: its scale over the source, then the
+ *  kernel over each row segment. */
+void
+quantizeRegion(const simd::KernelTable &kt, const MatrixJob &job, int64_t g)
+{
+    const ScalingRegion reg = job.regions.region(g);
+    const RegionScale rs =
+        scaleRegion(kt, job.src, job.cols, reg, job.fmt_max);
+    if (!job.stochastic) {
+        for (int64_t r = reg.r0; r < reg.r1; ++r)
+            kt.quantizeNearest(dstRow(job, reg, r) + reg.c0,
+                               reg.c1 - reg.c0, *job.format, job.grid,
+                               rs.scale, rs.inv);
+        return;
+    }
+    // The region's stream yields one draw per element that needs
+    // rounding, in row-major order; that sequence is part of the
+    // determinism contract. Drawing is serial, rounding is the
+    // vectorized kernel, chunk by chunk.
+    Rng region_rng(job.call_key +
+                   0x9E3779B97F4A7C15ull * (static_cast<uint64_t>(g) + 1));
+    double draws[kDrawChunk];
+    for (int64_t r = reg.r0; r < reg.r1; ++r) {
+        float *row = dstRow(job, reg, r);
+        for (int64_t c0 = reg.c0; c0 < reg.c1; c0 += kDrawChunk) {
+            const int64_t n = std::min(kDrawChunk, reg.c1 - c0);
+            for (int64_t i = 0; i < n; ++i) {
+                const float s = row[c0 + i] * rs.scale;
+                draws[i] = stochasticConsumesDraw(s, job.grid)
+                               ? region_rng.nextDouble()
+                               : 0.0;
+            }
+            kt.quantizeStochastic(row + c0, n, job.grid, rs.scale, rs.inv,
+                                  draws);
+        }
+    }
+}
+
+} // namespace
+
+void
+quantizeMatrix(const float *src, float *dst, int64_t rows, int64_t cols,
+               const QuantConfig &cfg, uint64_t call_key)
+{
+    const MatrixJob job{src,
+                        dst,
+                        cols,
+                        regionGrid(rows, cols, cfg.scaling),
+                        &cfg.format,
+                        quantGrid(cfg.format),
+                        cfg.format.maxValue(),
+                        cfg.rounding == Rounding::Stochastic,
+                        call_key};
+    const MatrixJob *j = &job;
+    runtime::parallelFor(0, job.regions.count(), 8,
+                         [j](int64_t g0, int64_t g1) {
+                             const simd::KernelTable &kt =
+                                 simd::activeKernels();
+                             for (int64_t g = g0; g < g1; ++g)
+                                 quantizeRegion(kt, *j, g);
+                         });
+}
+
 FakeQuantizer::FakeQuantizer(uint64_t seed) : rng_(seed) {}
 
 Tensor
@@ -127,11 +223,11 @@ FakeQuantizer::quantize(const Tensor &t, const QuantConfig &cfg)
 void
 FakeQuantizer::quantizeInPlace(Tensor &t, const QuantConfig &cfg)
 {
-    const simd::KernelTable &kt = simd::activeKernels();
     if (cfg.format.name == "bf16" && cfg.rounding == Rounding::Nearest) {
         // Fast path: bf16 needs no rescaling, so the whole tensor is
         // one tight round-to-nearest-even sweep (exact bit
         // manipulation in every backend).
+        const simd::KernelTable &kt = simd::activeKernels();
         float *p = t.data();
         runtime::parallelFor(0, t.numel(), 1 << 15,
                              [p, &kt](int64_t i0, int64_t i1) {
@@ -143,64 +239,11 @@ FakeQuantizer::quantizeInPlace(Tensor &t, const QuantConfig &cfg)
     matrixView(t, rows, cols);
     if (rows == 0 || cols == 0)
         return;
-    float *p = t.data();
-    const double fmt_max = cfg.format.maxValue();
-    const bool stochastic = cfg.rounding == Rounding::Stochastic;
-    // Stochastic rounding draws from one per-region stream seeded by
-    // (call key, region index): the member stream advances exactly once
-    // per call (so repeated calls remain one deterministic sequence)
-    // and every region's draws are independent of how regions are
-    // scheduled across threads — results are bit-identical for any
-    // thread count.
-    const uint64_t call_key = stochastic ? rng_.nextU64() : 0;
-
-    // Stochastic rounding pre-draws its uniforms into a stack buffer
-    // of this many elements per kernel call.
-    constexpr int64_t kDrawChunk = 256;
-    const RegionGrid regions = regionGrid(rows, cols, cfg.scaling);
-    const QuantGrid grid = quantGrid(cfg.format);
-    runtime::parallelFor(
-        0, regions.count(), 8, [&](int64_t g0, int64_t g1) {
-            const simd::KernelTable &kt = simd::activeKernels();
-            for (int64_t g = g0; g < g1; ++g) {
-                const ScalingRegion reg = regions.region(g);
-                const RegionScale rs =
-                    scaleRegion(kt, p, cols, reg, fmt_max);
-                if (!stochastic) {
-                    // Nearest rounding takes the vectorized grid-snap
-                    // kernel (bit-exact across backends).
-                    for (int64_t r = reg.r0; r < reg.r1; ++r) {
-                        kt.quantizeNearest(p + r * cols + reg.c0,
-                                           reg.c1 - reg.c0, cfg.format,
-                                           grid, rs.scale, rs.inv);
-                    }
-                    continue;
-                }
-                // The region's stream yields one draw per element that
-                // needs rounding, in row-major order; that sequence is
-                // part of the determinism contract. Drawing is serial,
-                // rounding is the vectorized kernel, chunk by chunk.
-                Rng region_rng(call_key +
-                               0x9E3779B97F4A7C15ull *
-                                   (static_cast<uint64_t>(g) + 1));
-                double draws[kDrawChunk];
-                for (int64_t r = reg.r0; r < reg.r1; ++r) {
-                    float *row = p + r * cols;
-                    for (int64_t c0 = reg.c0; c0 < reg.c1;
-                         c0 += kDrawChunk) {
-                        const int64_t n = std::min(kDrawChunk, reg.c1 - c0);
-                        for (int64_t i = 0; i < n; ++i) {
-                            const float s = row[c0 + i] * rs.scale;
-                            draws[i] = stochasticConsumesDraw(s, grid)
-                                           ? region_rng.nextDouble()
-                                           : 0.0;
-                        }
-                        kt.quantizeStochastic(row + c0, n, grid,
-                                              rs.scale, rs.inv, draws);
-                    }
-                }
-            }
-        });
+    // The member stream advances exactly once per stochastic call, so
+    // repeated calls remain one deterministic sequence.
+    const uint64_t call_key =
+        cfg.rounding == Rounding::Stochastic ? nextCallKey() : 0;
+    quantizeMatrix(t.data(), t.data(), rows, cols, cfg, call_key);
 }
 
 } // namespace snip

@@ -19,6 +19,12 @@ struct QuantConfig
     FloatFormat format = bf16();
     ScalingSpec scaling;
     Rounding rounding = Rounding::Nearest;
+    /** Stochastic rounding's call key when the GEMM driver quantizes
+     *  this operand (tensor/gemm.h). Per-call data, not policy: Linear
+     *  draws it from its FakeQuantizer (nextCallKey()) for each
+     *  stochastic operand; FakeQuantizer draws its own key and ignores
+     *  this field, and describe() and the weight cache ignore it. */
+    uint64_t call_key = 0;
 
     /** Short description like "fp4_e2m1/tilewise128/stochastic". */
     std::string describe() const;
@@ -68,18 +74,32 @@ void setFp4GradRounding(Rounding rounding);
 Rounding fp4GradRounding();
 
 /**
+ * Quantize-dequantize the row-major rows x cols matrix @p src into
+ * @p dst (which may be @p src) under @p cfg, one scaling region at a
+ * time: regionGrid lays the regions out and scaleRegion scales each
+ * (quant/scaling.h). Nearest rounding snaps with
+ * KernelTable::quantizeNearest. Stochastic rounding seeds region g's
+ * stream from (@p call_key, g) and draws, in row-major order, one
+ * uniform per element that needs rounding, for
+ * KernelTable::quantizeStochastic. Regions run in parallel on the
+ * shared thread pool and each writes only its own elements, so results
+ * are bit-identical for any thread count. This is the one region loop
+ * that quantizes: FakeQuantizer runs it in place, the GEMM driver
+ * (tensor/gemm.h) into arena scratch. Allocates nothing.
+ */
+void quantizeMatrix(const float *src, float *dst, int64_t rows,
+                    int64_t cols, const QuantConfig &cfg,
+                    uint64_t call_key);
+
+/**
  * Applies quantize-dequantize to tensors.
  *
  * Owns the Rng seeding stochastic rounding so repeated calls advance
- * one deterministic stream: each stochastic call draws one 64-bit call
- * key from it, and every scaling region derives an independent stream
- * from (call key, region index in its RegionGrid, quant/scaling.h).
- * Each region is scaled by scaleRegion. Regions are swept in parallel
- * on the shared thread pool (runtime/thread_pool.h); because the
- * per-region streams and region order are fixed, results are
- * bit-identical for any thread count. Nearest-rounding calls never
- * touch the Rng, so distinct tensors may be quantized concurrently
- * with Nearest configs.
+ * one deterministic stream: each stochastic call on a non-empty tensor
+ * draws one 64-bit call key from it (nextCallKey()) and hands it to
+ * quantizeMatrix, whose regions derive independent streams from it.
+ * Nearest-rounding calls never touch the Rng, so distinct tensors may
+ * be quantized concurrently with Nearest configs.
  */
 class FakeQuantizer
 {
@@ -91,6 +111,10 @@ class FakeQuantizer
 
     /** Quantize-dequantize @p t in place. */
     void quantizeInPlace(Tensor &t, const QuantConfig &cfg);
+
+    /** Draw the next stochastic call's key from the stream, as
+     *  quantizeInPlace does for a non-empty stochastic call. */
+    uint64_t nextCallKey() { return rng_.nextU64(); }
 
     /** Access the rounding Rng (tests use this to fix the stream). */
     Rng &rng() { return rng_; }

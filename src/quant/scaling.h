@@ -15,10 +15,10 @@
  * also provided for ablations.
  *
  * regionGrid() lays the regions out and scaleRegion() computes one
- * region's scale. Every quantizer goes through both: FakeQuantizer
- * (quant/quantizer.h), the GEMM driver's fused quantize-on-pack
- * (tensor/gemm.h) and the FP8 KV-cache append (serve/kv_cache.h), so
- * their results agree bit for bit.
+ * region's scale. Both quantizers go through them: quantizeMatrix
+ * (quant/quantizer.h), the region loop FakeQuantizer and the GEMM
+ * driver (tensor/gemm.h) share, and the FP8 KV-cache append
+ * (serve/kv_cache.h), so their results agree bit for bit.
  */
 #ifndef SNIP_QUANT_SCALING_H
 #define SNIP_QUANT_SCALING_H
@@ -63,8 +63,7 @@ struct ScalingRegion
  * Regions are disjoint, so parallel sweeps may process them
  * independently. Region i sits at grid cell (i / ncr, i % ncr): this
  * row-major index is canonical — it keys the per-region
- * stochastic-rounding streams and the fused pack's scale tables
- * (simd::PackQuant).
+ * stochastic-rounding streams.
  */
 struct RegionGrid
 {

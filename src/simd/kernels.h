@@ -4,7 +4,8 @@
  *
  * A KernelTable bundles the architecture-specific inner kernels the
  * library dispatches at runtime (simd/dispatch.h): the packed-panel
- * GEMM microkernels with their packs, the nearest- and
+ * GEMM microkernels with their packs (pure copies: a quantized operand
+ * is quantized in full before it is packed), the nearest- and
  * stochastic-rounding quantize sweeps, bf16 rounding, the max-abs,
  * error-metric and sum-of-squares reductions, the attention softmax,
  * the decode-attention page walker and the AdamW update. Every GEMM
@@ -15,10 +16,11 @@
  * walker keeps the same per-element arithmetic. Different backends may
  * legitimately differ in low-order bits of GEMM, page-walker and
  * sum-of-squares results (FMA contraction, vector-lane accumulation
- * order); the quantize (both rounding modes), bf16-round, max-abs,
- * softmax and AdamW-update kernels are required to agree bit-for-bit
- * across backends. tests/test_simd.cpp enforces both contracts;
- * tests/test_serve.cpp holds each backend's walker to its own GEMMs.
+ * order); the packs, the quantize (both rounding modes), bf16-round,
+ * max-abs, softmax and AdamW-update kernels are required to agree
+ * bit-for-bit across backends. tests/test_simd.cpp enforces both
+ * contracts; tests/test_serve.cpp holds each backend's walker to its
+ * own GEMMs.
  */
 #ifndef SNIP_SIMD_KERNELS_H
 #define SNIP_SIMD_KERNELS_H
@@ -50,32 +52,6 @@ packStrips(int64_t extent, int64_t strip)
 {
     return (extent + strip - 1) / strip;
 }
-
-/**
- * Fused quantize-on-pack parameters: the grid-snap (nearest-rounding)
- * quantizer applied to every element as it is copied into a packed
- * panel, so no quantized tensor copy is ever materialized. Scales are
- * per scaling region of the SOURCE matrix, indexed like its RegionGrid
- * (quant/scaling.h; row_block, col_block, regions_per_row are the
- * grid's rb, cb, ncr): the region of source element (r, c) is
- *     (r / row_block) * regions_per_row + c / col_block
- * and the caller fills scale[] / inv_scale[] with scaleRegion, as the
- * materializing quantizer does, so fused and materialized results are
- * bit-identical (both backends' grid snap already is). Stochastic
- * rounding does not fuse: its uniforms are drawn per scaling region in
- * row-major order (QuantizeStochasticFn), while a pack walks strips,
- * so callers materialize those operands first.
- */
-struct PackQuant
-{
-    const FloatFormat *fmt = nullptr;
-    const QuantGrid *grid = nullptr;
-    const float *scale = nullptr;
-    const float *inv_scale = nullptr;
-    int64_t row_block = 0;
-    int64_t col_block = 0;
-    int64_t regions_per_row = 0;
-};
 
 /**
  * In-place nearest-rounding fake quantization of @p count values:
@@ -131,9 +107,8 @@ using ErrorStatsFn = void (*)(const float *ref, const float *q,
  * (zero for i0+s*MR+r >= i1). When @p k_major is false the source is
  * A itself, row-major [M, K] with leading dimension @p ld = K; when
  * true the source is the TN variant's A, row-major [K, M] with
- * @p ld = M, and the element is src[kk*ld + i]. @p pq (nullable)
- * applies fused quantize-on-pack; its region coordinates are SOURCE
- * coordinates ((i, kk) when !k_major, (kk, i) when k_major).
+ * @p ld = M, and the element is src[kk*ld + i]. A pack is a pure copy:
+ * a quantized operand is quantized before it is packed (tensor/gemm.h).
  *
  * Callers must size the destination with at least 8 floats of
  * headroom past the final strip: vectorized backends store transposed
@@ -142,8 +117,7 @@ using ErrorStatsFn = void (*)(const float *ref, const float *q,
  * overwritten by later in-panel stores).
  */
 using PackAFn = void (*)(const float *src, int64_t ld, bool k_major,
-                         float *ap, int64_t i0, int64_t i1, int64_t k,
-                         const PackQuant *pq);
+                         float *ap, int64_t i0, int64_t i1, int64_t k);
 
 /**
  * Pack columns [j0, j1) of the logical GEMM B operand (K x N) into
@@ -154,12 +128,11 @@ using PackAFn = void (*)(const float *src, int64_t ld, bool k_major,
  * [K, N] with @p ld = N (the NN/TN B operand); otherwise it is
  * row-major [N, K] with @p ld = K (the NT B operand, e.g. weights) and
  * the element is src[j*ld + kk]. @p bp points at the panel base (strip
- * offsets are computed from j0). Region coordinates for @p pq are
- * SOURCE coordinates ((kk, j) when k_major, (j, kk) otherwise).
+ * offsets are computed from j0). A pure copy, like PackAFn.
  */
 using PackBFn = void (*)(const float *src, int64_t ld, bool k_major,
                          float *bp, int64_t j0, int64_t j1, int64_t n,
-                         int64_t k, const PackQuant *pq);
+                         int64_t k);
 
 /**
  * One M-row-block of the packed GEMM: C[0..mb) x [0..n) at @p c
@@ -325,8 +298,8 @@ using AdamwUpdateFn = void (*)(float *w, const float *g, float *m,
 struct KernelTable
 {
     const char *name;
-    PackAFn packA; ///< strip-pack (+ fused quantize) A panels
-    PackBFn packB; ///< strip-pack (+ fused quantize) B panels
+    PackAFn packA; ///< strip-pack A panels
+    PackBFn packB; ///< strip-pack B panels
     GemmPackedBlockFn gemmPackedBlock; ///< packed-panel M-block GEMM
     GemmPackedRowsFn gemmPackedRows;   ///< thin-M rows, A unpacked
     QuantizeNearestFn quantizeNearest;

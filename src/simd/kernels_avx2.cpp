@@ -51,77 +51,33 @@ namespace {
 
 // ------------------------------------------------------------ packed
 
-__m256 quantize8Avx2(__m256 x, const QuantGrid &g);
 inline void transpose8x8(__m256 r0, __m256 r1, __m256 r2, __m256 r3,
                          __m256 r4, __m256 r5, __m256 r6, __m256 r7,
                          __m256 out[8]);
 
-/** Scalar fused quantize for pack tails/gathers (bit-exact with the
- *  vector path by the backend contract). */
-inline float
-packQuantOneAvx2(float x, const PackQuant *pq, int64_t sr, int64_t sc)
-{
-    if (pq == nullptr)
-        return x;
-    const int64_t reg = (sr / pq->row_block) * pq->regions_per_row +
-                        sc / pq->col_block;
-    return quantizeNearest(x * pq->scale[reg], *pq->fmt) *
-           pq->inv_scale[reg];
-}
-
 /**
- * Copy (optionally fused-quantizing) a contiguous source row into a
- * packed panel with stride @p stride at lane @p r: for kk in [0, k),
- * dst[kk*stride + r] = q(row[kk]). @p src_row is the source-matrix row
- * of the run (regions advance along the columns only). The 8-wide
- * vector quantize runs per region segment; the strided scatter stays
- * scalar (pack cost is O(MK + NK) against the GEMM's O(MNK)).
+ * Copy a contiguous source row into a packed panel with stride
+ * @p stride at lane @p r: dst[kk*stride + r] = row[kk] for kk in
+ * [0, k) (pack cost is O(MK + NK) against the GEMM's O(MNK)).
  */
 inline void
 packRowAvx2(const float *row, float *dst, int64_t stride, int64_t r,
-            int64_t k, const PackQuant *pq, int64_t src_row)
+            int64_t k)
 {
-    if (pq == nullptr) {
-        for (int64_t kk = 0; kk < k; ++kk)
-            dst[kk * stride + r] = row[kk];
-        return;
-    }
-    const QuantGrid &g = *pq->grid;
-    const int64_t reg_row =
-        (src_row / pq->row_block) * pq->regions_per_row;
-    int64_t kk = 0;
-    while (kk < k) {
-        const int64_t reg = reg_row + kk / pq->col_block;
-        const int64_t seg_end =
-            std::min(k, (kk / pq->col_block + 1) * pq->col_block);
-        const __m256 vs = _mm256_set1_ps(pq->scale[reg]);
-        const __m256 vi = _mm256_set1_ps(pq->inv_scale[reg]);
-        for (; kk + 8 <= seg_end; kk += 8) {
-            __m256 q = _mm256_mul_ps(
-                quantize8Avx2(
-                    _mm256_mul_ps(_mm256_loadu_ps(row + kk), vs), g),
-                vi);
-            alignas(32) float t[8];
-            _mm256_store_ps(t, q);
-            for (int u = 0; u < 8; ++u)
-                dst[(kk + u) * stride + r] = t[u];
-        }
-        for (; kk < seg_end; ++kk)
-            dst[kk * stride + r] =
-                quantizeNearest(row[kk] * pq->scale[reg], *pq->fmt) *
-                pq->inv_scale[reg];
-    }
+    for (int64_t kk = 0; kk < k; ++kk)
+        dst[kk * stride + r] = row[kk];
 }
 
 void
 packAAvx2(const float *src, int64_t ld, bool k_major, float *ap,
-          int64_t i0, int64_t i1, int64_t k, const PackQuant *pq)
+          int64_t i0, int64_t i1, int64_t k)
 {
     const int64_t mb = i1 - i0;
     const int64_t strips = packStrips(mb, kGemmPackMR);
     for (int64_t s = 0; s < strips; ++s) {
         float *dst = ap + s * kGemmPackMR * k;
         const int64_t rows = std::min(kGemmPackMR, mb - s * kGemmPackMR);
+        const int64_t i0s = i0 + s * kGemmPackMR;
         if (!k_major && rows == kGemmPackMR) {
             // Full strip: 6 rows x 8 columns per step through the 8x8
             // transpose; out[t] then holds {A[i0..i0+5, kk+t], x, x}
@@ -130,92 +86,36 @@ packAAvx2(const float *src, int64_t ld, bool k_major, float *ap,
             // are overwritten, except after the very last step, which
             // spills into the PackA headroom the caller guarantees
             // (simd/kernels.h).
-            const float *r0 = src + (i0 + s * kGemmPackMR) * ld;
-            int64_t reg_of_row[6];
-            if (pq != nullptr)
-                for (int64_t r = 0; r < 6; ++r)
-                    reg_of_row[r] = ((i0 + s * kGemmPackMR + r) /
-                                     pq->row_block) *
-                                    pq->regions_per_row;
+            const float *r0 = src + i0s * ld;
+            const int64_t k8 = k & ~int64_t{7};
             int64_t kk = 0;
-            while (kk < k) {
-                const int64_t seg_end =
-                    pq == nullptr
-                        ? k
-                        : std::min(k, (kk / pq->col_block + 1) *
-                                          pq->col_block);
-                const int64_t vec_end =
-                    kk + ((seg_end - kk) & ~int64_t{7});
-                for (; kk < vec_end; kk += 8) {
-                    __m256 rows8[8], out[8];
-                    for (int64_t r = 0; r < 6; ++r) {
-                        __m256 v = _mm256_loadu_ps(r0 + r * ld + kk);
-                        if (pq != nullptr) {
-                            const int64_t reg =
-                                reg_of_row[r] + kk / pq->col_block;
-                            v = _mm256_mul_ps(
-                                quantize8Avx2(
-                                    _mm256_mul_ps(
-                                        v, _mm256_set1_ps(
-                                               pq->scale[reg])),
-                                    *pq->grid),
-                                _mm256_set1_ps(pq->inv_scale[reg]));
-                        }
-                        rows8[r] = v;
-                    }
-                    rows8[6] = _mm256_setzero_ps();
-                    rows8[7] = _mm256_setzero_ps();
-                    transpose8x8(rows8[0], rows8[1], rows8[2],
-                                 rows8[3], rows8[4], rows8[5],
-                                 rows8[6], rows8[7], out);
-                    for (int64_t t = 0; t < 8; ++t)
-                        _mm256_storeu_ps(
-                            dst + (kk + t) * kGemmPackMR, out[t]);
-                }
-                for (; kk < seg_end; ++kk)
-                    for (int64_t r = 0; r < 6; ++r)
-                        dst[kk * kGemmPackMR + r] = packQuantOneAvx2(
-                            r0[r * ld + kk], pq,
-                            i0 + s * kGemmPackMR + r, kk);
+            for (; kk < k8; kk += 8) {
+                __m256 rows8[8], out[8];
+                for (int64_t r = 0; r < 6; ++r)
+                    rows8[r] = _mm256_loadu_ps(r0 + r * ld + kk);
+                rows8[6] = _mm256_setzero_ps();
+                rows8[7] = _mm256_setzero_ps();
+                transpose8x8(rows8[0], rows8[1], rows8[2], rows8[3],
+                             rows8[4], rows8[5], rows8[6], rows8[7], out);
+                for (int64_t t = 0; t < 8; ++t)
+                    _mm256_storeu_ps(dst + (kk + t) * kGemmPackMR, out[t]);
             }
+            for (; kk < k; ++kk)
+                for (int64_t r = 0; r < 6; ++r)
+                    dst[kk * kGemmPackMR + r] = r0[r * ld + kk];
             continue;
         }
-        const int64_t i0s = i0 + s * kGemmPackMR;
-        if (k_major && rows == kGemmPackMR && i0s + 8 <= ld &&
-            (pq == nullptr ||
-             i0s / pq->col_block == (i0s + kGemmPackMR - 1) /
-                                        pq->col_block)) {
+        if (k_major && rows == kGemmPackMR && i0s + 8 <= ld) {
             // TN gather, full strip: the strip's 6 source columns are
             // contiguous per source row, so each kk is one (8-wide,
-            // 6-valid) load + vector quantize + 6-lane masked store.
-            // Needs 8 readable floats from the strip start on the last
-            // source row, and (when quantizing) one column region
-            // across the 6 lanes; rare boundary strips fall through to
-            // the scalar path below.
+            // 6-valid) load + 6-lane masked store. Needs 8 readable
+            // floats from the strip start on the last source row; rare
+            // boundary strips fall through to the scalar path below.
             const __m256i mask6 =
                 _mm256_setr_epi32(-1, -1, -1, -1, -1, -1, 0, 0);
-            if (pq == nullptr) {
-                for (int64_t kk = 0; kk < k; ++kk)
-                    _mm256_maskstore_ps(
-                        dst + kk * kGemmPackMR, mask6,
-                        _mm256_loadu_ps(src + kk * ld + i0s));
-            } else {
-                const QuantGrid &g = *pq->grid;
-                const int64_t reg_col = i0s / pq->col_block;
-                for (int64_t kk = 0; kk < k; ++kk) {
-                    const int64_t reg =
-                        (kk / pq->row_block) * pq->regions_per_row +
-                        reg_col;
-                    __m256 v = _mm256_mul_ps(
-                        _mm256_loadu_ps(src + kk * ld + i0s),
-                        _mm256_set1_ps(pq->scale[reg]));
-                    v = _mm256_mul_ps(
-                        quantize8Avx2(v, g),
-                        _mm256_set1_ps(pq->inv_scale[reg]));
-                    _mm256_maskstore_ps(dst + kk * kGemmPackMR, mask6,
-                                        v);
-                }
-            }
+            for (int64_t kk = 0; kk < k; ++kk)
+                _mm256_maskstore_ps(dst + kk * kGemmPackMR, mask6,
+                                    _mm256_loadu_ps(src + kk * ld + i0s));
             continue;
         }
         for (int64_t r = 0; r < kGemmPackMR; ++r) {
@@ -224,15 +124,13 @@ packAAvx2(const float *src, int64_t ld, bool k_major, float *ap,
                     dst[kk * kGemmPackMR + r] = 0.0f;
                 continue;
             }
-            const int64_t i = i0 + s * kGemmPackMR + r;
+            const int64_t i = i0s + r;
             if (k_major) {
-                // TN gather: stride-ld walk, scalar fused quantize.
+                // TN gather: stride-ld walk.
                 for (int64_t kk = 0; kk < k; ++kk)
-                    dst[kk * kGemmPackMR + r] = packQuantOneAvx2(
-                        src[kk * ld + i], pq, kk, i);
+                    dst[kk * kGemmPackMR + r] = src[kk * ld + i];
             } else {
-                packRowAvx2(src + i * ld, dst, kGemmPackMR, r, k, pq,
-                            i);
+                packRowAvx2(src + i * ld, dst, kGemmPackMR, r, k);
             }
         }
     }
@@ -273,34 +171,19 @@ transpose8x8(__m256 r0, __m256 r1, __m256 r2, __m256 r3, __m256 r4,
 
 /**
  * Vectorized NT-orientation B pack of one full 8-row half-strip over
- * one k run that stays inside a single column region per row: loads 8
- * source rows 8 columns at a time, quantizes each row vector with its
- * own scale, transposes, and stores 8 contiguous lanes per kk at
- * dst[kk*16 + half]. Requires k0 and k_end both multiples of 8 away
- * from each other... handled by the caller (tail goes scalar).
+ * columns [0, k_end), k_end a multiple of 8: loads 8 source rows 8
+ * columns at a time, transposes, and stores 8 contiguous lanes per kk
+ * at dst[kk*16 + half]. The caller packs the tail columns.
  */
 inline void
 packHalfStripTransposed(const float *src, int64_t ld, float *dst,
-                        int64_t half, int64_t k0, int64_t k_end,
-                        const PackQuant *pq, const int64_t *reg_of_row,
-                        int64_t reg_col)
+                        int64_t half, int64_t k_end)
 {
     __m256 out[8];
-    for (int64_t kk = k0; kk + 8 <= k_end; kk += 8) {
+    for (int64_t kk = 0; kk + 8 <= k_end; kk += 8) {
         __m256 rows[8];
-        for (int r = 0; r < 8; ++r) {
-            __m256 v = _mm256_loadu_ps(src + r * ld + kk);
-            if (pq != nullptr) {
-                const int64_t reg = reg_of_row[r] + reg_col;
-                v = _mm256_mul_ps(
-                    quantize8Avx2(
-                        _mm256_mul_ps(
-                            v, _mm256_set1_ps(pq->scale[reg])),
-                        *pq->grid),
-                    _mm256_set1_ps(pq->inv_scale[reg]));
-            }
-            rows[r] = v;
-        }
+        for (int r = 0; r < 8; ++r)
+            rows[r] = _mm256_loadu_ps(src + r * ld + kk);
         transpose8x8(rows[0], rows[1], rows[2], rows[3], rows[4],
                      rows[5], rows[6], rows[7], out);
         for (int t = 0; t < 8; ++t)
@@ -311,8 +194,7 @@ packHalfStripTransposed(const float *src, int64_t ld, float *dst,
 
 void
 packBAvx2(const float *src, int64_t ld, bool k_major, float *bp,
-          int64_t j0, int64_t j1, int64_t n, int64_t k,
-          const PackQuant *pq)
+          int64_t j0, int64_t j1, int64_t n, int64_t k)
 {
     for (int64_t s0 = j0; s0 < j1; s0 += kGemmPackNR) {
         float *dst = bp + (s0 / kGemmPackNR) * kGemmPackNR * k;
@@ -320,10 +202,6 @@ packBAvx2(const float *src, int64_t ld, bool k_major, float *bp,
         if (k_major) {
             // Source rows run along j: 16 contiguous floats per kk.
             const bool full = cols == kGemmPackNR;
-            const bool one_region =
-                pq == nullptr ||
-                s0 / pq->col_block ==
-                    (s0 + cols - 1) / pq->col_block;
             // Ragged strip: lanes at or past cols load as zero padding.
             const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
             const int live = static_cast<int>(cols);
@@ -334,85 +212,29 @@ packBAvx2(const float *src, int64_t ld, bool k_major, float *bp,
             for (int64_t kk = 0; kk < k; ++kk) {
                 const float *in = src + kk * ld + s0;
                 float *out = dst + kk * kGemmPackNR;
-                if (full && one_region && pq != nullptr) {
-                    const int64_t reg =
-                        (kk / pq->row_block) * pq->regions_per_row +
-                        s0 / pq->col_block;
-                    const __m256 vs = _mm256_set1_ps(pq->scale[reg]);
-                    const __m256 vi =
-                        _mm256_set1_ps(pq->inv_scale[reg]);
-                    const QuantGrid &g = *pq->grid;
-                    _mm256_storeu_ps(
-                        out, _mm256_mul_ps(
-                                 quantize8Avx2(
-                                     _mm256_mul_ps(
-                                         _mm256_loadu_ps(in), vs),
-                                     g),
-                                 vi));
-                    _mm256_storeu_ps(
-                        out + 8,
-                        _mm256_mul_ps(
-                            quantize8Avx2(
-                                _mm256_mul_ps(
-                                    _mm256_loadu_ps(in + 8), vs),
-                                g),
-                            vi));
-                } else if (full && pq == nullptr) {
+                if (full) {
                     _mm256_storeu_ps(out, _mm256_loadu_ps(in));
                     _mm256_storeu_ps(out + 8, _mm256_loadu_ps(in + 8));
-                } else if (pq == nullptr) {
+                } else {
                     // Masked-off lanes are neither read nor faulted.
                     _mm256_storeu_ps(out, _mm256_maskload_ps(in, lo_mask));
                     _mm256_storeu_ps(out + 8, _mm256_setzero_ps());
                     if (cols > 8)
                         _mm256_storeu_ps(out + 8,
                                          _mm256_maskload_ps(in + 8, hi_mask));
-                } else {
-                    int64_t r = 0;
-                    for (; r < cols; ++r)
-                        out[r] = packQuantOneAvx2(in[r], pq, kk,
-                                                  s0 + r);
-                    for (; r < kGemmPackNR; ++r)
-                        out[r] = 0.0f;
                 }
             }
         } else if (cols == kGemmPackNR) {
             // NT orientation, full strip: 8x8 transpose blocks keep
             // both the loads and the stores vectorized.
+            const int64_t k8 = k & ~int64_t{7};
             for (int64_t half = 0; half < 2; ++half) {
                 const float *hsrc = src + (s0 + half * 8) * ld;
-                if (pq == nullptr) {
-                    const int64_t k8 = k & ~int64_t{7};
-                    packHalfStripTransposed(hsrc, ld, dst, half * 8, 0,
-                                            k8, nullptr, nullptr, 0);
-                    for (int64_t kk = k8; kk < k; ++kk)
-                        for (int64_t r = 0; r < 8; ++r)
-                            dst[kk * kGemmPackNR + half * 8 + r] =
-                                hsrc[r * ld + kk];
-                    continue;
-                }
-                int64_t reg_of_row[8];
-                for (int64_t r = 0; r < 8; ++r)
-                    reg_of_row[r] = ((s0 + half * 8 + r) /
-                                     pq->row_block) *
-                                    pq->regions_per_row;
-                int64_t kk = 0;
-                while (kk < k) {
-                    const int64_t seg_end = std::min(
-                        k, (kk / pq->col_block + 1) * pq->col_block);
-                    const int64_t vec_end =
-                        kk + ((seg_end - kk) & ~int64_t{7});
-                    packHalfStripTransposed(hsrc, ld, dst, half * 8,
-                                            kk, vec_end, pq,
-                                            reg_of_row,
-                                            kk / pq->col_block);
-                    for (int64_t t = vec_end; t < seg_end; ++t)
-                        for (int64_t r = 0; r < 8; ++r)
-                            dst[t * kGemmPackNR + half * 8 + r] =
-                                packQuantOneAvx2(hsrc[r * ld + t], pq,
-                                                 s0 + half * 8 + r, t);
-                    kk = seg_end;
-                }
+                packHalfStripTransposed(hsrc, ld, dst, half * 8, k8);
+                for (int64_t kk = k8; kk < k; ++kk)
+                    for (int64_t r = 0; r < 8; ++r)
+                        dst[kk * kGemmPackNR + half * 8 + r] =
+                            hsrc[r * ld + kk];
             }
         } else {
             // NT orientation, ragged strip: per-row pack.
@@ -422,9 +244,7 @@ packBAvx2(const float *src, int64_t ld, bool k_major, float *bp,
                         dst[kk * kGemmPackNR + r] = 0.0f;
                     continue;
                 }
-                const int64_t j = s0 + r;
-                packRowAvx2(src + j * ld, dst, kGemmPackNR, r, k, pq,
-                            j);
+                packRowAvx2(src + (s0 + r) * ld, dst, kGemmPackNR, r, k);
             }
         }
     }

@@ -22,22 +22,9 @@ namespace {
 
 // ------------------------------------------------------------ packing
 
-/** Quantize one value during a pack; identity when @p pq is null.
- *  (sr, sc) are SOURCE-matrix coordinates for the region lookup. */
-inline float
-packQuantOne(float x, const PackQuant *pq, int64_t sr, int64_t sc)
-{
-    if (pq == nullptr)
-        return x;
-    const int64_t reg = (sr / pq->row_block) * pq->regions_per_row +
-                        sc / pq->col_block;
-    return quantizeNearest(x * pq->scale[reg], *pq->fmt) *
-           pq->inv_scale[reg];
-}
-
 void
 packAScalar(const float *src, int64_t ld, bool k_major, float *ap,
-            int64_t i0, int64_t i1, int64_t k, const PackQuant *pq)
+            int64_t i0, int64_t i1, int64_t k)
 {
     const int64_t mb = i1 - i0;
     const int64_t strips = packStrips(mb, kGemmPackMR);
@@ -53,13 +40,11 @@ packAScalar(const float *src, int64_t ld, bool k_major, float *ap,
             const int64_t i = i0 + s * kGemmPackMR + r;
             if (k_major) {
                 for (int64_t kk = 0; kk < k; ++kk)
-                    dst[kk * kGemmPackMR + r] =
-                        packQuantOne(src[kk * ld + i], pq, kk, i);
+                    dst[kk * kGemmPackMR + r] = src[kk * ld + i];
             } else {
                 const float *row = src + i * ld;
                 for (int64_t kk = 0; kk < k; ++kk)
-                    dst[kk * kGemmPackMR + r] =
-                        packQuantOne(row[kk], pq, i, kk);
+                    dst[kk * kGemmPackMR + r] = row[kk];
             }
         }
     }
@@ -67,8 +52,7 @@ packAScalar(const float *src, int64_t ld, bool k_major, float *ap,
 
 void
 packBScalar(const float *src, int64_t ld, bool k_major, float *bp,
-            int64_t j0, int64_t j1, int64_t n, int64_t k,
-            const PackQuant *pq)
+            int64_t j0, int64_t j1, int64_t n, int64_t k)
 {
     for (int64_t s0 = j0; s0 < j1; s0 += kGemmPackNR) {
         float *dst = bp + (s0 / kGemmPackNR) * kGemmPackNR * k;
@@ -82,13 +66,11 @@ packBScalar(const float *src, int64_t ld, bool k_major, float *bp,
             const int64_t j = s0 + r;
             if (k_major) {
                 for (int64_t kk = 0; kk < k; ++kk)
-                    dst[kk * kGemmPackNR + r] =
-                        packQuantOne(src[kk * ld + j], pq, kk, j);
+                    dst[kk * kGemmPackNR + r] = src[kk * ld + j];
             } else {
                 const float *row = src + j * ld;
                 for (int64_t kk = 0; kk < k; ++kk)
-                    dst[kk * kGemmPackNR + r] =
-                        packQuantOne(row[kk], pq, j, kk);
+                    dst[kk * kGemmPackNR + r] = row[kk];
             }
         }
     }

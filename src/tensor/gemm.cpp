@@ -5,8 +5,6 @@
 #include <cstring>
 #include <vector>
 
-#include "quant/codec.h"
-#include "quant/scaling.h"
 #include "runtime/thread_pool.h"
 #include "runtime/workspace_arena.h"
 #include "simd/dispatch.h"
@@ -32,91 +30,27 @@ mBlocks(int64_t m)
     return (m + simd::kGemmBlockM - 1) / simd::kGemmBlockM;
 }
 
-// ---------------------------------------------- fused-quant plumbing
-
-/** A fully-resolved fused-quant operand: its region grid, format
- *  constants and bound scale buffers. pq points into this object —
- *  never copy it. */
-struct OperandQuant
-{
-    RegionGrid regions;
-    QuantGrid grid;
-    double fmt_max = 0.0;
-    float *scale = nullptr; ///< pq's tables, writable for the scale pass
-    float *inv = nullptr;
-    simd::PackQuant pq;
-
-    OperandQuant() = default;
-    OperandQuant(const OperandQuant &) = delete;
-    OperandQuant &operator=(const OperandQuant &) = delete;
-};
-
-/** Bind @p oq to (cfg, region grid) over the caller's scale buffers
- *  (arena or cache vectors), without computing the scales. */
-void
-bindOperandQuant(OperandQuant &oq, const QuantConfig &cfg,
-                 const RegionGrid &regions, float *scale, float *inv)
-{
-    SNIP_ASSERT(cfg.rounding == Rounding::Nearest,
-                "stochastic rounding cannot fuse into a pack; "
-                "materialize the operand first");
-    SNIP_ASSERT(cfg.format.name != "bf16",
-                "bf16 operands take the passthrough path");
-    oq.regions = regions;
-    oq.grid = quantGrid(cfg.format);
-    oq.fmt_max = cfg.format.maxValue();
-    oq.scale = scale;
-    oq.inv = inv;
-    oq.pq.fmt = &cfg.format;
-    oq.pq.grid = &oq.grid;
-    oq.pq.scale = scale;
-    oq.pq.inv_scale = inv;
-    oq.pq.row_block = regions.rb;
-    oq.pq.col_block = regions.cb;
-    oq.pq.regions_per_row = regions.ncr;
-}
+// ------------------------------------------------ operand quantization
 
 /**
- * bindOperandQuant, then the per-region scale pass over @p src: the
- * materializing quantizer's scaleRegion, so fused quantize-on-pack is
- * bit-identical to quantize-then-pack. Regions are independent, so any
- * parallel partition is deterministic.
+ * The source a pack reads for one operand: @p src itself when @p cfg
+ * is null, else a quantized copy in @p arena scratch, made by
+ * quantizeMatrix over the rows x cols SOURCE matrix (FakeQuantizer's
+ * region routine, with the config's call key), so the product is
+ * bit-identical to quantizing a copy with FakeQuantizer and multiplying
+ * it. Runs on the pool, region-parallel.
  */
-void
-setupOperandQuant(OperandQuant &oq, const QuantConfig &cfg,
-                  const float *src, const RegionGrid &regions,
-                  float *scale, float *inv)
-{
-    bindOperandQuant(oq, cfg, regions, scale, inv);
-    const OperandQuant *q = &oq;
-    runtime::parallelFor(
-        0, regions.count(), 8, [q, src](int64_t g0, int64_t g1) {
-            const simd::KernelTable &kt = simd::activeKernels();
-            for (int64_t g = g0; g < g1; ++g) {
-                const RegionScale rs = scaleRegion(
-                    kt, src, q->regions.cols, q->regions.region(g),
-                    q->fmt_max);
-                q->scale[g] = rs.scale;
-                q->inv[g] = rs.inv;
-            }
-        });
-}
-
-/** setupOperandQuant with scale buffers from @p arena; null (no
- *  quantization) when @p cfg is. */
-const simd::PackQuant *
-arenaOperandQuant(OperandQuant &oq, runtime::WorkspaceArena &arena,
-                  const QuantConfig *cfg, const float *src, int64_t rows,
-                  int64_t cols)
+const float *
+quantizedOperand(runtime::WorkspaceArena &arena, const QuantConfig *cfg,
+                 const float *src, int64_t rows, int64_t cols)
 {
     if (cfg == nullptr)
-        return nullptr;
-    const RegionGrid regions = regionGrid(rows, cols, cfg->scaling);
-    const size_t nreg = static_cast<size_t>(regions.count());
-    float *scale = arena.getFloats(nreg);
-    float *inv = arena.getFloats(nreg);
-    setupOperandQuant(oq, *cfg, src, regions, scale, inv);
-    return &oq.pq;
+        return src;
+    SNIP_ASSERT(cfg->format.name != "bf16",
+                "bf16 operands take the passthrough path");
+    float *q = arena.getFloats(static_cast<size_t>(rows * cols));
+    quantizeMatrix(src, q, rows, cols, *cfg, cfg->call_key);
+    return q;
 }
 
 // ----------------------------------------------------- packed driver
@@ -136,13 +70,10 @@ struct PackedCtx
     bool accumulate;
     const float *bp = nullptr;
     float *bp_mut = nullptr;
-    const simd::PackQuant *aq = nullptr;
-    const simd::PackQuant *bq = nullptr;
 };
 
 /** Pack the whole B operand into bp_mut, one strip per parallel
- *  unit (pure copies + grid snaps: deterministic under any
- *  partition). */
+ *  unit (pure copies: deterministic under any partition). */
 void
 packBPhase(const PackedCtx *ctx)
 {
@@ -153,64 +84,38 @@ packBPhase(const PackedCtx *ctx)
             const int64_t j1 =
                 std::min(ctx->n, s1 * kGemmPackNR);
             ctx->kt->packB(ctx->b, ctx->b_ld, ctx->b_k_major,
-                           ctx->bp_mut, j0, j1, ctx->n, ctx->k,
-                           ctx->bq);
+                           ctx->bp_mut, j0, j1, ctx->n, ctx->k);
         });
 }
 
 /**
  * C rows [i0, i1) (+)= A rows * packed B. The rows' A panel is packed
- * into the executing thread's arena (fused-quantizing when @p aq is
- * set) and streamed through the block microkernel. A row-major block
- * of fewer rows than one A strip skips the pack and streams its rows
- * in place; when @p aq is set it first quantizes them into arena
- * scratch with the operand's scales — the row segments and the grid
- * snap the pack would apply. Both kernels do the same per-element
- * work, so the choice never changes a bit.
+ * into the executing thread's arena and streamed through the block
+ * microkernel. A row-major block of fewer rows than one A strip skips
+ * the pack and streams its rows in place. Both kernels do the same
+ * per-element work, so the choice never changes a bit.
  */
 void
 multiplyBlock(const simd::KernelTable &kt, const float *a, int64_t a_ld,
-              bool a_k_major, const simd::PackQuant *aq, const float *bp,
-              float *c, int64_t i0, int64_t i1, int64_t n, int64_t k,
-              bool accumulate)
+              bool a_k_major, const float *bp, float *c, int64_t i0,
+              int64_t i1, int64_t n, int64_t k, bool accumulate)
 {
     const int64_t mb = i1 - i0;
     float *cb = c + i0 * n;
     const size_t c_bytes = sizeof(float) * static_cast<size_t>(mb * n);
+    if (mb < kGemmPackMR && !a_k_major) {
+        if (!accumulate)
+            std::memset(cb, 0, c_bytes);
+        kt.gemmPackedRows(a + i0 * a_ld, a_ld, bp, cb, n, mb, n, k);
+        return;
+    }
     runtime::WorkspaceArena &arena =
         runtime::WorkspaceArena::forCurrentThread();
     runtime::ArenaScope scope(arena);
-    if (mb < kGemmPackMR && !a_k_major) {
-        const float *rows = a + i0 * a_ld;
-        int64_t lda = a_ld;
-        if (aq != nullptr) {
-            float *q = arena.getFloats(static_cast<size_t>(mb * k));
-            for (int64_t r = 0; r < mb; ++r) {
-                float *row = q + r * k;
-                std::memcpy(row, rows + r * a_ld,
-                            sizeof(float) * static_cast<size_t>(k));
-                const int64_t g0 =
-                    (i0 + r) / aq->row_block * aq->regions_per_row;
-                for (int64_t c0 = 0; c0 < k; c0 += aq->col_block) {
-                    const int64_t g = g0 + c0 / aq->col_block;
-                    kt.quantizeNearest(row + c0,
-                                       std::min(aq->col_block, k - c0),
-                                       *aq->fmt, *aq->grid, aq->scale[g],
-                                       aq->inv_scale[g]);
-                }
-            }
-            rows = q;
-            lda = k;
-        }
-        if (!accumulate)
-            std::memset(cb, 0, c_bytes);
-        kt.gemmPackedRows(rows, lda, bp, cb, n, mb, n, k);
-        return;
-    }
     // +8: PackAFn transpose-store headroom (kernels.h).
     float *ap = arena.getFloats(static_cast<size_t>(
         packStrips(mb, kGemmPackMR) * kGemmPackMR * k + 8));
-    kt.packA(a, a_ld, a_k_major, ap, i0, i1, k, aq);
+    kt.packA(a, a_ld, a_k_major, ap, i0, i1, k);
     // Zeroed after the pack, so the rows are still cached for the
     // kernel's adds.
     if (!accumulate)
@@ -232,7 +137,7 @@ gemmPhase(const PackedCtx *ctx)
             for (int64_t bi = b0; bi < b1; ++bi) {
                 const int64_t i0 = bi * simd::kGemmBlockM;
                 multiplyBlock(*ctx->kt, ctx->a, ctx->a_ld, ctx->a_k_major,
-                              ctx->aq, ctx->bp, ctx->c, i0,
+                              ctx->bp, ctx->c, i0,
                               std::min(i0 + simd::kGemmBlockM, ctx->m),
                               ctx->n, ctx->k, ctx->accumulate);
             }
@@ -275,16 +180,15 @@ policyKey(const QuantConfig *cfg)
 
 struct PackedWeightCache::Impl
 {
-    /** One packed panel + its scale tables for one GEMM orientation of
-     *  the weight (0 = NT B operand, 1 = NN B operand). */
+    /** One packed panel for one GEMM orientation of the weight (0 = NT
+     *  B operand, 1 = NN B operand). */
     struct Slot
     {
-        std::vector<float> packed, scale, inv;
+        std::vector<float> packed;
         bool valid = false;
         uint64_t epoch = 0;
         uint64_t key = 0;
         int64_t n = 0, k = 0;
-        int64_t src_rows = 0, src_cols = 0;
     };
     util::Mutex mu;
     Slot slots[2] SNIP_GUARDED_BY(mu);
@@ -339,64 +243,51 @@ namespace {
 
 /**
  * Return the packed B panel for a cached weight, (re)building it when
- * stale. The scale pass is shared with the sibling orientation when
- * its policy and epoch agree — the weight is then quantized once per
- * step even though both orientations pack it. Buffers are retained
- * across epochs, so a steady-state repack allocates nothing.
+ * stale: quantize the weight into @p arena scratch, then pack it. The
+ * rebuild runs parallelFors, so it runs outside the cache lock (a pool
+ * submission nested inside it would invert sharded eval's lock order):
+ * the slot's buffer is swapped out under the lock, filled unlocked and
+ * swapped back. Swaps allocate nothing and buffers are retained across
+ * epochs, so a steady-state repack allocates nothing.
  */
 const float *
 cachedPackB(PackedWeightCache *cache, int orient, PackedCtx *ctx,
-            const QuantConfig *cfg, int64_t src_rows, int64_t src_cols)
+            runtime::WorkspaceArena &arena, const QuantConfig *cfg,
+            int64_t src_rows, int64_t src_cols)
 {
+    SNIP_ASSERT(cfg == nullptr || cfg->rounding == Rounding::Nearest,
+                "a cached weight panel must round to nearest");
     PackedWeightCache::Impl &impl = cache->impl();
-    util::MutexLock lk(impl.mu);
-    PackedWeightCache::Impl::Slot &slot = impl.slots[orient];
     const uint64_t epoch =
         g_weight_epoch.load(std::memory_order_acquire);
     const uint64_t key = policyKey(cfg);
-    if (slot.valid && slot.epoch == epoch && slot.key == key &&
-        slot.n == ctx->n && slot.k == ctx->k) {
-        telemetry::count(telemetry::Counter::PackCacheHits);
-        return slot.packed.data();
+    std::vector<float> panel;
+    {
+        util::MutexLock lk(impl.mu);
+        PackedWeightCache::Impl::Slot &slot = impl.slots[orient];
+        if (slot.valid && slot.epoch == epoch && slot.key == key &&
+            slot.n == ctx->n && slot.k == ctx->k) {
+            telemetry::count(telemetry::Counter::PackCacheHits);
+            return slot.packed.data();
+        }
+        slot.valid = false;
+        panel.swap(slot.packed);
     }
     telemetry::count(telemetry::Counter::PackCacheRebuilds);
-    slot.packed.resize(static_cast<size_t>(
+    panel.resize(static_cast<size_t>(
         packStrips(ctx->n, kGemmPackNR) * kGemmPackNR * ctx->k));
-    OperandQuant bq;
-    if (cfg != nullptr) {
-        const RegionGrid regions =
-            regionGrid(src_rows, src_cols, cfg->scaling);
-        slot.scale.resize(static_cast<size_t>(regions.count()));
-        slot.inv.resize(static_cast<size_t>(regions.count()));
-        PackedWeightCache::Impl::Slot &other = impl.slots[1 - orient];
-        if (other.valid && other.epoch == epoch && other.key == key &&
-            other.src_rows == src_rows && other.src_cols == src_cols &&
-            other.scale.size() == slot.scale.size()) {
-            // Sibling orientation already quantized this weight under
-            // the same policy this step: reuse its scale pass.
-            std::copy(other.scale.begin(), other.scale.end(),
-                      slot.scale.begin());
-            std::copy(other.inv.begin(), other.inv.end(),
-                      slot.inv.begin());
-            bindOperandQuant(bq, *cfg, regions, slot.scale.data(),
-                             slot.inv.data());
-        } else {
-            setupOperandQuant(bq, *cfg, ctx->b, regions,
-                              slot.scale.data(), slot.inv.data());
-        }
-        ctx->bq = &bq.pq;
-    }
-    ctx->bp_mut = slot.packed.data();
+    ctx->b = quantizedOperand(arena, cfg, ctx->b, src_rows, src_cols);
+    ctx->bp_mut = panel.data();
     packBPhase(ctx);
-    ctx->bq = nullptr;
     ctx->bp_mut = nullptr;
+    util::MutexLock lk(impl.mu);
+    PackedWeightCache::Impl::Slot &slot = impl.slots[orient];
+    slot.packed.swap(panel);
     slot.valid = true;
     slot.epoch = epoch;
     slot.key = key;
     slot.n = ctx->n;
     slot.k = ctx->k;
-    slot.src_rows = src_rows;
-    slot.src_cols = src_cols;
     return slot.packed.data();
 }
 
@@ -406,7 +297,8 @@ cachedPackB(PackedWeightCache *cache, int orient, PackedCtx *ctx,
  *   NN: A = src[M,K],             B = src[K,N]  -> b_k_major = true
  *   TN: A = src[K,M] (a_k_major), B = src[K,N]
  * (a_rows, a_cols) / (b_rows, b_cols) are SOURCE dims — the geometry
- * fake quantization is defined on.
+ * fake quantization is defined on. Every source is dense (ld == cols),
+ * so a quantized copy keeps the leading dimension.
  */
 void
 packedGemm(const float *a, int64_t a_ld, bool a_k_major, int64_t a_rows,
@@ -447,20 +339,16 @@ packedGemm(const float *a, int64_t a_ld, bool a_k_major, int64_t a_rows,
     ctx.k = k;
     ctx.accumulate = accumulate;
 
-    OperandQuant aq;
-    ctx.aq = arenaOperandQuant(aq, arena, aq_cfg, a, a_rows, a_cols);
-
+    ctx.a = quantizedOperand(arena, aq_cfg, a, a_rows, a_cols);
     if (bcache != nullptr) {
-        ctx.bp = cachedPackB(bcache, orient, &ctx, bq_cfg, b_rows,
+        ctx.bp = cachedPackB(bcache, orient, &ctx, arena, bq_cfg, b_rows,
                              b_cols);
     } else {
-        OperandQuant bq;
-        ctx.bq = arenaOperandQuant(bq, arena, bq_cfg, b, b_rows, b_cols);
+        ctx.b = quantizedOperand(arena, bq_cfg, b, b_rows, b_cols);
         float *bp = arena.getFloats(static_cast<size_t>(
             packStrips(n, kGemmPackNR) * kGemmPackNR * k));
         ctx.bp_mut = bp;
         packBPhase(&ctx);
-        ctx.bq = nullptr;
         ctx.bp = bp;
     }
     gemmPhase(&ctx);
@@ -495,9 +383,9 @@ runItemPacked(const BatchedCtx *ctx, const float *a, const float *bp,
 {
     for (int64_t bi = 0; bi < mBlocks(ctx->m); ++bi) {
         const int64_t i0 = bi * simd::kGemmBlockM;
-        multiplyBlock(*ctx->kt, a, ctx->a_ld, ctx->a_k_major, nullptr, bp,
-                      c, i0, std::min(i0 + simd::kGemmBlockM, ctx->m),
-                      ctx->n, ctx->k, accumulate);
+        multiplyBlock(*ctx->kt, a, ctx->a_ld, ctx->a_k_major, bp, c, i0,
+                      std::min(i0 + simd::kGemmBlockM, ctx->m), ctx->n,
+                      ctx->k, accumulate);
     }
 }
 
@@ -555,7 +443,7 @@ gemmBatchedStreamB(const float *a, int64_t a_stride, const float *b,
         for (int64_t g = g0; g < g1; ++g)
             pc->kt->packB(pc->b + g * pc->b_stride, pc->b_ld,
                           pc->b_k_major, pc->bp + g * pc->bp_stride, 0,
-                          pc->n, pc->n, pc->k, nullptr);
+                          pc->n, pc->n, pc->k);
     });
     runtime::parallelFor(0, count, 1, [pc](int64_t i0, int64_t i1) {
         for (int64_t i = i0; i < i1; ++i)
@@ -577,7 +465,7 @@ runItemPackedTN(const BatchedCtx *ctx, const float *a, const float *b,
     float *bp = arena.getFloats(static_cast<size_t>(
         packStrips(ctx->n, kGemmPackNR) * kGemmPackNR * ctx->k));
     ctx->kt->packB(b, ctx->b_ld, ctx->b_k_major, bp, 0, ctx->n, ctx->n,
-                   ctx->k, nullptr);
+                   ctx->k);
     runItemPacked(ctx, a, bp, c, accumulate);
 }
 

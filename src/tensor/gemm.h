@@ -14,12 +14,12 @@
  * microkernel streams them with zero steady-state heap allocations.
  * An M-block too thin to fill one A strip (decode rows, say) skips the
  * A pack and streams its row-major rows in place against the packed B
- * panel (GemmPackedRowsFn). The quantizing entry points additionally
- * FUSE the nearest-rounding grid-snap quantizer into the operand path:
- * into the pack, or, for a thin M-block, into an arena copy of its rows
- * just before the rows kernel. No quantized copy of a whole operand is
- * ever materialized, and an optional PackedWeightCache keeps a
- * weight's packed+quantized panel alive across GEMMs.
+ * panel (GemmPackedRowsFn). The quantizing entry points quantize, then
+ * pack: each quantized operand is first quantized whole into arena
+ * scratch by quantizeMatrix (quant/quantizer.h), region-parallel on
+ * the pool, and the packs copy the result. An optional
+ * PackedWeightCache keeps a weight's packed+quantized panel alive
+ * across GEMMs.
  *
  * Determinism contract: every path fans kGemmBlockM-row M-blocks of C
  * (or whole batch items) out over the thread pool; workers own whole
@@ -107,13 +107,12 @@ Tensor matmulTN(const Tensor &a, const Tensor &b);
 // ----------------------------------------------- packed-weight cache
 
 /**
- * Per-layer cache of packed (+ fused-quantized) weight panels, one
- * slot per GEMM orientation (Fwd consumes W as the NT B operand, Dgrad
- * as the NN B operand). A hit skips the whole scale-compute + pack
- * phase, so within one training step the weight is packed+quantized
- * once per orientation no matter how many forwards run (stats passes,
- * probes, pipeline microbatches), and the region-scale pass is shared
- * between the orientations when their policies agree.
+ * Per-layer cache of packed (+ quantized) weight panels, one slot per
+ * GEMM orientation (Fwd consumes W as the NT B operand, Dgrad as the
+ * NN B operand). A hit skips the whole quantize + pack phase, so
+ * within one training step the weight is quantized and packed once per
+ * orientation no matter how many forwards run (stats passes, probes,
+ * pipeline microbatches). A rebuild runs outside the cache's lock.
  *
  * Invalidation: invalidateWeightPacks() (bumped by the optimizer step
  * and checkpoint restore) stales every cache in the process;
@@ -168,15 +167,16 @@ uint64_t weightPackEpoch();
 
 // ------------------------------------- quantizing packed entry points
 //
-// The packed pipeline with fused quantize-on-pack. aq/bq describe the
-// nearest-rounding fake quantization of each operand (null = use the
-// operand as-is; stochastic-rounding operands must be materialized by
-// the caller first — their RNG stream is order-sensitive). Each
-// operand's scales are computed once over the whole source matrix
-// with quant/scaling's regionGrid + scaleRegion, FakeQuantizer's
-// recipe, so results are bit-identical to quantizing a copy with
-// FakeQuantizer and running the GEMM on it, whichever M-block a row
-// lands in. After warm-up these perform zero heap allocations
+// The packed pipeline with operand quantization. aq/bq describe the
+// fake quantization of each operand (null = use the operand as-is;
+// bf16 configs are rejected: bf16 GEMMs pass the FP32 operand through).
+// The GEMM driver quantizes each quantized operand into arena scratch
+// with quantizeMatrix, FakeQuantizer's region routine, before the B
+// pack and the M-block fan-out, so results are bit-identical to
+// quantizing a copy with FakeQuantizer and running the GEMM on it. A
+// stochastic-rounding config quantizes with its call_key, the key
+// FakeQuantizer would have drawn for that copy; a cached B must round
+// to nearest. After warm-up these perform zero heap allocations
 // (tests/test_workspace.cpp counts).
 
 /** C[M,N] (+)= q(A[M,K]) * q(B[N,K])^T; @p bcache may cache packed B. */
@@ -198,17 +198,17 @@ void gemmPackedTN(const float *a, int64_t m, int64_t k,
                   const QuantConfig *bq, float *c,
                   bool accumulate = false);
 
-/** Y = q(X) * q(W)^T (packed, fused quantization). */
+/** Y = q(X) * q(W)^T (packed, quantized operands). */
 Tensor quantMatmulNT(const Tensor &x, const QuantConfig *xq,
                      const Tensor &w, const QuantConfig *wq,
                      PackedWeightCache *wcache);
 
-/** Y = q(dY) * q(W) (packed, fused quantization). */
+/** Y = q(dY) * q(W) (packed, quantized operands). */
 Tensor quantMatmulNN(const Tensor &dy, const QuantConfig *dq,
                      const Tensor &w, const QuantConfig *wq,
                      PackedWeightCache *wcache);
 
-/** dW (+)= q(dY)^T * q(X) (packed, fused quantization). */
+/** dW (+)= q(dY)^T * q(X) (packed, quantized operands). */
 void quantGemmTN(const Tensor &dy, const QuantConfig *dq,
                  const Tensor &x, const QuantConfig *xq, Tensor &dw,
                  bool accumulate);

@@ -347,12 +347,13 @@ TEST(GemmBatched, AccumulateAddsToExisting)
 
 TEST(GemmPack, FusedQuantMatchesMaterializedBitExact)
 {
-    // Quantize-on-pack must equal quantize-a-copy-then-pack bit for
-    // bit (same scales, same grid snap), for every nearest-rounding
+    // The GEMM driver's quantize-then-pack must equal quantizing a copy
+    // with FakeQuantizer and multiplying it, bit for bit (same region
+    // routine, same scales, same grid snap), for every nearest-rounding
     // precision and in all three variants. M sweeps the thin-block
-    // path: 1, 2 and 5 rows quantize into scratch for the rows kernel,
-    // 6 rows fill one A strip, and 69 / 70 end in a 5- / 6-row block
-    // at row 64, whose regions sit at source rows 64 + r.
+    // path: 1, 2 and 5 rows stream from the quantized scratch through
+    // the rows kernel, 6 rows fill one A strip, and 69 / 70 end in a
+    // 5- / 6-row block at row 64.
     Rng rng(9);
     FakeQuantizer q(11);
     const int64_t n = 50, k = 130;
@@ -389,6 +390,49 @@ TEST(GemmPack, FusedQuantMatchesMaterializedBitExact)
             EXPECT_TRUE(dw_f == dw_m);
         }
     }
+
+    // Stochastic rounding (FP4 gradients, the Dgrad and Wgrad A
+    // operands): the GEMM driver quantizes with the config's call key,
+    // so with the key FakeQuantizer draws for its copy the products
+    // match bit for bit, at any thread count.
+    GlobalPoolGuard pool_guard;
+    const QuantConfig wt = rolePolicy(Precision::FP4, TensorRole::Weight);
+    const QuantConfig act =
+        rolePolicy(Precision::FP4, TensorRole::Activation);
+    QuantConfig sr = rolePolicy(Precision::FP4, TensorRole::OutputGrad);
+    sr.rounding = Rounding::Stochastic;
+    // The key q's next stochastic call draws.
+    auto nextKey = [&q] {
+        Rng peek = q.rng();
+        return peek.nextU64();
+    };
+    for (int threads : {1, 4}) {
+        runtime::setGlobalThreadCount(threads);
+        for (int64_t m : {1, 2, 5, 6, 69, 70}) {
+            SCOPED_TRACE(sr.describe() + " threads=" +
+                         std::to_string(threads) +
+                         " m=" + std::to_string(m));
+            Tensor dy = Tensor::randn({m, n}, rng);
+            Tensor w = Tensor::randn({n, k}, rng);
+            Tensor x = Tensor::randn({m, k}, rng);
+            const Tensor wm = q.quantize(w, wt);
+            const Tensor xm = q.quantize(x, act);
+
+            sr.call_key = nextKey();
+            const Tensor dym = q.quantize(dy, sr);
+            Tensor f_nn = quantMatmulNN(dy, &sr, w, &wt, nullptr);
+            Tensor m_nn = quantMatmulNN(dym, nullptr, wm, nullptr, nullptr);
+            EXPECT_TRUE(f_nn == m_nn);
+
+            sr.call_key = nextKey();
+            const Tensor dyw = q.quantize(dy, sr);
+            Tensor dw_f(n, k), dw_m(n, k);
+            quantGemmTN(dy, &sr, x, &act, dw_f, /*accumulate=*/false);
+            quantGemmTN(dyw, nullptr, xm, nullptr, dw_m,
+                        /*accumulate=*/false);
+            EXPECT_TRUE(dw_f == dw_m);
+        }
+    }
 }
 
 TEST(GemmPack, WeightCacheHitsAndInvalidates)
@@ -420,8 +464,8 @@ TEST(GemmPack, WeightCacheHitsAndInvalidates)
     Tensor after_ref = quantMatmulNT(x, &xq, w, &wq, nullptr);
     EXPECT_TRUE(after == after_ref);
 
-    // The NN orientation shares the scale pass but packs its own
-    // panel; results must match the uncached path bit for bit.
+    // The NN orientation quantizes and packs its own panel in its own
+    // slot; results must match the uncached path bit for bit.
     Tensor dy = Tensor::randn({m, n}, rng);
     Tensor nn_c = quantMatmulNN(dy, &xq, w, &wq, &cache);
     Tensor nn_u = quantMatmulNN(dy, &xq, w, &wq, nullptr);

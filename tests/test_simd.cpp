@@ -416,8 +416,7 @@ TEST(SimdGemm, AccumulateAgreesAcrossBackends)
 /** Pack one full operand with a backend table. */
 std::vector<float>
 packWith(const simd::KernelTable &kt, bool pack_a, const Tensor &src,
-         bool k_major, int64_t extent, int64_t k,
-         const simd::PackQuant *pq)
+         bool k_major, int64_t extent, int64_t k)
 {
     const int64_t strip = pack_a ? simd::kGemmPackMR : simd::kGemmPackNR;
     // +8: PackAFn transpose-store headroom (simd/kernels.h).
@@ -428,10 +427,10 @@ packWith(const simd::KernelTable &kt, bool pack_a, const Tensor &src,
                            -7.5f);
     const int64_t ld = k_major ? extent : k;
     if (pack_a)
-        kt.packA(src.data(), ld, k_major, out.data(), 0, extent, k, pq);
+        kt.packA(src.data(), ld, k_major, out.data(), 0, extent, k);
     else
         kt.packB(src.data(), ld, k_major, out.data(), 0, extent, extent,
-                 k, pq);
+                 k);
     out.resize(static_cast<size_t>(
         simd::packStrips(extent, strip) * strip * k));
     return out;
@@ -439,51 +438,23 @@ packWith(const simd::KernelTable &kt, bool pack_a, const Tensor &src,
 
 TEST(SimdPack, PackKernelsBitExactAcrossBackends)
 {
-    // Packing is copies plus the grid-snap quantizer, both of which
-    // the backends must reproduce bit for bit — so packed panels are
-    // asserted EXACTLY equal, fused quantization included, for both
+    // Packing is pure copies, which the backends must reproduce bit for
+    // bit — so packed panels are asserted EXACTLY equal, for both
     // orientations of both operands at ragged extents.
     SKIP_WITHOUT_AVX2();
-    const int64_t ext = 45, k = 147; // ragged strips, ragged regions
+    const int64_t ext = 45, k = 147; // ragged strips
     Rng rng(31);
-    const QuantConfig cfg =
-        rolePolicy(Precision::FP4, TensorRole::Weight);
-    const QuantGrid grid = quantGrid(cfg.format);
     for (bool pack_a : {true, false}) {
         for (bool k_major : {true, false}) {
             Tensor src = k_major
                              ? Tensor::randn({k, ext}, rng)
                              : Tensor::randn({ext, k}, rng);
-            const int64_t rows = k_major ? k : ext;
-            const int64_t cols = k_major ? ext : k;
-            // Region scales shared by both backends (their maxAbs
-            // kernels already agree bitwise).
-            const int64_t rb = std::min<int64_t>(128, rows);
-            const int64_t cb = std::min<int64_t>(128, cols);
-            const int64_t ncr = (cols + cb - 1) / cb;
-            const int64_t nrr = (rows + rb - 1) / rb;
-            std::vector<float> scale, inv;
-            for (int64_t r = 0; r < nrr; ++r) {
-                for (int64_t c = 0; c < ncr; ++c) {
-                    scale.push_back(1.5f + static_cast<float>(r + c));
-                    inv.push_back(1.0f / scale.back());
-                }
-            }
-            const simd::PackQuant pq{&cfg.format, &grid,
-                                     scale.data(),  inv.data(),
-                                     rb,            cb,
-                                     ncr};
-            for (const simd::PackQuant *q :
-                 {static_cast<const simd::PackQuant *>(nullptr), &pq}) {
-                auto s = packWith(simd::scalarKernels(), pack_a, src,
-                                  k_major, ext, k, q);
-                auto v = packWith(simd::avx2Kernels(), pack_a, src,
-                                  k_major, ext, k, q);
-                EXPECT_EQ(s, v)
-                    << (pack_a ? "packA" : "packB")
-                    << (k_major ? " k_major" : " row_major")
-                    << (q ? " quantized" : " plain");
-            }
+            auto s = packWith(simd::scalarKernels(), pack_a, src, k_major,
+                              ext, k);
+            auto v = packWith(simd::avx2Kernels(), pack_a, src, k_major,
+                              ext, k);
+            EXPECT_EQ(s, v) << (pack_a ? "packA" : "packB")
+                            << (k_major ? " k_major" : " row_major");
         }
     }
 }
@@ -495,10 +466,8 @@ TEST(SimdPack, PackedBlockGemmBackendsAgreeWithinTolerance)
     Rng rng(37);
     Tensor a = Tensor::randn({mb, k}, rng);
     Tensor b = Tensor::randn({n, k}, rng);
-    auto ap = packWith(simd::scalarKernels(), true, a, false, mb, k,
-                       nullptr);
-    auto bp = packWith(simd::scalarKernels(), false, b, false, n, k,
-                       nullptr);
+    auto ap = packWith(simd::scalarKernels(), true, a, false, mb, k);
+    auto bp = packWith(simd::scalarKernels(), false, b, false, n, k);
     Tensor cs(mb, n), cv(mb, n);
     simd::scalarKernels().gemmPackedBlock(ap.data(), bp.data(),
                                           cs.data(), n, mb, n, k);
@@ -527,10 +496,8 @@ TEST(SimdPack, PackedRowsBitExactVsPackedBlock)
                                  << " k=" << k);
                     Tensor a = Tensor::randn({m, k}, rng);
                     Tensor b = Tensor::randn({n, k}, rng);
-                    const auto ap = packWith(*kt, true, a, false, m, k,
-                                             nullptr);
-                    const auto bp = packWith(*kt, false, b, false, n, k,
-                                             nullptr);
+                    const auto ap = packWith(*kt, true, a, false, m, k);
+                    const auto bp = packWith(*kt, false, b, false, n, k);
                     for (bool accumulate : {false, true}) {
                         Tensor init(m, n);
                         if (accumulate)

@@ -4,8 +4,8 @@
  * contract.
  *
  * The counting allocation operators of alloc_counter.h let tests
- * assert that a warmed-up packed GEMM — pack,
- * fused quantization, workspace staging, thread-pool submission —
+ * assert that a warmed-up packed GEMM — operand quantization, pack,
+ * workspace staging, thread-pool submission —
  * touches the heap exactly zero times, on the serial and the threaded
  * path alike.
  */
@@ -107,34 +107,47 @@ TEST(WorkspaceArena, SteadyStateFusedQuantGemmAllocatesNothing)
     GlobalPoolGuard pool_guard;
     runtime::setGlobalThreadCount(1);
 
-    // m = 3 is a thin decode-style block: its rows are quantized into
-    // arena scratch for the pack-free rows kernel.
+    // m = 3 is a thin decode-style block: its quantized rows stream
+    // from arena scratch through the pack-free rows kernel. The
+    // backward GEMMs quantize a stochastic-rounding (FP4) gradient into
+    // the same scratch, so no heap copy of it is made either.
     for (int64_t m : {96, 3}) {
         SCOPED_TRACE(m);
         const int64_t n = 80, k = 140;
         Rng rng(4);
         Tensor x = Tensor::randn({m, k}, rng);
         Tensor w = Tensor::randn({n, k}, rng);
+        Tensor dy = Tensor::randn({m, n}, rng);
         std::vector<float> y(static_cast<size_t>(m * n));
+        std::vector<float> dx(static_cast<size_t>(m * k));
+        std::vector<float> dw(static_cast<size_t>(n * k));
         const QuantConfig xq =
             rolePolicy(Precision::FP8, TensorRole::Activation);
         const QuantConfig wq = rolePolicy(Precision::FP8, TensorRole::Weight);
+        QuantConfig gq = rolePolicy(Precision::FP4, TensorRole::OutputGrad);
+        gq.rounding = Rounding::Stochastic;
+        gq.call_key = 0x5EEDull;
         PackedWeightCache cache;
 
-        auto fwd = [&] {
+        auto step = [&] {
             gemmPackedNT(x.data(), m, k, &xq, w.data(), n, &wq, &cache,
                          y.data());
+            gemmPackedNN(dy.data(), m, n, &gq, w.data(), k, &wq, &cache,
+                         dx.data());
+            gemmPackedTN(dy.data(), n, m, &gq, x.data(), k, &xq,
+                         dw.data());
         };
-        fwd();
-        fwd();
+        step();
+        step();
         // Cache-hit steady state: zero heap traffic.
-        EXPECT_EQ(allocDelta(fwd), 0)
-            << "fused quantize-on-pack forward must not touch the heap";
+        EXPECT_EQ(allocDelta(step), 0)
+            << "warmed quantized GEMMs must not touch the heap";
         // Steady-state repack (optimizer stepped, buffers retained):
-        // the pack runs again but every buffer is reused.
+        // the weight is quantized and packed again but every buffer is
+        // reused.
         auto stepped = [&] {
             invalidateWeightPacks();
-            fwd();
+            step();
         };
         stepped();
         EXPECT_EQ(allocDelta(stepped), 0)
