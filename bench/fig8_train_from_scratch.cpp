@@ -1,7 +1,7 @@
 /**
  * @file
  * Figure 8: training-loss curves when training the TinyLlama-class
- * model from scratch under a 75% FP4-FLOP budget.
+ * model from scratch under an FP4-FLOP budget (--budget, default 0.75).
  *
  * Expected shape (paper): BF16 and SNIP curves nearly overlap (SNIP a
  * hair above); min-abs/min-rel/random curves destabilize or diverge.
@@ -24,7 +24,9 @@ main(int argc, char **argv)
     const int64_t scheme_warmup = args.getInt("scheme-warmup", 10);
     const double budget = args.getDouble("budget", 0.75);
 
-    banner("Figure 8", "train-from-scratch loss curves @ 75% FP4");
+    const std::string title =
+        strformat("train-from-scratch loss curves @ %g%% FP4", budget * 100);
+    banner("Figure 8", title.c_str());
     Setup setup = makeSetup(tinyllamaSim(), scheme_warmup,
                             /*eval_items=*/5);
 

@@ -3,11 +3,11 @@
  * Serving demo: the quantized inference runtime end to end.
  *
  * Streams N synthetic requests through the continuous-batching engine
- * (prefill/decode split over the paged FP8 KV cache), then verifies
- * the decode path against the full-sequence forward:
+ * (prefill and decode steps over the paged FP8 KV cache), then verifies
+ * the inference step against the full-sequence training forward:
  *
- *   - FP32-cache mode: decode logits are BIT-IDENTICAL to the last row
- *     of a full-sequence forward, at 1, 2 and 8 threads.
+ *   - FP32-cache mode: prefill and decode logits are BIT-IDENTICAL to
+ *     the last row of a full-sequence forward, at 1, 2 and 8 threads.
  *   - FP8-cache mode: logits track the FP32 trajectory within the
  *     documented tolerance (|err| <= 8% of the row max + 0.02).
  *
@@ -69,8 +69,20 @@ cacheConfigFor(const ModelConfig &m, serve::KvCacheMode mode)
     return kc;
 }
 
-/** Prefill @p prompt then greedy-decode @p steps tokens, returning each
- *  decode-step logits row. Teacher-forced when @p forced is given. */
+/** Index of the largest of @p n logits (first on ties). */
+int32_t
+argmax(const float *logits, int64_t n)
+{
+    int32_t best = 0;
+    for (int64_t v = 1; v < n; ++v)
+        if (logits[v] > logits[best])
+            best = static_cast<int32_t>(v);
+    return best;
+}
+
+/** Prefill @p prompt then greedy-decode @p steps tokens, returning the
+ *  logits of every step (the prompt's first; row s picked generated
+ *  token s). Teacher-forced when @p forced is given. */
 std::vector<std::vector<float>>
 decodeTrajectory(LlamaModel &model, const std::vector<int32_t> &prompt,
                  int64_t steps, serve::KvCacheMode mode,
@@ -81,39 +93,20 @@ decodeTrajectory(LlamaModel &model, const std::vector<int32_t> &prompt,
     serve::KvCache cache(cacheConfigFor(model.config(), mode));
     const int64_t sid = 0;
     cache.beginSequence(sid);
-    KvCacheHandle h;
-    h.cache = &cache;
-    h.seq_ids = &sid;
-    h.count = 1;
-
-    Tensor plog =
-        model.forward(prompt, 1, static_cast<int64_t>(prompt.size()),
-                      ForwardMode::Prefill, h);
-    const float *last =
-        plog.data() + (static_cast<int64_t>(prompt.size()) - 1) * vocab;
-    int32_t tok = 0;
-    for (int64_t v = 1; v < vocab; ++v)
-        if (last[v] > last[tok])
-            tok = static_cast<int32_t>(v);
-    if (forced)
-        tok = (*forced)[0];
-    if (generated)
-        generated->push_back(tok);
+    const KvCacheHandle h{&cache, &sid, 1};
 
     std::vector<std::vector<float>> rows;
     std::vector<float> logits(static_cast<size_t>(vocab));
-    for (int64_t s = 0; s < steps; ++s) {
-        model.decodeStep(&tok, 1, h, logits.data());
+    std::vector<int32_t> step = prompt;
+    for (int64_t s = 0; s <= steps; ++s) {
+        model.inferStep(step.data(), static_cast<int64_t>(step.size()), h,
+                        logits.data());
         rows.push_back(logits);
-        tok = 0;
-        for (int64_t v = 1; v < vocab; ++v)
-            if (logits[static_cast<size_t>(v)] >
-                logits[static_cast<size_t>(tok)])
-                tok = static_cast<int32_t>(v);
-        if (forced)
-            tok = (*forced)[static_cast<size_t>(s + 1)];
+        const int32_t tok = forced ? (*forced)[static_cast<size_t>(s)]
+                                   : argmax(logits.data(), vocab);
         if (generated)
             generated->push_back(tok);
+        step.assign(1, tok);
     }
     cache.endSequence(sid);
     return rows;
@@ -151,7 +144,7 @@ fullSeqLastRow(LlamaModel &model, const std::vector<int32_t> &tokens)
 {
     const int64_t len = static_cast<int64_t>(tokens.size());
     const int64_t vocab = model.config().vocab_size;
-    Tensor logits = model.forward(tokens, 1, len, ForwardMode::Train);
+    Tensor logits = model.forward(tokens, 1, len);
     const float *row = logits.data() + (len - 1) * vocab;
     return std::vector<float>(row, row + vocab);
 }
@@ -170,13 +163,12 @@ checkBitIdentity(LlamaModel &model, uint64_t seed)
             model, prompt, steps, serve::KvCacheMode::Fp32, &generated);
         std::vector<int32_t> ctx = prompt;
         int64_t mismatches = 0;
-        for (int64_t s = 0; s < steps; ++s) {
-            ctx.push_back(generated[static_cast<size_t>(s)]);
+        for (size_t s = 0; s < rows.size(); ++s) {
             const auto ref = fullSeqLastRow(model, ctx);
-            const auto &got = rows[static_cast<size_t>(s)];
             for (size_t v = 0; v < ref.size(); ++v)
-                if (got[v] != ref[v])
+                if (rows[s][v] != ref[v])
                     ++mismatches;
+            ctx.push_back(generated[s]);
         }
         std::printf("  fp32 cache, %d thread(s): %s\n", threads,
                     mismatches == 0 ? "bit-identical"
@@ -370,8 +362,9 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // 2. Decode-vs-full-sequence verification.
-    std::printf("verifying decode against full-sequence forward:\n");
+    // 2. Inference-step-vs-full-sequence verification.
+    std::printf("verifying prefill and decode against full-sequence "
+                "forward:\n");
     const bool bit_ok = checkBitIdentity(model, seed + 1);
     const bool fp8_ok = checkFp8Tolerance(model, seed + 2);
     runtime::setGlobalThreadCount(0); // back to default sizing

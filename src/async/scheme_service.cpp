@@ -91,13 +91,6 @@ SchemeUpdateService::wait(uint64_t epoch)
     return slots_[front_];
 }
 
-uint64_t
-SchemeUpdateService::publishedEpoch() const
-{
-    util::MutexLock lock(mu_);
-    return front_ >= 0 ? slots_[front_].epoch : 0;
-}
-
 void
 SchemeUpdateService::publish(SchemeUpdateResult result)
 {

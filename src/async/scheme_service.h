@@ -119,9 +119,6 @@ class SchemeUpdateService
     /** Block until @p epoch is published and return a copy of it. */
     SchemeUpdateResult wait(uint64_t epoch);
 
-    /** Newest published epoch (0 = none yet). */
-    uint64_t publishedEpoch() const;
-
   private:
     void publish(SchemeUpdateResult result);
 

@@ -6,22 +6,6 @@
 
 namespace snip {
 
-QualityMetric
-qualityMetricByName(const std::string &name)
-{
-    if (name == "snip")
-        return QualityMetric::Snip;
-    if (name == "loss_only")
-        return QualityMetric::LossOnly;
-    if (name == "weight_only")
-        return QualityMetric::WeightOnly;
-    if (name == "abs_err")
-        return QualityMetric::AbsError;
-    if (name == "rel_err")
-        return QualityMetric::RelError;
-    fatal("unknown quality metric: ", name);
-}
-
 DivergenceAnalyzer::DivergenceAnalyzer(const TrainingStats &stats,
                                        const ProbeResult *bwd_probe,
                                        const ProbeResult *fwd_probe,

@@ -44,9 +44,6 @@ enum class QualityMetric
     RelError,   ///< sum of relative quantization errors (baseline)
 };
 
-/** Parse "snip"/"loss_only"/"weight_only"/"abs_err"/"rel_err". */
-QualityMetric qualityMetricByName(const std::string &name);
-
 /** Cost breakdown of one (layer, option) cell. */
 struct OptionCost
 {

@@ -61,17 +61,6 @@ FlopsModel::layerTime(int layer, const LayerScheme &opt) const
 }
 
 double
-FlopsModel::blockTime(int block, const PrecisionScheme &scheme) const
-{
-    double t = 0.0;
-    for (int r = 0; r < kRolesPerBlock; ++r) {
-        int idx = block * kRolesPerBlock + r;
-        t += layerTime(idx, scheme.layers[static_cast<size_t>(idx)]);
-    }
-    return t;
-}
-
-double
 FlopsModel::totalTime(const PrecisionScheme &scheme) const
 {
     SNIP_ASSERT(scheme.layers.size() == layer_flops_.size());

@@ -51,9 +51,6 @@ class FlopsModel
      */
     double layerTime(int layer, const LayerScheme &opt) const;
 
-    /** Sum of layerTime over a block's seven layers. */
-    double blockTime(int block, const PrecisionScheme &scheme) const;
-
     /** Total relative time of the whole model under a scheme. */
     double totalTime(const PrecisionScheme &scheme) const;
 

@@ -33,8 +33,7 @@ scoreItem(LlamaModel &model, const EvalItem &item)
         SNIP_ASSERT(len >= 2 && len <= model.config().max_seq,
                     "item length out of range");
 
-        Tensor logits = model.forward(seq, /*batch=*/1, /*seq=*/len,
-                                      ForwardMode::Train);
+        Tensor logits = model.forward(seq, /*batch=*/1, /*seq=*/len);
         // Row r predicts token r+1: option tokens live at positions
         // [ctx, len); the rows scoring them are [ctx-1, len-1).
         const int64_t ctx = static_cast<int64_t>(item.context.size());

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -91,8 +92,33 @@ solveDp(const IlpProblem &problem, int resolution)
     sol.solve_seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();
-    if (dp[static_cast<size_t>(target_units)] == kInf)
-        return sol; // infeasible at this discretization
+    if (dp[static_cast<size_t>(target_units)] == kInf) {
+        // Flooring every option's efficiency to whole units can leave a
+        // target the items meet exactly (every item at its maximum, for
+        // a target at the maximum) one unit short. Answer with each
+        // item's most-efficient option, cheapest among ties, when it
+        // meets the real-valued target.
+        std::vector<int> choice(static_cast<size_t>(m), 0);
+        for (int i = 0; i < m; ++i) {
+            const auto &q = problem.quality[static_cast<size_t>(i)];
+            const auto &e = problem.efficiency[static_cast<size_t>(i)];
+            int &best = choice[static_cast<size_t>(i)];
+            for (int j = 1; j < problem.numOptions(i); ++j) {
+                const size_t sj = static_cast<size_t>(j);
+                const size_t sb = static_cast<size_t>(best);
+                if (e[sj] > e[sb] || (e[sj] == e[sb] && q[sj] < q[sb]))
+                    best = j;
+            }
+        }
+        double obj = 0.0, eff = 0.0;
+        if (verifySolution(problem, choice, &obj, &eff)) {
+            sol.feasible = true;
+            sol.choice = std::move(choice);
+            sol.objective = obj;
+            sol.achieved_efficiency = eff;
+        }
+        return sol;
+    }
 
     // Backtrack from the full-target cell.
     sol.choice.assign(static_cast<size_t>(m), -1);

@@ -9,7 +9,10 @@
  * discretization error is negligible for SNIP-sized instances, and on
  * instances whose efficiencies are exact multiples of target/resolution
  * the DP is exact — the cross-validation tests against branch & bound
- * exploit this.
+ * exploit this. When the rounded-down table cannot reach the target,
+ * the solver answers with every item's most-efficient option if that
+ * meets the real-valued target (a target at the maximum achievable
+ * efficiency), and reports infeasible otherwise.
  */
 #ifndef SNIP_ILP_DP_SOLVER_H
 #define SNIP_ILP_DP_SOLVER_H

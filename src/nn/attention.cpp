@@ -420,12 +420,8 @@ Attention::savedStateBytes() const
 }
 
 Tensor
-Attention::forward(const Tensor &x, int64_t batch, int64_t seq,
-                   ForwardMode mode, const KvCacheHandle &kv)
+Attention::forward(const Tensor &x, int64_t batch, int64_t seq)
 {
-    SNIP_ASSERT(mode != ForwardMode::Decode,
-                "Decode is served by decodeForward(), not forward()");
-    last_mode_ = mode;
     batch_ = batch;
     seq_ = seq;
     const int64_t hd = config_.headDim();
@@ -438,53 +434,19 @@ Attention::forward(const Tensor &x, int64_t batch, int64_t seq,
     rope_->apply(q_, batch, seq, n_heads);
     rope_->apply(k_, batch, seq, n_kv);
 
-    if (mode == ForwardMode::Prefill) {
-        SNIP_ASSERT(kv.valid() && kv.count == batch,
-                    "prefill needs a cache handle covering every batch "
-                    "row");
-        const int64_t kv_dim = config_.kvDim();
-        const float *pk = k_.data();
-        const float *pv = v_.data();
-        for (int64_t b = 0; b < batch; ++b) {
-            const int64_t sid = kv.seq_ids[b];
-            SNIP_ASSERT(kv.cache->length(sid, block_) == 0,
-                        "prefill into a non-empty sequence ", sid);
-            for (int64_t ss = 0; ss < seq; ++ss) {
-                const int64_t row = b * seq + ss;
-                kv.cache->append(sid, block_, pk + row * kv_dim,
-                                 pv + row * kv_dim);
-            }
-        }
-    }
-
     probs_ = Tensor(batch * n_heads * seq, seq);
     ctx_ = Tensor(batch * seq, n_heads * hd);
     const AttnShape s{batch, seq, n_heads, n_kv, hd};
     attentionForwardCore(s, q_.data(), k_.data(), v_.data(),
                          probs_.data(), ctx_.data());
-    Tensor y = wo_->forward(ctx_);
-
-    if (mode == ForwardMode::Prefill) {
-        // A prefill is never backpropagated: drop the saved state now
-        // instead of pinning O(B*H*S^2) probabilities per block.
-        q_ = Tensor();
-        k_ = Tensor();
-        v_ = Tensor();
-        probs_ = Tensor();
-        ctx_ = Tensor();
-        batch_ = 0;
-        seq_ = 0;
-    }
-    return y;
+    return wo_->forward(ctx_);
 }
 
 void
-Attention::decodeForward(const float *x, int64_t count,
-                         const KvCacheHandle &kv, float *y)
+Attention::forwardInference(const float *x, int64_t rows,
+                            const KvCacheHandle &kv, float *y)
 {
-    SNIP_ASSERT(kv.valid() && kv.count == count,
-                "decode needs a cache handle covering every row");
-    last_mode_ = ForwardMode::Decode;
+    SNIP_ASSERT(kv.valid(), "an inference step needs a cache handle");
     const int64_t hd = config_.headDim();
     const int64_t n_heads = config_.n_heads;
     const int64_t n_kv = config_.n_kv_heads;
@@ -494,59 +456,74 @@ Attention::decodeForward(const float *x, int64_t count,
     runtime::WorkspaceArena &arena =
         runtime::WorkspaceArena::forCurrentThread();
     runtime::ArenaScope scope(arena);
-    float *q = arena.getFloats(static_cast<size_t>(count * q_dim));
-    float *kb = arena.getFloats(static_cast<size_t>(count * kv_dim));
-    float *vb = arena.getFloats(static_cast<size_t>(count * kv_dim));
-    float *ctx = arena.getFloats(static_cast<size_t>(count * q_dim));
+    float *q = arena.getFloats(static_cast<size_t>(rows * q_dim));
+    float *kb = arena.getFloats(static_cast<size_t>(rows * kv_dim));
+    float *vb = arena.getFloats(static_cast<size_t>(rows * kv_dim));
+    float *ctx = arena.getFloats(static_cast<size_t>(rows * q_dim));
 
-    wq_->forwardInference(x, count, q);
-    wk_->forwardInference(x, count, kb);
-    wv_->forwardInference(x, count, vb);
+    wq_->forwardInference(x, rows, q);
+    wk_->forwardInference(x, rows, kb);
+    wv_->forwardInference(x, rows, vb);
 
-    // Rotate at each sequence's current position, then append the new
-    // K/V rows serially (the cache is not thread-safe; the walkers
-    // below read an immutable cache).
-    for (int64_t i = 0; i < count; ++i) {
-        const int64_t sid = kv.seq_ids[i];
-        const int64_t pos = kv.cache->length(sid, block_);
-        rope_->applyRow(q + i * q_dim, n_heads, pos);
-        rope_->applyRow(kb + i * kv_dim, n_kv, pos);
-        kv.cache->append(sid, block_, kb + i * kv_dim,
-                         vb + i * kv_dim);
-    }
+    if (kv.cache->length(kv.seq_ids[0], block_) == 0) {
+        // A fresh sequence's prompt attends its own fp32 rows through
+        // the training core (causal over positions 0..rows-1, the same
+        // bits as a training forward), then fills the cache.
+        SNIP_ASSERT(kv.count == 1,
+                    "a fresh sequence's prompt takes a step of its own");
+        const int64_t sid = kv.seq_ids[0];
+        for (int64_t r = 0; r < rows; ++r) {
+            rope_->applyRow(q + r * q_dim, n_heads, r);
+            rope_->applyRow(kb + r * kv_dim, n_kv, r);
+        }
+        float *probs =
+            arena.getFloats(static_cast<size_t>(n_heads * rows * rows));
+        const AttnShape s{1, rows, n_heads, n_kv, hd};
+        attentionForwardCore(s, q, kb, vb, probs, ctx);
+        for (int64_t r = 0; r < rows; ++r)
+            kv.cache->append(sid, block_, kb + r * kv_dim, vb + r * kv_dim);
+    } else {
+        SNIP_ASSERT(kv.count == rows,
+                    "a sequence with history takes one token per step");
+        // Rotate at each sequence's current position, then append the
+        // new K/V rows serially (the cache is not thread-safe; the
+        // walkers below read an immutable cache).
+        for (int64_t i = 0; i < rows; ++i) {
+            const int64_t sid = kv.seq_ids[i];
+            const int64_t pos = kv.cache->length(sid, block_);
+            SNIP_ASSERT(pos > 0, "sequence ", sid,
+                        " has no history: its prompt takes its own step");
+            rope_->applyRow(q + i * q_dim, n_heads, pos);
+            rope_->applyRow(kb + i * kv_dim, n_kv, pos);
+            kv.cache->append(sid, block_, kb + i * kv_dim, vb + i * kv_dim);
+        }
 
-    DecodeCtx dc;
-    dc.kv = &kv;
-    dc.block = block_;
-    dc.n_heads = n_heads;
-    dc.n_kv = n_kv;
-    dc.group = n_heads / n_kv;
-    dc.hd = hd;
-    dc.scale = 1.0f / std::sqrt(static_cast<float>(hd));
-    dc.q = q;
-    dc.ctx = ctx;
-    const DecodeCtx *pdc = &dc;
-    {
+        DecodeCtx dc;
+        dc.kv = &kv;
+        dc.block = block_;
+        dc.n_heads = n_heads;
+        dc.n_kv = n_kv;
+        dc.group = n_heads / n_kv;
+        dc.hd = hd;
+        dc.scale = 1.0f / std::sqrt(static_cast<float>(hd));
+        dc.q = q;
+        dc.ctx = ctx;
+        const DecodeCtx *pdc = &dc;
         obs::Scope timed(telemetry::Timer::AttnDecode,
                          trace::Category::Attn, "attn_decode", "rows",
-                         count, "heads", n_heads);
-        runtime::parallelFor(0, count * n_kv, 1,
+                         rows, "heads", n_heads);
+        runtime::parallelFor(0, rows * n_kv, 1,
                              [pdc](int64_t i0, int64_t i1) {
                                  decodeAttendItems(pdc, i0, i1);
                              });
     }
 
-    wo_->forwardInference(ctx, count, y);
+    wo_->forwardInference(ctx, rows, y);
 }
 
 Tensor
 Attention::backward(const Tensor &dy)
 {
-    SNIP_ASSERT(last_mode_ == ForwardMode::Train,
-                "Attention::backward after a ",
-                forwardModeName(last_mode_),
-                "-mode forward: inference modes save no state and "
-                "cannot be backpropagated");
     SNIP_ASSERT(batch_ > 0, "backward before forward");
     const int64_t batch = batch_, seq = seq_;
     const int64_t hd = config_.headDim();

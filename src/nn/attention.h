@@ -16,18 +16,44 @@
  * backends), and all scratch lives in per-thread workspace arenas —
  * zero steady-state heap allocations in the core. Results are
  * bit-identical for any thread count.
+ *
+ * Inference (Attention::forwardInference) reuses the same core for a
+ * fresh sequence's prompt and walks the paged KV cache in place for
+ * decode rows; the training forward takes no cache and inference
+ * saves no state.
  */
 #ifndef SNIP_NN_ATTENTION_H
 #define SNIP_NN_ATTENTION_H
 
 #include <memory>
 
-#include "nn/forward_mode.h"
 #include "nn/layer_registry.h"
 #include "nn/linear.h"
 #include "nn/rope.h"
 
 namespace snip {
+
+namespace serve {
+class KvCache;
+} // namespace serve
+
+/**
+ * Non-owning view of the KV cache rows an inference step touches: one
+ * cache plus the sequence slot of each sequence in the step.
+ */
+struct KvCacheHandle
+{
+    serve::KvCache *cache = nullptr;
+    /** Sequence slot per sequence, [count]. Must outlive the call. */
+    const int64_t *seq_ids = nullptr;
+    int64_t count = 0;
+
+    bool
+    valid() const
+    {
+        return cache != nullptr && seq_ids != nullptr && count > 0;
+    }
+};
 
 /** Dimensions of one attention invocation (head_dim applies to both
  *  query and kv heads; n_heads must be a multiple of n_kv_heads). */
@@ -83,36 +109,34 @@ class Attention
               FakeQuantizer *quantizer, const Rope *rope);
 
     /**
-     * x is [batch*seq, d_model]; returns the same shape.
-     *
-     * Train saves the state backward() needs. Prefill instead appends
-     * every post-RoPE K/V row to @p kv (cache per kv.seq_ids[b], which
-     * must be freshly begun) and releases the saved backward state — a
-     * prefill cannot be backpropagated. Decode is not served here; use
-     * decodeForward().
+     * Training forward: x is [batch*seq, d_model]; returns the same
+     * shape and saves the state backward() needs.
      */
-    Tensor forward(const Tensor &x, int64_t batch, int64_t seq,
-                   ForwardMode mode, const KvCacheHandle &kv = {});
+    Tensor forward(const Tensor &x, int64_t batch, int64_t seq);
 
     /**
-     * Single-token decode step for @p count independent sequences.
-     * x/y are [count, d_model] raw buffers (arena-friendly: no Tensor
-     * allocation, no saved state, zero heap allocations after
-     * warm-up). For each row i the query attends over the full cached
-     * history of kv.seq_ids[i] plus the new token, whose K/V rows are
-     * appended to the cache. Output rows are bit-identical to the last
-     * row of a Train/Prefill forward over the same prefix with an
-     * FP32-mode cache.
+     * Inference forward on raw [rows, d_model] buffers: no Tensor
+     * allocation, no saved state, zero heap allocations after warm-up.
+     * A step carries one of two shapes:
+     *  - the whole prompt of one sequence whose cache is empty
+     *    (kv.count == 1): the rows attend each other through
+     *    attentionForwardCore on their fp32 K/V, then every row's K/V
+     *    is appended to the cache;
+     *  - one token per sequence with history (kv.count == rows): the
+     *    new K/V rows are appended and each query attends the cached
+     *    history in place through the kvAttend walker.
+     * Output rows are bit-identical to the same rows of a training
+     * forward over the same prefix: prompt rows in either cache mode,
+     * decode rows with an FP32-mode cache.
      */
-    void decodeForward(const float *x, int64_t count,
-                       const KvCacheHandle &kv, float *y);
+    void forwardInference(const float *x, int64_t rows,
+                          const KvCacheHandle &kv, float *y);
 
     /**
      * Backprop through projections and attention math. Releases the
      * saved forward state (q/k/v, probabilities, context) on return,
      * so peak memory drops between steps; a new forward() must precede
-     * the next backward(). Hard error unless the preceding forward ran
-     * in Train mode.
+     * the next backward().
      */
     Tensor backward(const Tensor &dy);
 
@@ -133,7 +157,6 @@ class Attention
     std::unique_ptr<Linear> wq_, wk_, wv_, wo_;
 
     // Saved forward state (released at the end of backward()).
-    ForwardMode last_mode_ = ForwardMode::Train;
     int64_t batch_ = 0, seq_ = 0;
     Tensor q_, k_, v_;   ///< post-RoPE projections, [T, dims]
     Tensor probs_;       ///< softmax probabilities, [B*H*S, S]

@@ -49,10 +49,9 @@ TransformerBlock::params()
 }
 
 Tensor
-TransformerBlock::forward(const Tensor &x, int64_t batch, int64_t seq,
-                          ForwardMode mode, const KvCacheHandle &kv)
+TransformerBlock::forward(const Tensor &x, int64_t batch, int64_t seq)
 {
-    Tensor h = attn_->forward(norm1_->forward(x), batch, seq, mode, kv);
+    Tensor h = attn_->forward(norm1_->forward(x), batch, seq);
     addInPlace(h, x);
     Tensor y = mlp_->forward(norm2_->forward(h));
     addInPlace(y, h);
@@ -60,26 +59,26 @@ TransformerBlock::forward(const Tensor &x, int64_t batch, int64_t seq,
 }
 
 void
-TransformerBlock::decodeForward(float *x, int64_t count,
-                                const KvCacheHandle &kv)
+TransformerBlock::forwardInference(float *x, int64_t rows,
+                                   const KvCacheHandle &kv)
 {
     const int64_t d = norm1_->dim();
     runtime::WorkspaceArena &arena =
         runtime::WorkspaceArena::forCurrentThread();
     runtime::ArenaScope scope(arena);
-    const size_t n = static_cast<size_t>(count * d);
+    const size_t n = static_cast<size_t>(rows * d);
     float *nx = arena.getFloats(n);
     float *h = arena.getFloats(n);
 
     // h = Attn(norm1(x)); x += h — float addition commutes bitwise, so
     // the in-place accumulate matches the train path's h + x exactly.
-    norm1_->forwardInference(x, count, nx);
-    attn_->decodeForward(nx, count, kv, h);
+    norm1_->forwardInference(x, rows, nx);
+    attn_->forwardInference(nx, rows, kv, h);
     for (size_t i = 0; i < n; ++i)
         x[i] += h[i];
 
-    norm2_->forwardInference(x, count, nx);
-    mlp_->forwardInference(nx, count, h);
+    norm2_->forwardInference(x, rows, nx);
+    mlp_->forwardInference(nx, rows, h);
     for (size_t i = 0; i < n; ++i)
         x[i] += h[i];
 }

@@ -21,17 +21,17 @@ class TransformerBlock
     TransformerBlock(const ModelConfig &config, int block, Rng &rng,
                      FakeQuantizer *quantizer, const Rope *rope);
 
-    /** Train/Prefill forward; @p kv is required for Prefill (the
-     *  attention appends its K/V rows there). */
-    Tensor forward(const Tensor &x, int64_t batch, int64_t seq,
-                   ForwardMode mode, const KvCacheHandle &kv = {});
+    /** Training forward; saves the state backward() needs. */
+    Tensor forward(const Tensor &x, int64_t batch, int64_t seq);
 
     /**
-     * Single-token decode through the block, in place: @p x is
-     * [count, d_model] and is updated to the block output. Uses arena
-     * scratch only; zero heap allocations after warm-up.
+     * Inference forward through the block, in place: @p x is
+     * [rows, d_model] and is updated to the block output. The rows are
+     * one fresh sequence's prompt or one token per sequence with
+     * history (Attention::forwardInference). Uses arena scratch only;
+     * zero heap allocations after warm-up.
      */
-    void decodeForward(float *x, int64_t count, const KvCacheHandle &kv);
+    void forwardInference(float *x, int64_t rows, const KvCacheHandle &kv);
 
     Tensor backward(const Tensor &dy);
 

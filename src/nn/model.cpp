@@ -57,34 +57,15 @@ LlamaModel::LlamaModel(const ModelConfig &config, uint64_t seed)
 
 Tensor
 LlamaModel::forward(const std::vector<int32_t> &tokens, int64_t batch,
-                    int64_t seq, ForwardMode mode,
-                    const KvCacheHandle &kv)
+                    int64_t seq)
 {
     SNIP_ASSERT(static_cast<int64_t>(tokens.size()) == batch * seq,
                 "token count != batch*seq");
     SNIP_ASSERT(seq <= config_.max_seq, "sequence too long");
 
-    if (mode == ForwardMode::Decode) {
-        SNIP_ASSERT(seq == 1, "Decode forward takes one token per "
-                              "sequence; use decodeStep directly");
-        Tensor logits(batch, config_.vocab_size);
-        decodeStep(tokens.data(), batch, kv, logits.data());
-        return logits;
-    }
-    if (mode == ForwardMode::Prefill) {
-        SNIP_ASSERT(kv.valid() && kv.count == batch,
-                    "prefill needs a cache handle covering every batch "
-                    "row");
-        SNIP_ASSERT(fwd_noise_eps_ == 0.0,
-                    "noise injection is a training probe; disable it "
-                    "before prefill");
-    }
-    batch_ = batch;
-    seq_ = seq;
-
     Tensor x = embedding_->forward(tokens);
     for (auto &blk : blocks_)
-        x = blk->forward(x, batch, seq, mode, kv);
+        x = blk->forward(x, batch, seq);
 
     last_hidden_norm_ = frobeniusNorm(x);
     if (fwd_noise_eps_ > 0.0)
@@ -95,20 +76,21 @@ LlamaModel::forward(const std::vector<int32_t> &tokens, int64_t batch,
 }
 
 void
-LlamaModel::decodeStep(const int32_t *tokens, int64_t count,
-                       const KvCacheHandle &kv, float *logits)
+LlamaModel::inferStep(const int32_t *tokens, int64_t rows,
+                      const KvCacheHandle &kv, float *logits)
 {
-    SNIP_ASSERT(kv.valid() && kv.count == count,
-                "decode needs a cache handle covering every row");
+    SNIP_ASSERT(kv.valid() && (kv.count == rows || kv.count == 1),
+                "an inference step takes one sequence's prompt or one "
+                "token per sequence");
     const int64_t d = config_.d_model;
     runtime::WorkspaceArena &arena =
         runtime::WorkspaceArena::forCurrentThread();
     runtime::ArenaScope scope(arena);
-    float *x = arena.getFloats(static_cast<size_t>(count * d));
-    float *xn = arena.getFloats(static_cast<size_t>(count * d));
+    float *x = arena.getFloats(static_cast<size_t>(rows * d));
+    float *xn = arena.getFloats(static_cast<size_t>(kv.count * d));
 
     const float *table = embedding_->table().data();
-    for (int64_t i = 0; i < count; ++i) {
+    for (int64_t i = 0; i < rows; ++i) {
         const int32_t t = tokens[i];
         SNIP_ASSERT(t >= 0 && t < config_.vocab_size,
                     "token id out of range");
@@ -117,10 +99,13 @@ LlamaModel::decodeStep(const int32_t *tokens, int64_t count,
     }
 
     for (auto &blk : blocks_)
-        blk->decodeForward(x, count, kv);
+        blk->forwardInference(x, rows, kv);
 
-    final_norm_->forwardInference(x, count, xn);
-    lm_head_->forwardInference(xn, count, logits);
+    // Each sequence's last row is one of the step's final kv.count
+    // rows: the prompt's last row, or every row of a decode step.
+    const float *last = x + (rows - kv.count) * d;
+    final_norm_->forwardInference(last, kv.count, xn);
+    lm_head_->forwardInference(xn, kv.count, logits);
 }
 
 void
@@ -143,7 +128,7 @@ LlamaModel::forwardLoss(const std::vector<int32_t> &tokens,
                         const std::vector<int32_t> &targets, int64_t batch,
                         int64_t seq)
 {
-    Tensor logits = forward(tokens, batch, seq, ForwardMode::Train);
+    Tensor logits = forward(tokens, batch, seq);
     return softmaxCrossEntropy(logits, targets);
 }
 

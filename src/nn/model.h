@@ -37,28 +37,25 @@ class LlamaModel
     LlamaModel(const ModelConfig &config, uint64_t seed);
 
     /**
-     * Run the forward pass for @p tokens laid out as batch x seq
-     * (flattened row-major). Returns logits [batch*seq, vocab].
-     *
-     * Train saves the state backward() needs. Prefill additionally
-     * populates @p kv (one freshly-begun sequence per batch row, ids
-     * in kv.seq_ids) with every layer's post-RoPE K/V, and saves no
-     * backward state. Decode requires seq == 1 and routes to
-     * decodeStep().
+     * Training forward for @p tokens laid out as batch x seq (flattened
+     * row-major). Returns logits [batch*seq, vocab] and saves the state
+     * backward() needs.
      */
     Tensor forward(const std::vector<int32_t> &tokens, int64_t batch,
-                   int64_t seq, ForwardMode mode,
-                   const KvCacheHandle &kv = {});
+                   int64_t seq);
 
     /**
-     * One decode step for @p count independent sequences: tokens[i] is
-     * the next input token of sequence kv.seq_ids[i]; the next-token
-     * logits land in @p logits [count, vocab]. K/V rows for the new
-     * tokens are appended to the cache. Zero heap allocations after
-     * warm-up (all scratch comes from workspace arenas).
+     * One inference step, the only inference entry. The step carries
+     * either the whole prompt of one freshly begun sequence (@p rows
+     * tokens, kv.count == 1) or the next token of each of kv.count ==
+     * @p rows sequences with history. Every row's K/V is appended to
+     * the cache, and each sequence's last-row logits land in @p logits
+     * [kv.count, vocab]. Touches no training state (nothing is saved
+     * for backward()), and after warm-up performs zero heap
+     * allocations: all scratch comes from workspace arenas.
      */
-    void decodeStep(const int32_t *tokens, int64_t count,
-                    const KvCacheHandle &kv, float *logits);
+    void inferStep(const int32_t *tokens, int64_t rows,
+                   const KvCacheHandle &kv, float *logits);
 
     /** Backprop from dLogits through the whole model. */
     void backward(const Tensor &dlogits);
@@ -136,7 +133,6 @@ class LlamaModel
     std::unique_ptr<Linear> lm_head_;
     std::unique_ptr<Rope> rope_;
 
-    int64_t batch_ = 0, seq_ = 0;
     double fwd_noise_eps_ = 0.0;
     double bwd_noise_eps_ = 0.0;
     double last_noise_norm_ = 0.0;

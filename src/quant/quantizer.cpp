@@ -51,20 +51,6 @@ precisionBits(Precision p)
     return 0;
 }
 
-const char *
-tensorRoleName(TensorRole role)
-{
-    switch (role) {
-        case TensorRole::Activation:
-            return "activation";
-        case TensorRole::Weight:
-            return "weight";
-        case TensorRole::OutputGrad:
-            return "output_grad";
-    }
-    return "?";
-}
-
 namespace {
 Rounding g_fp4_grad_rounding = Rounding::Stochastic;
 } // namespace

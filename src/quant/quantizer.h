@@ -48,9 +48,6 @@ int precisionBits(Precision p);
 /** Role a tensor plays in a linear layer's GEMMs. */
 enum class TensorRole { Activation, Weight, OutputGrad };
 
-/** Name for tables. */
-const char *tensorRoleName(TensorRole role);
-
 /**
  * The paper's quantization recipe for a (precision, role) pair:
  *  - activations & gradients: 1x128 tile-wise; weights: 128x128

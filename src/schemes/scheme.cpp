@@ -38,20 +38,6 @@ allLayerRoles()
     return roles;
 }
 
-const char *
-gemmKindName(GemmKind kind)
-{
-    switch (kind) {
-        case GemmKind::Fwd:
-            return "fwd";
-        case GemmKind::Dgrad:
-            return "dgrad";
-        case GemmKind::Wgrad:
-            return "wgrad";
-    }
-    return "?";
-}
-
 double
 LayerScheme::fp4Fraction() const
 {
@@ -191,18 +177,6 @@ makeOptionSet(OptionSetKind kind)
             break;
     }
     return opts;
-}
-
-OptionSetKind
-optionSetKindByName(const std::string &name)
-{
-    if (name == "simple")
-        return OptionSetKind::Simple;
-    if (name == "standard")
-        return OptionSetKind::Standard;
-    if (name == "full")
-        return OptionSetKind::Full;
-    fatal("unknown option set kind: ", name);
 }
 
 } // namespace snip

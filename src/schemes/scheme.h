@@ -58,9 +58,6 @@ enum class GemmKind
 /** Number of GEMMs per linear layer per step. */
 inline constexpr int kGemmsPerLayer = 3;
 
-/** Name for tables. */
-const char *gemmKindName(GemmKind kind);
-
 /** Precision assignment for one linear layer's three GEMMs. */
 struct LayerScheme
 {
@@ -154,9 +151,6 @@ enum class OptionSetKind
 /** Materialize the option list for a kind. Options are ordered by
  *  ascending FP4 fraction; index 0 is always all-FP8. */
 std::vector<LayerScheme> makeOptionSet(OptionSetKind kind);
-
-/** Parse "simple"/"standard"/"full". */
-OptionSetKind optionSetKindByName(const std::string &name);
 
 } // namespace snip
 

@@ -146,25 +146,20 @@ Engine::admit(ServeRequest request, double now_s)
     }
 
     const double t_pre = realSeconds();
-    KvCacheHandle handle;
-    handle.cache = &cache_;
-    handle.seq_ids = &seq.slot;
-    handle.count = 1;
-    Tensor logits = [&] {
+    const KvCacheHandle handle{&cache_, &seq.slot, 1};
+    {
         obs::Scope span(trace::Category::Serve, "prefill", "id",
                         request.id, "tokens", plen);
-        return model_.forward(request.prompt, 1, plen,
-                              ForwardMode::Prefill, handle);
-    }();
+        model_.inferStep(request.prompt.data(), plen, handle, logits_.data());
+    }
     const double prefill_s = realSeconds() - t_pre;
     stats_.prefill_s += prefill_s;
     stats_.prefill_tokens += plen;
     telemetry::addSeconds(telemetry::Seconds::ServePrefill, prefill_s);
     telemetry::count(telemetry::Counter::ServePrefillTokens, plen);
 
-    const int32_t first = argmaxRow(
-        logits.data() + (plen - 1) * model_.config().vocab_size,
-        model_.config().vocab_size);
+    const int32_t first =
+        argmaxRow(logits_.data(), model_.config().vocab_size);
     const double t_first = now_s + prefill_s;
     seq.result.id = request.id;
     seq.result.tokens.push_back(first);
@@ -203,14 +198,9 @@ Engine::decodeOnce(double now_s)
     obs::Scope span(trace::Category::Serve, "decode_step", "width", count,
                     "step", stats_.decode_steps);
 
-    KvCacheHandle handle;
-    handle.cache = &cache_;
-    handle.seq_ids = seq_ids_.data();
-    handle.count = count;
-
+    const KvCacheHandle handle{&cache_, seq_ids_.data(), count};
     const double t_dec = realSeconds();
-    model_.decodeStep(step_tokens_.data(), count, handle,
-                      logits_.data());
+    model_.inferStep(step_tokens_.data(), count, handle, logits_.data());
     const double decode_s = realSeconds() - t_dec;
     stats_.decode_s += decode_s;
     stats_.decode_steps += 1;

@@ -3,11 +3,13 @@
  * Continuous-batching inference engine.
  *
  * One engine thread drives the whole loop: admit arrived requests into
- * free sequence slots, prefill each new prompt through the batched
- * forward (ForwardMode::Prefill populates the paged KV cache), then
+ * free sequence slots, prefill each new prompt as one inference step
+ * (LlamaModel::inferStep, which fills the paged KV cache), then
  * coalesce every active sequence into ONE decode step per iteration —
  * the decode batch shrinks and grows as sequences retire mid-flight
  * and new arrivals take their slots, never idling on a straggler.
+ * Prefill and decode run the same allocation-free inference step and
+ * leave the model's training state untouched.
  *
  * Generation is greedy argmax (lowest index wins ties), so the token
  * stream of a request depends only on model weights and its prompt:
@@ -179,7 +181,7 @@ class Engine
     std::vector<ActiveSeq> active_;
     std::vector<int64_t> free_slots_;
     std::vector<RequestResult> done_;
-    // Preallocated decode-step staging (zero allocs per iteration).
+    // Preallocated inference-step staging (zero allocs per step).
     std::vector<int64_t> seq_ids_;
     std::vector<int32_t> step_tokens_;
     std::vector<float> logits_;

@@ -233,12 +233,6 @@ invalidateWeightPacks()
     g_weight_epoch.fetch_add(1, std::memory_order_acq_rel);
 }
 
-uint64_t
-weightPackEpoch()
-{
-    return g_weight_epoch.load(std::memory_order_acquire);
-}
-
 namespace {
 
 /**

@@ -160,11 +160,6 @@ class PackedWeightCache
  *  (optimizer step, checkpoint restore) must call this. */
 void invalidateWeightPacks();
 
-/** Current weight-pack epoch: 0 until the first invalidateWeightPacks()
- *  call, then bumped by every one. Caches derived from weights key on
- *  this to notice mutation. */
-uint64_t weightPackEpoch();
-
 // ------------------------------------- quantizing packed entry points
 //
 // The packed pipeline with operand quantization. aq/bq describe the

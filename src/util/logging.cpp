@@ -1,34 +1,13 @@
 #include "util/logging.h"
 
-#include <atomic>
-
 namespace snip {
-
-namespace {
-std::atomic<LogLevel> g_level{LogLevel::Info};
-} // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    // Relaxed: the level is an independent config flag — readers need
-    // no ordering with any other memory, only eventual visibility.
-    g_level.store(level, std::memory_order_relaxed);
-}
-
-LogLevel
-logLevel()
-{
-    return g_level.load(std::memory_order_relaxed);
-}
 
 namespace detail {
 
 void
 emit(LogLevel level, const std::string &prefix, const std::string &msg)
 {
-    if (static_cast<int>(level) >
-        static_cast<int>(g_level.load(std::memory_order_relaxed)))
+    if (static_cast<int>(level) > static_cast<int>(LogLevel::Info))
         return;
     std::fprintf(stderr, "[%s] %s\n", prefix.c_str(), msg.c_str());
 }

@@ -18,14 +18,8 @@
 
 namespace snip {
 
-/** Verbosity levels for runtime log filtering. */
+/** Verbosity levels for log filtering. */
 enum class LogLevel { Silent = 0, Warn = 1, Info = 2, Debug = 3 };
-
-/** Set the global log verbosity (default: Info). */
-void setLogLevel(LogLevel level);
-
-/** Current global log verbosity. */
-LogLevel logLevel();
 
 namespace detail {
 
@@ -39,7 +33,8 @@ concat(Args &&...args)
     return oss.str();
 }
 
-/** Emit one log line with a severity prefix; honors the global level. */
+/** Emit one log line with a severity prefix unless it is more verbose
+ *  than Info. */
 void emit(LogLevel level, const std::string &prefix, const std::string &msg);
 
 [[noreturn]] void die(const std::string &prefix, const std::string &msg,
@@ -55,7 +50,7 @@ inform(Args &&...args)
     detail::emit(LogLevel::Info, "info", detail::concat(args...));
 }
 
-/** Verbose diagnostic output, off unless LogLevel::Debug is set. */
+/** Verbose diagnostic output; filtered out at the Info level. */
 template <typename... Args>
 void
 debugLog(Args &&...args)

@@ -48,7 +48,7 @@ TEST(Model, LogitsShape)
 {
     LlamaModel model(microModel(), 1);
     auto tokens = someTokens(2 * 6, 16, 1);
-    Tensor logits = model.forward(tokens, 2, 6, ForwardMode::Train);
+    Tensor logits = model.forward(tokens, 2, 6);
     EXPECT_EQ(logits.size(0), 12);
     EXPECT_EQ(logits.size(1), 16);
     EXPECT_FALSE(hasNonFinite(logits));
@@ -58,10 +58,10 @@ TEST(Model, CausalityFutureTokensDoNotAffectPast)
 {
     LlamaModel model(microModel(), 2);
     auto tokens = someTokens(8, 16, 3);
-    Tensor l1 = model.forward(tokens, 1, 8, ForwardMode::Train);
+    Tensor l1 = model.forward(tokens, 1, 8);
     auto tokens2 = tokens;
     tokens2[7] = (tokens2[7] + 5) % 16; // change the LAST token
-    Tensor l2 = model.forward(tokens2, 1, 8, ForwardMode::Train);
+    Tensor l2 = model.forward(tokens2, 1, 8);
     // Rows 0..6 must be identical; row 7 must differ.
     for (int64_t r = 0; r < 7; ++r)
         for (int64_t v = 0; v < 16; ++v)
@@ -79,8 +79,8 @@ TEST(Model, BatchRowsAreIndependent)
     auto b = someTokens(6, 16, 6);
     std::vector<int32_t> both = a;
     both.insert(both.end(), b.begin(), b.end());
-    Tensor l_both = model.forward(both, 2, 6, ForwardMode::Train);
-    Tensor l_a = model.forward(a, 1, 6, ForwardMode::Train);
+    Tensor l_both = model.forward(both, 2, 6);
+    Tensor l_a = model.forward(a, 1, 6);
     for (int64_t r = 0; r < 6; ++r)
         for (int64_t v = 0; v < 16; ++v)
             EXPECT_NEAR(l_both.at(r, v), l_a.at(r, v), 1e-4);
@@ -266,7 +266,7 @@ TEST(Attention, GqaBitIdenticalAcrossThreads)
         runtime::setGlobalThreadCount(threads);
         LlamaModel m(cfg, 43);
         Result r;
-        r.logits = m.forward(tokens, 2, 8, ForwardMode::Train);
+        r.logits = m.forward(tokens, 2, 8);
         m.zeroGrad();
         LossResult res = m.forwardLoss(tokens, targets, 2, 8);
         m.backward(res.dlogits);
@@ -298,7 +298,7 @@ TEST(Attention, SavedStateReleasedAfterBackward)
     Tensor x = Tensor::randn({8, cfg.d_model}, rng);
 
     EXPECT_EQ(attn.savedStateBytes(), 0);
-    Tensor y1 = attn.forward(x, 1, 8, ForwardMode::Train);
+    Tensor y1 = attn.forward(x, 1, 8);
     EXPECT_GT(attn.savedStateBytes(), 0);
     Tensor dy = Tensor::randn({8, cfg.d_model}, rng);
     attn.backward(dy);
@@ -307,7 +307,7 @@ TEST(Attention, SavedStateReleasedAfterBackward)
 
     // Forward-after-backward starts a fresh episode with identical
     // results, and a second backward works against the new state.
-    Tensor y2 = attn.forward(x, 1, 8, ForwardMode::Train);
+    Tensor y2 = attn.forward(x, 1, 8);
     EXPECT_TRUE(y1 == y2);
     EXPECT_GT(attn.savedStateBytes(), 0);
     attn.backward(dy);

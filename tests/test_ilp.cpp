@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -62,6 +63,23 @@ randomInstance(Rng &rng, int items, int options, double target)
             // is exact and comparable.
             e.push_back(target *
                         static_cast<double>(rng.nextBelow(40)) / 100.0);
+        }
+        p.quality.push_back(q);
+        p.efficiency.push_back(e);
+    }
+    return p;
+}
+
+/** Random instance with efficiencies off the DP grid, target 0. */
+IlpProblem
+offGridInstance(Rng &rng, int items, int options)
+{
+    IlpProblem p;
+    for (int i = 0; i < items; ++i) {
+        std::vector<double> q, e;
+        for (int j = 0; j < options; ++j) {
+            q.push_back(rng.nextDouble());
+            e.push_back(rng.nextDouble() * 0.2);
         }
         p.quality.push_back(q);
         p.efficiency.push_back(e);
@@ -193,22 +211,46 @@ TEST(Dp, SolutionAlwaysSatisfiesContinuousConstraint)
     // meets the real-valued constraint.
     Rng rng(9);
     for (int trial = 0; trial < 20; ++trial) {
-        IlpProblem p;
+        IlpProblem p = offGridInstance(rng, 10, 3);
         p.target = 0.7;
-        for (int i = 0; i < 10; ++i) {
-            // Irrational-ish efficiencies (not on the DP grid).
-            std::vector<double> q, e;
-            for (int j = 0; j < 3; ++j) {
-                q.push_back(rng.nextDouble());
-                e.push_back(rng.nextDouble() * 0.2);
-            }
-            p.quality.push_back(q);
-            p.efficiency.push_back(e);
-        }
         IlpSolution s = solveDp(p, 1000);
         if (s.feasible) {
             EXPECT_GE(s.achieved_efficiency + 1e-9, p.target);
         }
+    }
+}
+
+TEST(Dp, TargetAtMaximumTakesMostEfficientOptions)
+{
+    // Off-grid efficiencies each lose a fraction of a unit to the
+    // floor, so the DP table alone falls short of a target equal to
+    // the sum of the maxima, which every item's most-efficient option
+    // meets exactly. Item 0 ties two maximal options; the cheaper wins.
+    Rng rng(14);
+    IlpProblem p = offGridInstance(rng, 154, 4);
+    p.efficiency[0] = {0.01, 0.123456789, 0.05, 0.123456789};
+    p.quality[0] = {0.1, 0.9, 0.2, 0.4};
+    p.target = p.maxAchievableEfficiency();
+    for (IlpSolution s : {solveDp(p), solveIlp(p)}) {
+        ASSERT_TRUE(s.feasible);
+        EXPECT_EQ(s.choice[0], 3);
+        for (size_t i = 1; i < s.choice.size(); ++i) {
+            const auto &e = p.efficiency[i];
+            EXPECT_EQ(e[static_cast<size_t>(s.choice[i])],
+                      *std::max_element(e.begin(), e.end()));
+        }
+        EXPECT_GE(s.achieved_efficiency + 1e-9, p.target);
+    }
+}
+
+TEST(Dp, TargetAboveMaximumIsInfeasible)
+{
+    Rng rng(14);
+    IlpProblem p = offGridInstance(rng, 154, 4);
+    p.target = p.maxAchievableEfficiency() * (1.0 + 1e-6);
+    for (IlpSolution s : {solveDp(p), solveIlp(p)}) {
+        EXPECT_FALSE(s.feasible);
+        EXPECT_TRUE(s.choice.empty());
     }
 }
 

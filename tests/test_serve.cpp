@@ -1,9 +1,10 @@
 /**
  * @file
- * Serving runtime tests: decode-vs-full-sequence bit-identity (FP32 KV
- * cache), FP8 KV tolerance, thread-count determinism, page free-list
- * reuse, continuous-batching equivalence, and the zero-allocation
- * contract of a warmed decode step (counted by alloc_counter.h).
+ * Serving runtime tests: inference-step-vs-training-forward bit
+ * identity (prefill in both KV modes, decode over an FP32 KV cache),
+ * FP8 KV tolerance, thread-count determinism, page free-list reuse,
+ * continuous-batching equivalence, and the zero-allocation contract of
+ * warmed prefill and decode steps (counted by alloc_counter.h).
  */
 #include <gtest/gtest.h>
 
@@ -72,11 +73,24 @@ cacheConfigFor(const ModelConfig &m, serve::KvCacheMode mode,
     return kc;
 }
 
+/** Index of the largest of @p n logits (first on ties). */
+int32_t
+argmax(const float *logits, int64_t n)
+{
+    int32_t best = 0;
+    for (int64_t v = 1; v < n; ++v)
+        if (logits[v] > logits[best])
+            best = static_cast<int32_t>(v);
+    return best;
+}
+
 /**
- * Greedy-decode @p steps tokens after prefilling @p prompt, returning
- * every decode-step logits row (steps x vocab). When @p forced is
- * non-null the generated token is overridden (teacher forcing), so
- * FP8-cache logits can be compared against an FP32 trajectory.
+ * Prefill @p prompt, then greedy-decode @p steps tokens, all through
+ * inferStep. Returns the logits of every step (steps + 1 rows, the
+ * prompt's first): row s is the one generated token s was picked
+ * from. When @p forced is non-null the generated token is overridden
+ * (teacher forcing), so FP8-cache logits can be compared against an
+ * FP32 trajectory.
  */
 std::vector<std::vector<float>>
 decodeTrajectory(LlamaModel &model, const std::vector<int32_t> &prompt,
@@ -88,52 +102,33 @@ decodeTrajectory(LlamaModel &model, const std::vector<int32_t> &prompt,
     serve::KvCache cache(cacheConfigFor(model.config(), mode));
     const int64_t sid = 0;
     cache.beginSequence(sid);
-    KvCacheHandle h;
-    h.cache = &cache;
-    h.seq_ids = &sid;
-    h.count = 1;
-
-    Tensor plog =
-        model.forward(prompt, 1, static_cast<int64_t>(prompt.size()),
-                      ForwardMode::Prefill, h);
-    const float *last =
-        plog.data() + (static_cast<int64_t>(prompt.size()) - 1) * vocab;
-    int32_t tok = 0;
-    for (int64_t v = 1; v < vocab; ++v)
-        if (last[v] > last[tok])
-            tok = static_cast<int32_t>(v);
-    if (forced)
-        tok = (*forced)[0];
-    if (generated)
-        generated->push_back(tok);
+    const KvCacheHandle h{&cache, &sid, 1};
 
     std::vector<std::vector<float>> rows;
     std::vector<float> logits(static_cast<size_t>(vocab));
-    for (int64_t s = 0; s < steps; ++s) {
-        model.decodeStep(&tok, 1, h, logits.data());
+    std::vector<int32_t> step = prompt;
+    for (int64_t s = 0; s <= steps; ++s) {
+        model.inferStep(step.data(), static_cast<int64_t>(step.size()), h,
+                        logits.data());
         rows.push_back(logits);
-        tok = 0;
-        for (int64_t v = 1; v < vocab; ++v)
-            if (logits[static_cast<size_t>(v)] >
-                logits[static_cast<size_t>(tok)])
-                tok = static_cast<int32_t>(v);
-        if (forced)
-            tok = (*forced)[static_cast<size_t>(s + 1)];
+        const int32_t tok = forced ? (*forced)[static_cast<size_t>(s)]
+                                   : argmax(logits.data(), vocab);
         if (generated)
             generated->push_back(tok);
+        step.assign(1, tok);
     }
     cache.endSequence(sid);
     return rows;
 }
 
-/** Full-sequence (Train-mode) logits row for the last position of
- *  @p tokens — the decode reference. */
+/** Training-forward logits row for the last position of @p tokens —
+ *  the inference reference. */
 std::vector<float>
 fullSeqLastRow(LlamaModel &model, const std::vector<int32_t> &tokens)
 {
     const int64_t len = static_cast<int64_t>(tokens.size());
     const int64_t vocab = model.config().vocab_size;
-    Tensor logits = model.forward(tokens, 1, len, ForwardMode::Train);
+    Tensor logits = model.forward(tokens, 1, len);
     const float *row = logits.data() + (len - 1) * vocab;
     return std::vector<float>(row, row + vocab);
 }
@@ -142,8 +137,12 @@ fullSeqLastRow(LlamaModel &model, const std::vector<int32_t> &tokens)
 
 TEST(ServeDecode, Fp32CacheBitIdenticalToFullSequence)
 {
-    // Decode rows run thin-M GEMMs (the pack-free rows kernel) that
-    // form every element exactly as the full-sequence forward does.
+    // Every inference step equals the last row of the training forward
+    // over the same prefix: the prompt step in both KV modes (a prompt
+    // attends its own fp32 rows), every decode step over an FP32
+    // cache. Decode rows run thin-M GEMMs (the pack-free rows kernel)
+    // that form every element exactly as the full-sequence forward
+    // does.
     GlobalPoolGuard pool_guard;
 
     ModelConfig cfg = microModel();
@@ -154,34 +153,27 @@ TEST(ServeDecode, Fp32CacheBitIdenticalToFullSequence)
     const int64_t steps = 8;
 
     for (int threads : {1, 2, 8}) {
-        SCOPED_TRACE(threads);
         runtime::setGlobalThreadCount(threads);
-        std::vector<int32_t> generated;
-        auto rows = decodeTrajectory(model, prompt, steps,
-                                     serve::KvCacheMode::Fp32,
-                                     &generated);
-        std::vector<int32_t> ctx = prompt;
-        for (int64_t s = 0; s < steps; ++s) {
-            ctx.push_back(generated[static_cast<size_t>(s)]);
-            const auto ref = fullSeqLastRow(model, ctx);
-            for (int64_t v = 0; v < cfg.vocab_size; ++v)
-                ASSERT_EQ(rows[static_cast<size_t>(s)]
-                              [static_cast<size_t>(v)],
-                          ref[static_cast<size_t>(v)])
-                    << "step " << s << " vocab " << v;
+        for (serve::KvCacheMode mode :
+             {serve::KvCacheMode::Fp32, serve::KvCacheMode::Fp8}) {
+            SCOPED_TRACE(std::to_string(threads) + " threads, " +
+                         serve::kvCacheModeName(mode));
+            std::vector<int32_t> generated;
+            auto rows =
+                decodeTrajectory(model, prompt, steps, mode, &generated);
+            const size_t checked =
+                mode == serve::KvCacheMode::Fp32 ? rows.size() : 1;
+            std::vector<int32_t> ctx = prompt;
+            for (size_t s = 0; s < checked; ++s) {
+                const auto ref = fullSeqLastRow(model, ctx);
+                for (int64_t v = 0; v < cfg.vocab_size; ++v)
+                    ASSERT_EQ(rows[s][static_cast<size_t>(v)],
+                              ref[static_cast<size_t>(v)])
+                        << "step " << s << " vocab " << v;
+                ctx.push_back(generated[s]);
+            }
         }
     }
-}
-
-/** Index of the largest of @p n logits (first on ties). */
-int32_t
-argmax(const float *logits, int64_t n)
-{
-    int32_t best = 0;
-    for (int64_t v = 1; v < n; ++v)
-        if (logits[v] > logits[best])
-            best = static_cast<int32_t>(v);
-    return best;
 }
 
 /**
@@ -206,26 +198,19 @@ decodeStreamCrc(LlamaModel &model, serve::KvCacheMode mode,
         sids.push_back(i);
         cache.beginSequence(i);
     }
+    std::vector<float> logits(static_cast<size_t>(n * vocab));
     for (int64_t i = 0; i < n; ++i) {
         const std::vector<int32_t> &p = prompts[static_cast<size_t>(i)];
-        const int64_t len = static_cast<int64_t>(p.size());
-        KvCacheHandle one;
-        one.cache = &cache;
-        one.seq_ids = &sids[static_cast<size_t>(i)];
-        one.count = 1;
-        Tensor plog =
-            model.forward(p, 1, len, ForwardMode::Prefill, one);
-        toks.push_back(argmax(plog.data() + (len - 1) * vocab, vocab));
+        const KvCacheHandle one{&cache, &sids[static_cast<size_t>(i)], 1};
+        model.inferStep(p.data(), static_cast<int64_t>(p.size()), one,
+                        logits.data());
+        toks.push_back(argmax(logits.data(), vocab));
     }
-    KvCacheHandle h;
-    h.cache = &cache;
-    h.seq_ids = sids.data();
-    h.count = n;
-    std::vector<float> logits(static_cast<size_t>(n * vocab));
+    const KvCacheHandle h{&cache, sids.data(), n};
     uint32_t crc = 0;
     for (int64_t s = 0; s < steps; ++s) {
         crc = crc32(toks.data(), toks.size() * sizeof(int32_t), crc);
-        model.decodeStep(toks.data(), n, h, logits.data());
+        model.inferStep(toks.data(), n, h, logits.data());
         crc = crc32(logits.data(), logits.size() * sizeof(float), crc);
         for (int64_t i = 0; i < n; ++i)
             toks[static_cast<size_t>(i)] =
@@ -239,9 +224,11 @@ TEST(ServeDecode, GoldenDecodeBits)
     // Absolute pin of the decode bits: two coalesced sequences, 12
     // greedy steps, in both KV modes, on a GQA model (hd 4, 4-token
     // pages) and on a 2-block tinyllamaSim (MHA, hd 8, 16-token
-    // pages). GEMM low-order bits are backend-specific, so the pins
-    // are keyed by backend: scalar rows are checked on every host,
-    // AVX2 rows where the CPU has AVX2+FMA.
+    // pages). The micro1 stream starts one sequence from a one-token
+    // prompt, which must attend its own fp32 row, not the cached one.
+    // GEMM low-order bits are backend-specific, so the pins are keyed
+    // by backend: scalar rows are checked on every host, AVX2 rows
+    // where the CPU has AVX2+FMA.
     BackendGuard backend_guard;
     ModelConfig tiny = tinyllamaSim();
     tiny.n_blocks = 2;
@@ -254,6 +241,7 @@ TEST(ServeDecode, GoldenDecodeBits)
     };
     const Stream streams[] = {
         {"micro", microModel(), 4, {5, 7}},
+        {"micro1", microModel(), 4, {1, 3}},
         {"tinyllama2", tiny, 16, {9, 14}},
     };
     struct Pin
@@ -266,10 +254,14 @@ TEST(ServeDecode, GoldenDecodeBits)
     const Pin pins[] = {
         {"scalar", "micro", serve::KvCacheMode::Fp8, 0xdd2d175fu},
         {"scalar", "micro", serve::KvCacheMode::Fp32, 0x99426b80u},
+        {"scalar", "micro1", serve::KvCacheMode::Fp8, 0xa7ac8a43u},
+        {"scalar", "micro1", serve::KvCacheMode::Fp32, 0x38b0de9fu},
         {"scalar", "tinyllama2", serve::KvCacheMode::Fp8, 0xa93ab310u},
         {"scalar", "tinyllama2", serve::KvCacheMode::Fp32, 0x763d8e24u},
         {"avx2", "micro", serve::KvCacheMode::Fp8, 0x26da38cbu},
         {"avx2", "micro", serve::KvCacheMode::Fp32, 0x1adc42e1u},
+        {"avx2", "micro1", serve::KvCacheMode::Fp8, 0xb3d0bfe9u},
+        {"avx2", "micro1", serve::KvCacheMode::Fp32, 0x49b7afadu},
         {"avx2", "tinyllama2", serve::KvCacheMode::Fp8, 0x6e560937u},
         {"avx2", "tinyllama2", serve::KvCacheMode::Fp32, 0x8b7c6e3au},
     };
@@ -478,13 +470,11 @@ decodeVsFullSequenceMaxDiff(LlamaModel &model, LlamaModel &ref,
                                        &generated);
     std::vector<int32_t> ctx = prompt;
     float max_diff = 0.0f;
-    for (int64_t s = 0; s < steps; ++s) {
-        ctx.push_back(generated[static_cast<size_t>(s)]);
+    for (size_t s = 0; s < rows.size(); ++s) {
         const auto full = fullSeqLastRow(ref, ctx);
         for (size_t v = 0; v < full.size(); ++v)
-            max_diff = std::max(
-                max_diff,
-                std::fabs(rows[static_cast<size_t>(s)][v] - full[v]));
+            max_diff = std::max(max_diff, std::fabs(rows[s][v] - full[v]));
+        ctx.push_back(generated[s]);
     }
     return max_diff;
 }
@@ -728,36 +718,61 @@ TEST(ServeDecode, WarmedDecodeStepPerformsZeroHeapAllocations)
     const std::vector<int64_t> sids = {0, 1};
     cache.beginSequence(0);
     cache.beginSequence(1);
-    KvCacheHandle h;
-    h.cache = &cache;
-    h.seq_ids = sids.data();
-    h.count = 2;
+    std::vector<float> logits(static_cast<size_t>(2 * cfg.vocab_size));
 
     // Prefill both sequences (cache pages for the prompts allocate
     // lazily from the preallocated pool — no heap).
     const auto prompt = someTokens(5, cfg.vocab_size, 72);
-    for (int64_t sid = 0; sid < 2; ++sid) {
-        KvCacheHandle one;
-        one.cache = &cache;
-        one.seq_ids = &sids[static_cast<size_t>(sid)];
-        one.count = 1;
-        model.forward(prompt, 1, 5, ForwardMode::Prefill, one);
+    for (size_t i = 0; i < sids.size(); ++i) {
+        const KvCacheHandle one{&cache, &sids[i], 1};
+        model.inferStep(prompt.data(), 5, one, logits.data());
     }
 
+    const KvCacheHandle h{&cache, sids.data(), 2};
     std::vector<int32_t> toks = {3, 4};
-    std::vector<float> logits(
-        static_cast<size_t>(2 * cfg.vocab_size));
 
     // Warm up arenas and the per-layer weight-pack caches.
     for (int i = 0; i < 3; ++i)
-        model.decodeStep(toks.data(), 2, h, logits.data());
+        model.inferStep(toks.data(), 2, h, logits.data());
 
     const int64_t allocs = allocDelta(
-        [&] { model.decodeStep(toks.data(), 2, h, logits.data()); });
+        [&] { model.inferStep(toks.data(), 2, h, logits.data()); });
     EXPECT_EQ(allocs, 0);
 }
 
-// ----------------------------------------------------- mode guards
+TEST(ServeDecode, WarmedPrefillPerformsZeroHeapAllocations)
+{
+    // A prompt step into a reused slot: the arenas and weight-pack
+    // caches are warm from earlier prompts, the slot's page tables
+    // keep their capacity, and pages come from the preallocated pool.
+    GlobalPoolGuard pool_guard;
+    runtime::setGlobalThreadCount(1); // inline path: no pool Jobs
+
+    ModelConfig cfg = microModel();
+    LlamaModel model(cfg, 73);
+    model.setScheme(PrecisionScheme::uniform(
+        model.registry().numLinear(), Precision::FP8));
+    const auto prompt = someTokens(9, cfg.vocab_size, 74);
+    std::vector<float> logits(static_cast<size_t>(cfg.vocab_size));
+
+    for (serve::KvCacheMode mode :
+         {serve::KvCacheMode::Fp8, serve::KvCacheMode::Fp32}) {
+        SCOPED_TRACE(serve::kvCacheModeName(mode));
+        serve::KvCache cache(cacheConfigFor(cfg, mode, /*max_seqs=*/1));
+        const int64_t sid = 0;
+        const KvCacheHandle h{&cache, &sid, 1};
+        auto prefill = [&] {
+            cache.beginSequence(sid);
+            model.inferStep(prompt.data(), 9, h, logits.data());
+            cache.endSequence(sid);
+        };
+        for (int i = 0; i < 3; ++i)
+            prefill();
+        EXPECT_EQ(allocDelta(prefill), 0);
+    }
+}
+
+// --------------------------------------------------- backward guard
 
 TEST(ServeDecode, BackwardAfterInferenceForwardDies)
 {
@@ -770,19 +785,16 @@ TEST(ServeDecode, BackwardAfterInferenceForwardDies)
         cacheConfigFor(cfg, serve::KvCacheMode::Fp32));
     const int64_t sid = 0;
     cache.beginSequence(sid);
-    KvCacheHandle h;
-    h.cache = &cache;
-    h.seq_ids = &sid;
-    h.count = 1;
-
     const auto prompt = someTokens(4, cfg.vocab_size, 82);
-    Tensor logits = model.forward(prompt, 1, 4, ForwardMode::Prefill, h);
+    std::vector<float> logits(static_cast<size_t>(cfg.vocab_size));
+    const KvCacheHandle h{&cache, &sid, 1};
+    model.inferStep(prompt.data(), 4, h, logits.data());
 
-    // Backprop after an inference-mode forward must be a hard error
-    // with a clear message (the attention state was released).
-    Tensor dlogits(logits.shape());
+    // An inference step saves nothing for backward(): backprop after
+    // one is a hard error in the first layer it reaches.
+    Tensor dlogits(4, cfg.vocab_size);
     dlogits.zero();
-    EXPECT_DEATH(model.backward(dlogits), "cannot be backpropagated");
+    EXPECT_DEATH(model.backward(dlogits), "backward before forward");
 }
 
 } // namespace

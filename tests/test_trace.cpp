@@ -179,35 +179,29 @@ TEST(Trace, WarmedTracedDecodeStepPerformsZeroHeapAllocations)
     const std::vector<int64_t> sids = {0, 1};
     cache.beginSequence(0);
     cache.beginSequence(1);
-    KvCacheHandle h;
-    h.cache = &cache;
-    h.seq_ids = sids.data();
-    h.count = 2;
+    std::vector<float> logits(static_cast<size_t>(2 * mc.vocab_size));
 
     Rng rng(72);
     std::vector<int32_t> prompt;
     for (int64_t i = 0; i < 5; ++i)
         prompt.push_back(static_cast<int32_t>(
             rng.nextBelow(static_cast<uint64_t>(mc.vocab_size))));
-    for (int64_t sid = 0; sid < 2; ++sid) {
-        KvCacheHandle one;
-        one.cache = &cache;
-        one.seq_ids = &sids[static_cast<size_t>(sid)];
-        one.count = 1;
-        model.forward(prompt, 1, 5, ForwardMode::Prefill, one);
+    for (size_t i = 0; i < sids.size(); ++i) {
+        const KvCacheHandle one{&cache, &sids[i], 1};
+        model.inferStep(prompt.data(), 5, one, logits.data());
     }
 
+    const KvCacheHandle h{&cache, sids.data(), 2};
     std::vector<int32_t> toks = {3, 4};
-    std::vector<float> logits(static_cast<size_t>(2 * mc.vocab_size));
 
     // Warm up arenas, weight-pack caches, and the trace ring.
     for (int i = 0; i < 3; ++i)
-        model.decodeStep(toks.data(), 2, h, logits.data());
+        model.inferStep(toks.data(), 2, h, logits.data());
 
     // The GEMM/attention spans inside the decode step must not break
     // the serving zero-alloc contract.
     const int64_t allocs = allocDelta(
-        [&] { model.decodeStep(toks.data(), 2, h, logits.data()); });
+        [&] { model.inferStep(toks.data(), 2, h, logits.data()); });
     EXPECT_EQ(allocs, 0);
 }
 
