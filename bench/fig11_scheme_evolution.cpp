@@ -66,8 +66,7 @@ main(int argc, char **argv)
                             batch);
     const UpdateOverhead &oh = controller.lastOverhead();
     std::printf("\nscheme-update overhead: %d extra fwd+bwd passes, "
-                "ILP solve %.3fs (%lld nodes)\n",
-                oh.extra_passes, oh.solve_seconds,
-                static_cast<long long>(oh.ilp_nodes));
+                "ILP solve %.3fs\n",
+                oh.extra_passes, oh.solve_seconds);
     return 0;
 }

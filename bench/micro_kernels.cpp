@@ -14,7 +14,6 @@
 
 #include "core/snip_optimizer.h"
 #include "core/stats_collector.h"
-#include "ilp/branch_and_bound.h"
 #include "nn/attention.h"
 #include "nn/model.h"
 #include "optim/adamw.h"
@@ -474,16 +473,6 @@ paperIlp(int n_layers, double target)
 }
 
 void
-BM_IlpBranchAndBound(benchmark::State &state)
-{
-    IlpProblem p = paperIlp(static_cast<int>(state.range(0)), 0.5);
-    for (auto _ : state) {
-        IlpSolution s = solveBranchAndBound(p);
-        benchmark::DoNotOptimize(s.objective);
-    }
-}
-
-void
 BM_IlpDp(benchmark::State &state)
 {
     IlpProblem p = paperIlp(static_cast<int>(state.range(0)), 0.5);
@@ -577,7 +566,6 @@ BENCHMARK(BM_AdamWStep)
 BENCHMARK(BM_StatsCollection);
 BENCHMARK(BM_PlainStep);
 BENCHMARK(BM_TrainStepPack)->Name("BM_TrainStepPack/auto_pack");
-BENCHMARK(BM_IlpBranchAndBound)->Arg(154)->Arg(560);
 BENCHMARK(BM_IlpDp)->Arg(154)->Arg(560);
 
 } // namespace

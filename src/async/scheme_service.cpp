@@ -23,15 +23,16 @@ runSchemeUpdate(const SchemeUpdateRequest &request)
     // Step 4: divergence analysis on the snapshotted statistics.
     DivergenceAnalyzer analyzer(request.stats, &request.bwd_probe,
                                 &request.fwd_probe, request.flops);
+    const DivergenceTable table =
+        analyzer.analyze(request.options, request.divergence);
+
+    // Step 5: ILP solve (through the SolveCache when configured).
     SchemeUpdateResult result;
     result.epoch = request.epoch;
     result.apply_step = request.apply_step;
-    result.table = analyzer.analyze(request.options, request.divergence);
-
-    // Step 5: ILP solve (through the SolveCache when configured).
     result.selection =
-        selectScheme(result.table, request.target_fp4_fraction,
-                     request.flops, request.solve, request.pipeline);
+        selectScheme(table, request.target_fp4_fraction, request.flops,
+                     request.solve, request.pipeline);
 
     result.work_seconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start)
@@ -72,23 +73,16 @@ SchemeUpdateService::submit(SchemeUpdateRequest request)
     return epoch;
 }
 
-bool
-SchemeUpdateService::ready(uint64_t epoch) const
-{
-    util::MutexLock lock(mu_);
-    return front_ >= 0 && slots_[front_].epoch >= epoch;
-}
-
 SchemeUpdateResult
 SchemeUpdateService::wait(uint64_t epoch)
 {
     util::MutexLock lock(mu_);
-    while (!(front_ >= 0 && slots_[front_].epoch >= epoch))
+    while (result_.epoch < epoch)
         published_cv_.wait(mu_);
-    SNIP_ASSERT(slots_[front_].epoch == epoch,
+    SNIP_ASSERT(result_.epoch == epoch,
                 "waited-for epoch was overwritten — more than one "
                 "update in flight?");
-    return slots_[front_];
+    return result_;
 }
 
 void
@@ -99,9 +93,7 @@ SchemeUpdateService::publish(SchemeUpdateResult result)
                           result.work_seconds);
     {
         util::MutexLock lock(mu_);
-        const int back = front_ == 0 ? 1 : 0;
-        slots_[back] = std::move(result);
-        front_ = back;
+        result_ = std::move(result);
     }
     published_cv_.notifyAll();
 }

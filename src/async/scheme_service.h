@@ -15,8 +15,8 @@
  *      model or the trainer's thread pool.
  *   2. The worker runs Steps 4-5 (divergence analysis + ILP solve,
  *      optionally through the persistent SolveCache) on a dedicated
- *      runtime::TaskThread and publishes the SchemeUpdateResult through
- *      a double-buffered, epoch-tagged handoff slot.
+ *      runtime::TaskThread and publishes the SchemeUpdateResult into
+ *      one epoch-tagged handoff slot.
  *   3. The trainer adopts the published scheme at a *predetermined*
  *      step boundary (request.apply_step), blocking if the worker has
  *      not finished by then. Because both the snapshot content and the
@@ -76,13 +76,12 @@ struct SchemeUpdateResult
     uint64_t epoch = 0;
     int64_t apply_step = 0;
     SchemeSelection selection;
-    DivergenceTable table;
     /** Wall-clock seconds the worker spent on Steps 4-5 (analysis +
      *  solve, including cache lookups). */
     double work_seconds = 0.0;
     /** The solve threw (or an injected scheme.solve fault fired):
-     *  selection/table are empty and the controller resolves the
-     *  epoch by keeping the current scheme (skip-update). */
+     *  selection is empty and the controller resolves the epoch by
+     *  keeping the current scheme (skip-update). */
     bool failed = false;
 };
 
@@ -113,9 +112,6 @@ class SchemeUpdateService
      *  enforces this). */
     uint64_t submit(SchemeUpdateRequest request);
 
-    /** True when @p epoch has been published (non-blocking). */
-    bool ready(uint64_t epoch) const;
-
     /** Block until @p epoch is published and return a copy of it. */
     SchemeUpdateResult wait(uint64_t epoch);
 
@@ -123,17 +119,14 @@ class SchemeUpdateService
     void publish(SchemeUpdateResult result);
 
     /**
-     * Double buffer: the worker writes a finished result into the slot
-     * the trainer is NOT reading (the one not holding the newest
-     * published epoch) and then flips front_ under the lock, so a
-     * trainer copying the previous result never races the next
-     * publication.
+     * One slot: the worker publishes into it and the trainer copies out
+     * of it, both under mu_, and the controller reads an epoch before
+     * it submits the next, so a publication never lands on a result
+     * still to be read. Epochs are 1-based: 0 means none published.
      */
-    mutable util::Mutex mu_;
+    util::Mutex mu_;
     util::CondVar published_cv_;
-    SchemeUpdateResult slots_[2] SNIP_GUARDED_BY(mu_);
-    /** Slot of the newest published result; -1 none. */
-    int front_ SNIP_GUARDED_BY(mu_) = -1;
+    SchemeUpdateResult result_ SNIP_GUARDED_BY(mu_);
 
     /** Declared last: destroyed (drained + joined) first, so in-flight
      *  tasks can still publish into the members above. */

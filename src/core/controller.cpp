@@ -49,26 +49,22 @@ SnipController::makeSnapshot(LlamaModel &model, AdamW *optimizer,
     // need the model, so they always run on the trainer thread.
     StatsOptions stats_opts;
     stats_opts.pool = pool ? pool : config_.pool;
-    stats_ = collectTrainingStats(model, optimizer, batch, stats_opts);
-    ProbeResult bwd = runNoiseProbe(model, batch, stats_,
+    TrainingStats stats =
+        collectTrainingStats(model, optimizer, batch, stats_opts);
+    ProbeResult bwd = runNoiseProbe(model, batch, stats,
                                     ProbeKind::Backward, config_.probe);
-    ProbeResult fwd = runNoiseProbe(model, batch, stats_,
+    ProbeResult fwd = runNoiseProbe(model, batch, stats,
                                     ProbeKind::Forward, config_.probe);
+    // The probes were the gradient dumps' only readers; the analysis
+    // never looks at them, so they stay out of the snapshot.
+    for (auto &layer : stats.layers)
+        layer.dw_dump = Tensor();
 
     SchemeUpdateRequest req;
     req.epoch = ++epoch_;
     req.snapshot_step = step;
     req.apply_step = step + effectiveApplyDelay();
-    // The probes above already diffed against the gradient dumps and
-    // the analysis never reads them, so keep them out of the snapshot
-    // copy: park them aside, copy the light scalars, put them back.
-    std::vector<Tensor> dumps;
-    dumps.reserve(stats_.layers.size());
-    for (auto &layer : stats_.layers)
-        dumps.push_back(std::move(layer.dw_dump));
-    req.stats = stats_;
-    for (size_t i = 0; i < dumps.size(); ++i)
-        stats_.layers[i].dw_dump = std::move(dumps[i]);
+    req.stats = std::move(stats);
     req.bwd_probe = std::move(bwd);
     req.fwd_probe = std::move(fwd);
     req.flops = FlopsModel(model.registry());
@@ -110,12 +106,10 @@ SnipController::applyResult(LlamaModel &model,
     // Step 6: apply.
     model.setScheme(result.selection.scheme);
     selection_ = result.selection;
-    table_ = result.table;
     has_selection_ = true;
 
     overhead_.epoch = result.epoch;
     overhead_.solve_seconds = result.selection.ilp.solve_seconds;
-    overhead_.ilp_nodes = result.selection.ilp.nodes_explored;
     overhead_.work_seconds = result.work_seconds;
     overhead_.exposed_seconds = waited_seconds;
     overhead_.hidden_seconds =
@@ -138,11 +132,6 @@ SnipController::applyResult(LlamaModel &model,
     telemetry::addSeconds(telemetry::Seconds::SchemeExposed,
                           overhead_.exposed_seconds);
     telemetry::recordTimer(telemetry::Timer::SchemeWait, waited_seconds);
-
-    debugLog("SNIP scheme updated: epoch=", result.epoch,
-             " fp4_fraction=", selection_.fp4_fraction,
-             " objective=", selection_.ilp.objective,
-             selection_.ilp.from_cache ? " (cached solve)" : "");
 }
 
 SchemeSelection
@@ -284,8 +273,6 @@ SnipController::importState(const PersistState &state)
     selection_ = SchemeSelection{};
     selection_.scheme = state.applied_scheme;
     selection_.fp4_fraction = state.applied_fp4_fraction;
-    stats_ = TrainingStats{};
-    table_ = DivergenceTable{};
     overhead_ = UpdateOverhead{};
     pending_ = state.pending;
     pending_wait_seconds_ = 0.0;

@@ -57,8 +57,6 @@ struct UpdateOverhead
     int extra_passes = 0;
     /** ILP wall-clock seconds (the solver's own timer). */
     double solve_seconds = 0.0;
-    /** ILP nodes explored. */
-    int64_t ilp_nodes = 0;
     /** Worker wall-clock of Steps 4-5 (analysis + solve). Inline mode:
      *  the same work measured on the trainer thread. */
     double work_seconds = 0.0;
@@ -157,8 +155,6 @@ class SnipController
 
     bool hasSelection() const { return has_selection_; }
     const SchemeSelection &lastSelection() const { return selection_; }
-    const TrainingStats &lastStats() const { return stats_; }
-    const DivergenceTable &lastTable() const { return table_; }
     const UpdateOverhead &lastOverhead() const { return overhead_; }
     const OverheadTotals &totals() const { return totals_; }
 
@@ -205,8 +201,6 @@ class SnipController
     Config config_;
     std::unique_ptr<SchemeUpdateService> service_;
     SchemeSelection selection_;
-    TrainingStats stats_;
-    DivergenceTable table_;
     UpdateOverhead overhead_;
     OverheadTotals totals_;
     bool has_selection_ = false;

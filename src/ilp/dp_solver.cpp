@@ -1,5 +1,7 @@
 #include "ilp/dp_solver.h"
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -45,44 +47,51 @@ solveDp(const IlpProblem &problem, int resolution)
 
     const double unit = problem.target / static_cast<double>(resolution);
     const int target_units = resolution;
+    const size_t cells = static_cast<size_t>(target_units) + 1;
+    // An option's efficiency in whole units, rounded down. Clamping to
+    // the target keeps a tiny target's quotient in int range; a larger
+    // weight lands on the capped target cell all the same.
+    auto units = [&](double e) {
+        const double w = std::floor(e / unit + 1e-9);
+        return w <= 0.0 ? 0
+                        : static_cast<int>(std::min(
+                              w, static_cast<double>(target_units)));
+    };
 
     constexpr double kInf = std::numeric_limits<double>::infinity();
-    // dp[u] = min cost to accumulate >= u*unit? We track "accumulated
-    // units capped at target_units": dp_next[min(u + w, T)].
-    std::vector<double> dp(static_cast<size_t>(target_units) + 1, kInf);
+    // dp[u]: min cost of the items so far with accumulated units capped
+    // at the target.
+    std::vector<double> dp(cells, kInf);
+    std::vector<double> dp_next(cells);
     dp[0] = 0.0;
-    // Backtracking table: chosen option for (item, units-before).
-    std::vector<std::vector<int8_t>> back(
-        static_cast<size_t>(m),
-        std::vector<int8_t>(static_cast<size_t>(target_units) + 1, -1));
-    // Also remember, per item and units-after, the units-before.
-    std::vector<std::vector<int>> prev_units(
-        static_cast<size_t>(m),
-        std::vector<int>(static_cast<size_t>(target_units) + 1, -1));
+    // back[i * cells + u]: the option item i took to land on u;
+    // target_from[i]: the cell it left for the capped target cell.
+    std::vector<int8_t> back(static_cast<size_t>(m) * cells, -1);
+    std::vector<int> target_from(static_cast<size_t>(m), -1);
 
-    std::vector<double> dp_next(static_cast<size_t>(target_units) + 1);
+    std::array<int, 127> w;
     for (int i = 0; i < m; ++i) {
         std::fill(dp_next.begin(), dp_next.end(), kInf);
         const auto &q = problem.quality[static_cast<size_t>(i)];
         const auto &e = problem.efficiency[static_cast<size_t>(i)];
         const int n_opts = problem.numOptions(i);
         SNIP_ASSERT(n_opts <= 127, "too many options for int8 backtrack");
+        for (int j = 0; j < n_opts; ++j)
+            w[static_cast<size_t>(j)] = units(e[static_cast<size_t>(j)]);
+        int8_t *row = back.data() + static_cast<size_t>(i) * cells;
         for (int u = 0; u <= target_units; ++u) {
-            if (dp[static_cast<size_t>(u)] == kInf)
+            const double base = dp[static_cast<size_t>(u)];
+            if (base == kInf)
                 continue;
             for (int j = 0; j < n_opts; ++j) {
-                const int w = static_cast<int>(
-                    std::floor(e[static_cast<size_t>(j)] / unit + 1e-9));
-                const int nu = std::min(target_units, u + std::max(0, w));
-                const double cost = dp[static_cast<size_t>(u)] +
-                                    q[static_cast<size_t>(j)];
+                const int nu = std::min(target_units,
+                                        u + w[static_cast<size_t>(j)]);
+                const double cost = base + q[static_cast<size_t>(j)];
                 if (cost < dp_next[static_cast<size_t>(nu)]) {
                     dp_next[static_cast<size_t>(nu)] = cost;
-                    back[static_cast<size_t>(i)]
-                        [static_cast<size_t>(nu)] =
-                            static_cast<int8_t>(j);
-                    prev_units[static_cast<size_t>(i)]
-                              [static_cast<size_t>(nu)] = u;
+                    row[nu] = static_cast<int8_t>(j);
+                    if (nu == target_units)
+                        target_from[static_cast<size_t>(i)] = u;
                 }
             }
         }
@@ -124,11 +133,14 @@ solveDp(const IlpProblem &problem, int resolution)
     sol.choice.assign(static_cast<size_t>(m), -1);
     int u = target_units;
     for (int i = m - 1; i >= 0; --i) {
-        const int j =
-            back[static_cast<size_t>(i)][static_cast<size_t>(u)];
+        const int j = back[static_cast<size_t>(i) * cells +
+                           static_cast<size_t>(u)];
         SNIP_ASSERT(j >= 0, "broken DP backtrack");
         sol.choice[static_cast<size_t>(i)] = j;
-        u = prev_units[static_cast<size_t>(i)][static_cast<size_t>(u)];
+        u = u == target_units
+                ? target_from[static_cast<size_t>(i)]
+                : u - units(problem.efficiency[static_cast<size_t>(i)]
+                                              [static_cast<size_t>(j)]);
     }
     sol.feasible = verifySolution(problem, sol.choice, &sol.objective,
                                   &sol.achieved_efficiency);

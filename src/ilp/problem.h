@@ -70,8 +70,6 @@ struct IlpSolution
     double objective = 0.0;
     double achieved_efficiency = 0.0;
     bool feasible = false;
-    /** Search statistics. */
-    int64_t nodes_explored = 0;
     double solve_seconds = 0.0;
     /** True when the solution came out of a SolveCache rather than a
      *  fresh search (solve_seconds is then the lookup time). */
@@ -88,7 +86,8 @@ struct IlpSolution
 uint64_t ilpProblemHash(const IlpProblem &problem);
 
 /** Recompute objective/efficiency of @p choice on @p problem and check
- *  all constraints; used to cross-validate the two solvers. */
+ *  all constraints: the DP's own final check, the solve cache's hit
+ *  verification, and the tests' check of any solver's answer. */
 bool verifySolution(const IlpProblem &problem,
                     const std::vector<int> &choice, double *objective_out,
                     double *efficiency_out);

@@ -15,14 +15,14 @@ namespace snip {
 
 namespace {
 
-// v2 appended the CRC-32 trailer; v1 files (no trailer) still load.
-constexpr uint64_t kMagic = 0x534E4950534C4332ull;   // "SNIPSLC2"
-constexpr uint64_t kMagicV1 = 0x534E4950534C4331ull; // "SNIPSLC1"
+// v3 dropped the per-entry search-node count that v1 and v2 stored;
+// older files load as an empty cache and are rewritten on the next
+// insert.
+constexpr uint64_t kMagic = 0x534E4950534C4333ull; // "SNIPSLC3"
 
-// Sanity bounds a corrupt entry can't push an allocation or loop
+// Sanity bound a corrupt entry can't push an allocation or loop
 // through before validation rejects it.
 constexpr uint64_t kMaxChoices = 1u << 20;
-constexpr int64_t kMaxNodes = int64_t{1} << 40;
 
 void
 putU64(std::string &out, uint64_t v)
@@ -62,19 +62,17 @@ struct Reader
 bool
 readEntry(Reader &r, uint64_t *key, IlpSolution *sol)
 {
-    uint64_t feasible = 0, nodes = 0, n_choice = 0;
+    uint64_t feasible = 0, n_choice = 0;
     if (!r.u64(*key) || !r.u64(feasible) || !r.f64(sol->objective) ||
-        !r.f64(sol->achieved_efficiency) || !r.u64(nodes) ||
-        !r.f64(sol->solve_seconds) || !r.u64(n_choice))
+        !r.f64(sol->achieved_efficiency) || !r.f64(sol->solve_seconds) ||
+        !r.u64(n_choice))
         return false;
     if (feasible > 1 || !std::isfinite(sol->objective) ||
         !std::isfinite(sol->achieved_efficiency) ||
         !std::isfinite(sol->solve_seconds) || sol->solve_seconds < 0.0 ||
-        nodes > static_cast<uint64_t>(kMaxNodes) ||
         n_choice > kMaxChoices)
         return false;
     sol->feasible = feasible != 0;
-    sol->nodes_explored = static_cast<int64_t>(nodes);
     sol->choice.resize(n_choice);
     for (uint64_t i = 0; i < n_choice; ++i) {
         uint64_t c = 0;
@@ -217,35 +215,30 @@ SolveCache::load()
 
     Reader r{file.data(), file.data() + file.size()};
     uint64_t magic = 0, count = 0;
-    if (!r.u64(magic) || (magic != kMagic && magic != kMagicV1) ||
-        !r.u64(count)) {
-        warn("ignoring unreadable solve cache ", path_);
+    if (!r.u64(magic) || magic != kMagic || !r.u64(count)) {
+        warn("ignoring unreadable or outdated solve cache ", path_);
         return false;
     }
-    bool clean = true;
-    if (magic == kMagic) {
-        // v2: the last 8 bytes hold the CRC of everything before
-        // them. A mismatch doesn't discard the file outright — the
-        // per-entry validation below salvages the good prefix.
+    // The last 8 bytes hold the CRC of everything before them. A
+    // mismatch doesn't discard the file outright — the per-entry
+    // validation below salvages the good prefix.
+    bool clean = false;
+    if (file.size() < 3 * sizeof(uint64_t)) {
+        // Too short to hold magic + count + CRC: the trailer overlaps
+        // the header already consumed, so there is no entry region at
+        // all — don't move r.end behind r.p.
+        r.end = r.p;
+    } else {
         uint64_t stored = 0;
-        if (file.size() < 3 * sizeof(uint64_t)) {
-            // Too short to hold magic + count + CRC: the trailer
-            // overlaps the header already consumed, so there is no
-            // entry region at all — don't move r.end behind r.p.
-            clean = false;
-            r.end = r.p;
-        } else {
-            std::memcpy(&stored,
-                        file.data() + file.size() - sizeof(uint64_t),
-                        sizeof(stored));
-            clean = crc32(file.data(),
-                          file.size() - sizeof(uint64_t)) == stored;
-            r.end = file.data() + file.size() - sizeof(uint64_t);
-        }
-        if (!clean)
-            warn("solve cache ", path_,
-                 " failed its CRC check; salvaging valid entries");
+        std::memcpy(&stored, file.data() + file.size() - sizeof(uint64_t),
+                    sizeof(stored));
+        clean = crc32(file.data(), file.size() - sizeof(uint64_t)) ==
+                stored;
+        r.end = file.data() + file.size() - sizeof(uint64_t);
     }
+    if (!clean)
+        warn("solve cache ", path_,
+             " failed its CRC check; salvaging valid entries");
 
     // Entries are persisted most-recently-used first; re-inserting in
     // reverse file order rebuilds the same recency (and applies the
@@ -297,7 +290,6 @@ SolveCache::saveLocked() const
         putU64(image, sol.feasible ? 1 : 0);
         putF64(image, sol.objective);
         putF64(image, sol.achieved_efficiency);
-        putU64(image, static_cast<uint64_t>(sol.nodes_explored));
         putF64(image, sol.solve_seconds);
         putU64(image, static_cast<uint64_t>(sol.choice.size()));
         for (int c : sol.choice)

@@ -16,14 +16,16 @@
  * smuggle in an invalid scheme — it just degrades to a miss.
  *
  * On-disk format (binary, alongside the train/checkpoint format):
- * magic "SNIPSLC2", entry count, then per entry the key, feasibility,
- * objective, achieved efficiency, node count, original solve seconds
- * and the choice vector, closed by a CRC-32 trailer ("SNIPSLC1" files,
- * no trailer, still load). The file is rewritten atomically
- * (tmp + rename) after each insert when a path is configured. Every
- * entry is validated on load (finite objectives, bounded counts); a
- * truncated or corrupt tail drops only the bad entries — the validated
- * prefix is kept — and an unreadable file is an empty cache.
+ * magic "SNIPSLC3", entry count, then per entry the key, feasibility,
+ * objective, achieved efficiency, original solve seconds and the
+ * choice vector, closed by a CRC-32 trailer. The file is rewritten
+ * atomically (tmp + rename) after each insert when a path is
+ * configured. Every entry is validated on load (finite objectives,
+ * bounded counts); a truncated or corrupt tail drops only the bad
+ * entries — the validated prefix is kept — and an unreadable file is
+ * an empty cache. That includes the older "SNIPSLC1"/"SNIPSLC2" files,
+ * which also stored a search-node count: they load empty with one
+ * warning and are replaced by the next insert.
  *
  * The cache is LRU-bounded: setLimits() caps the entry count and the
  * approximate in-memory bytes (0 = unlimited, the default). Lookups

@@ -21,7 +21,6 @@ solveUncached(const IlpProblem &problem)
     for (const auto &g : problem.groups) {
         IlpProblem sub = problem.slice(g.first, g.count, g.target);
         IlpSolution s = solveDp(sub, kDpResolution);
-        total.nodes_explored += s.nodes_explored;
         total.solve_seconds += s.solve_seconds;
         if (!s.feasible) {
             total.feasible = false;
@@ -81,7 +80,6 @@ solveIlp(const IlpProblem &problem, const IlpSolveOptions &options)
             cached.objective = obj;
             cached.achieved_efficiency = eff;
             cached.from_cache = true;
-            cached.nodes_explored = 0;
             cached.solve_seconds =
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - start)

@@ -6,10 +6,10 @@
  * Grouped (pipeline-aware, Sec. 5.3) instances decompose into one
  * independent subproblem per group, because each group has its own
  * efficiency constraint and items appear in exactly one group. Every
- * (sub)problem is solved by the DP (ilp/dp_solver.h) at kDpResolution:
- * it is exact up to a fine discretization and has predictable
- * sub-second runtime. Branch & bound (ilp/branch_and_bound.h) stays as
- * the tests' exact reference.
+ * (sub)problem is solved by the DP (ilp/dp_solver.h) at kDpResolution,
+ * the library's only solver: it is exact up to a fine discretization
+ * and its runtime is linear in the item count. The tests check it
+ * against branch & bound and brute force (tests/ilp_reference.h).
  *
  * Reentrancy: solveIlp() is a pure function of its snapshot-style
  * inputs — it reads only the IlpProblem and options it is handed and

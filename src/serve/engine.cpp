@@ -255,8 +255,6 @@ Engine::retire(std::size_t idx)
 void
 Engine::rejectRequest(ServeRequest request, RequestStatus status)
 {
-    debugLog("serve request ", request.id,
-             " rejected at admission: ", requestStatusName(status));
     RequestResult r;
     r.id = request.id;
     r.status = status;
@@ -280,13 +278,9 @@ Engine::finishEarly(std::size_t idx, RequestStatus status)
     if (status == RequestStatus::Preempted) {
         stats_.preempted += 1;
         telemetry::count(telemetry::Counter::ServePreempted);
-        debugLog("serve request ", seq.result.id,
-                 " preempted to relieve KV page pressure");
     } else {
         stats_.expired += 1;
         telemetry::count(telemetry::Counter::ServeExpired);
-        debugLog("serve request ", seq.result.id,
-                 " expired mid-flight");
     }
     retire(idx); // releases every KV page and frees the slot
 }

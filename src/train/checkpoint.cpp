@@ -16,8 +16,8 @@ namespace {
 
 // v2 added the quantizer/noise RNG stream states (bit-exact resume
 // under stochastic rounding) and the optional controller section; v3
-// added the CRC-32 footer. v2 payloads are identical to v3's, so they
-// still load (without the integrity check).
+// added the CRC-32 footer. Only v3 loads: a v1 or v2 file is reported
+// as outdated so callers regenerate it.
 constexpr uint64_t kMagic = 0x534E4950434B5033ull;    // "SNIPCKP3"
 constexpr uint64_t kMagicV2 = 0x534E4950434B5032ull;  // "SNIPCKP2"
 constexpr uint64_t kMagicV1 = 0x534E4950434B5031ull;  // "SNIPCKP1"
@@ -25,8 +25,8 @@ constexpr uint64_t kCtlMagic = 0x534E495043544C31ull; // "SNIPCTL1"
 constexpr uint64_t kFooterMagic = 0x534E4950434B4631ull; // "SNIPCKF1"
 constexpr size_t kFooterBytes = 3 * sizeof(uint64_t);
 
-// Bounds a corrupt v2 file (no CRC to catch it) can't push a
-// resize/loop through before the shape checks reject it.
+// Bounds a file whose CRC matches but whose content was crafted can't
+// push a resize/loop through before the shape checks reject it.
 constexpr uint64_t kMaxSchemeLayers = 1u << 20;
 constexpr uint64_t kMaxTensorRank = 8;
 
@@ -374,37 +374,35 @@ loadCheckpoint(Trainer &trainer, const std::string &path,
 
     uint64_t magic;
     std::memcpy(&magic, file.data(), sizeof(magic));
-    size_t payload_size = file.size();
-    if (magic == kMagicV1) {
-        // Outdated format (no RNG stream states): report unreadable so
-        // callers (e.g. the bench checkpoint cache) regenerate it.
-        warn("outdated SNIPCKP1 checkpoint, ignoring: ", path);
+    if (magic == kMagicV1 || magic == kMagicV2) {
+        // Outdated format (v1: no RNG stream states, v2: no integrity
+        // footer): report unreadable so callers (e.g. the bench
+        // checkpoint cache) regenerate it.
+        warn("outdated checkpoint format, ignoring: ", path);
         return failWith(status, CheckpointStatus::OutdatedVersion);
     }
-    if (magic == kMagic) {
-        // v3: verify the footer before looking at anything else. A
-        // missing/garbled footer means the tail was torn off; a CRC
-        // mismatch means the bytes changed under us.
-        if (file.size() < sizeof(uint64_t) + kFooterBytes)
-            return failWith(status, CheckpointStatus::Truncated);
-        uint64_t fmagic, fsize, fcrc;
-        const char *footer = file.data() + file.size() - kFooterBytes;
-        std::memcpy(&fmagic, footer, sizeof(fmagic));
-        std::memcpy(&fsize, footer + 8, sizeof(fsize));
-        std::memcpy(&fcrc, footer + 16, sizeof(fcrc));
-        if (fmagic != kFooterMagic ||
-            fsize != file.size() - kFooterBytes) {
-            warn("checkpoint ", path, " has a torn/missing footer");
-            return failWith(status, CheckpointStatus::Truncated);
-        }
-        payload_size = static_cast<size_t>(fsize);
-        if (crc32(file.data(), payload_size) != fcrc) {
-            warn("checkpoint ", path, " failed its CRC check");
-            return failWith(status, CheckpointStatus::CrcMismatch);
-        }
-    } else if (magic != kMagicV2) {
+    if (magic != kMagic) {
         warn("not a SNIP checkpoint: ", path);
         return failWith(status, CheckpointStatus::BadMagic);
+    }
+    // Verify the footer before looking at anything else. A missing or
+    // garbled footer means the tail was torn off; a CRC mismatch means
+    // the bytes changed under us.
+    if (file.size() < sizeof(uint64_t) + kFooterBytes)
+        return failWith(status, CheckpointStatus::Truncated);
+    uint64_t fmagic, fsize, fcrc;
+    const char *footer = file.data() + file.size() - kFooterBytes;
+    std::memcpy(&fmagic, footer, sizeof(fmagic));
+    std::memcpy(&fsize, footer + 8, sizeof(fsize));
+    std::memcpy(&fcrc, footer + 16, sizeof(fcrc));
+    if (fmagic != kFooterMagic || fsize != file.size() - kFooterBytes) {
+        warn("checkpoint ", path, " has a torn/missing footer");
+        return failWith(status, CheckpointStatus::Truncated);
+    }
+    const size_t payload_size = static_cast<size_t>(fsize);
+    if (crc32(file.data(), payload_size) != fcrc) {
+        warn("checkpoint ", path, " failed its CRC check");
+        return failWith(status, CheckpointStatus::CrcMismatch);
     }
 
     // Parse the whole payload into locals BEFORE touching the trainer,

@@ -9,8 +9,9 @@
  * footer over everything before it. The scheme + RNG states make
  * resumes bit-exact even under stochastic-rounding schemes; the footer
  * makes torn writes and bit rot detectable instead of silently
- * half-loading. Outdated v1 files are reported as unreadable (callers
- * regenerate them); v2 files (no footer) still load.
+ * half-loading. v3 is the only version that loads: a v1 file (no RNG
+ * states) or v2 file (no footer) is reported as OutdatedVersion, with
+ * a warning, and callers regenerate it.
  *
  * Durability: the image is staged to <path>.tmp, fsync'd, renamed
  * over <path>, and the parent directory fsync'd — so a crash at any
@@ -54,7 +55,7 @@ enum class CheckpointStatus
     Ok,              ///< loaded/saved completely
     FileMissing,     ///< path absent or unreadable
     BadMagic,        ///< not a SNIP checkpoint
-    OutdatedVersion, ///< v1 file: regenerate it
+    OutdatedVersion, ///< v1 or v2 file: regenerate it
     Truncated,       ///< file ends mid-section (torn write)
     CrcMismatch,     ///< footer checksum does not cover the payload
     Malformed,       ///< structure disagrees with the trainer (shape /

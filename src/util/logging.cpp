@@ -5,10 +5,8 @@ namespace snip {
 namespace detail {
 
 void
-emit(LogLevel level, const std::string &prefix, const std::string &msg)
+emit(const std::string &prefix, const std::string &msg)
 {
-    if (static_cast<int>(level) > static_cast<int>(LogLevel::Info))
-        return;
     std::fprintf(stderr, "[%s] %s\n", prefix.c_str(), msg.c_str());
 }
 

@@ -18,9 +18,6 @@
 
 namespace snip {
 
-/** Verbosity levels for log filtering. */
-enum class LogLevel { Silent = 0, Warn = 1, Info = 2, Debug = 3 };
-
 namespace detail {
 
 /** Concatenate any streamable arguments into a string. */
@@ -33,9 +30,8 @@ concat(Args &&...args)
     return oss.str();
 }
 
-/** Emit one log line with a severity prefix unless it is more verbose
- *  than Info. */
-void emit(LogLevel level, const std::string &prefix, const std::string &msg);
+/** Emit one log line with a severity prefix. */
+void emit(const std::string &prefix, const std::string &msg);
 
 [[noreturn]] void die(const std::string &prefix, const std::string &msg,
                       bool abort_process);
@@ -47,15 +43,7 @@ template <typename... Args>
 void
 inform(Args &&...args)
 {
-    detail::emit(LogLevel::Info, "info", detail::concat(args...));
-}
-
-/** Verbose diagnostic output; filtered out at the Info level. */
-template <typename... Args>
-void
-debugLog(Args &&...args)
-{
-    detail::emit(LogLevel::Debug, "debug", detail::concat(args...));
+    detail::emit("info", detail::concat(args...));
 }
 
 /** Something may be off, but execution can continue. */
@@ -63,7 +51,7 @@ template <typename... Args>
 void
 warn(Args &&...args)
 {
-    detail::emit(LogLevel::Warn, "warn", detail::concat(args...));
+    detail::emit("warn", detail::concat(args...));
 }
 
 /** Unrecoverable *user* error (bad config / arguments): exit(1). */

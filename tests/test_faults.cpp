@@ -17,6 +17,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -296,6 +297,39 @@ TEST(FaultCheckpoint, CorruptionMatrixNeverHalfRestores)
     removeCheckpointChain(path);
 }
 
+TEST(FaultCheckpoint, OutdatedVersionsAreRefused)
+{
+    // A v2 image was a v3 payload without the CRC footer (v1 also
+    // lacked the RNG states). Re-stamping a fresh image as either must
+    // be refused as outdated and leave the trainer as it was.
+    const std::string path = "test_faults_outdated.ckpt";
+    removeCheckpointChain(path);
+    TrainerConfig cfg = trainerPreset(tinyTestModel());
+    Trainer trainer(cfg);
+    trainer.train(3);
+    CheckpointWriteOptions opts;
+    opts.durable = false;
+    ASSERT_TRUE(saveCheckpoint(trainer, path, nullptr, nullptr, opts));
+    std::string image;
+    ASSERT_TRUE(readFileBytes(path, &image));
+    constexpr size_t kFooterBytes = 24;
+    ASSERT_GT(image.size(), kFooterBytes + sizeof(uint64_t));
+
+    for (const uint64_t magic :
+         {0x534E4950434B5032ull, 0x534E4950434B5031ull}) {
+        std::string old = image.substr(0, image.size() - kFooterBytes);
+        std::memcpy(&old[0], &magic, sizeof(magic));
+        ASSERT_TRUE(writeFileBytes(path, old));
+        Trainer touched(cfg);
+        CheckpointStatus status = CheckpointStatus::Ok;
+        EXPECT_FALSE(loadCheckpoint(touched, path, nullptr, &status));
+        EXPECT_EQ(status, CheckpointStatus::OutdatedVersion);
+        Trainer untouched(cfg);
+        EXPECT_EQ(touched.train(3), untouched.train(3));
+    }
+    removeCheckpointChain(path);
+}
+
 TEST(FaultCheckpoint, TornWriteRecoversThroughRotationBitExactly)
 {
     FaultGuard fault_guard;
@@ -434,7 +468,6 @@ TEST(FaultSolveCache, CorruptTailKeepsValidatedPrefix)
             s.choice = {0, 1, static_cast<int>(key)};
             s.objective = 1.0 + static_cast<double>(key);
             s.achieved_efficiency = 0.5;
-            s.nodes_explored = 10;
             s.solve_seconds = 0.01;
             cache.insert(key, s);
         }

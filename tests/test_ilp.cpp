@@ -1,21 +1,26 @@
 /**
  * @file
- * ILP solver tests: LP relaxation properties, exactness of branch &
- * bound on enumerable instances, DP/B&B cross-validation sweeps, group
- * decomposition, and the paper's boundary guarantees (E_t = 0 / 1).
+ * ILP solver tests: the DP's exactness against the reference solvers in
+ * ilp_reference.h (LP relaxation properties, branch & bound against
+ * brute force, DP/B&B cross-validation sweeps), its golden choices and
+ * allocation bound, group decomposition, the paper's boundary
+ * guarantees (E_t = 0 / 1), and the solve cache's LRU and file format.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <string>
 
-#include "ilp/branch_and_bound.h"
-#include "ilp/lp_relaxation.h"
+#include "alloc_counter.h"
 #include "ilp/solve_cache.h"
 #include "ilp/solver.h"
+#include "ilp_reference.h"
+#include "util/crc32.h"
+#include "util/file_io.h"
 #include "util/rng.h"
 
 namespace snip {
@@ -80,6 +85,29 @@ offGridInstance(Rng &rng, int items, int options)
         for (int j = 0; j < options; ++j) {
             q.push_back(rng.nextDouble());
             e.push_back(rng.nextDouble() * 0.2);
+        }
+        p.quality.push_back(q);
+        p.efficiency.push_back(e);
+    }
+    return p;
+}
+
+/**
+ * Off-grid instance whose options tie often: qualities come from four
+ * values and efficiencies from four multiples of 1/(3·items), a step
+ * off the DP's unit grid at most targets, so equal costs keep meeting
+ * in one cell.
+ */
+IlpProblem
+tieHeavyInstance(Rng &rng, int items, int options)
+{
+    IlpProblem p;
+    const double step = 1.0 / (3.0 * items);
+    for (int i = 0; i < items; ++i) {
+        std::vector<double> q, e;
+        for (int j = 0; j < options; ++j) {
+            q.push_back(0.25 * static_cast<double>(rng.nextBelow(4)));
+            e.push_back(step * static_cast<double>(rng.nextBelow(4)));
         }
         p.quality.push_back(q);
         p.efficiency.push_back(e);
@@ -243,6 +271,20 @@ TEST(Dp, TargetAtMaximumTakesMostEfficientOptions)
     }
 }
 
+TEST(Dp, TinyTargetKeepsTheOptimum)
+{
+    // At a target this far below the options' efficiencies a weight in
+    // units exceeds int range; it must count as reaching the target,
+    // not wrap to nothing and leave only the all-maximum fallback.
+    IlpProblem p;
+    p.quality = {{0.0, 1.0}, {0.0, 1.0}};
+    p.efficiency = {{0.0, 0.5}, {0.0, 0.5}};
+    p.target = 1e-9;
+    const IlpSolution s = solveDp(p);
+    ASSERT_TRUE(s.feasible);
+    EXPECT_EQ(s.objective, 1.0);
+}
+
 TEST(Dp, TargetAboveMaximumIsInfeasible)
 {
     Rng rng(14);
@@ -252,6 +294,51 @@ TEST(Dp, TargetAboveMaximumIsInfeasible)
         EXPECT_FALSE(s.feasible);
         EXPECT_TRUE(s.choice.empty());
     }
+}
+
+TEST(Dp, GoldenChoicesOnTieHeavyInstances)
+{
+    // Pins every choice the DP makes, ties and the at-maximum fallback
+    // included: a rewrite of the table or the backtrack that picks a
+    // different optimum among equals moves this CRC.
+    Rng rng(2024);
+    uint32_t crc = 0;
+    int solves = 0;
+    for (const auto &[items, options] :
+         {std::pair{154, 4}, std::pair{40, 3}, std::pair{7, 8}}) {
+        for (int rep = 0; rep < 2; ++rep) {
+            IlpProblem p = tieHeavyInstance(rng, items, options);
+            const double max = p.maxAchievableEfficiency();
+            for (double target :
+                 {0.0, 0.5, 0.97 * max, max, 1.0001 * max}) {
+                p.target = target;
+                const IlpSolution s = solveDp(p);
+                const uint32_t n = static_cast<uint32_t>(s.choice.size());
+                crc = crc32(&n, sizeof(n), crc);
+                crc = crc32(s.choice.data(),
+                            s.choice.size() * sizeof(int), crc);
+                ++solves;
+            }
+        }
+    }
+    EXPECT_EQ(solves, 30);
+    EXPECT_EQ(crc, 0x8d2bfa14u);
+}
+
+TEST(Dp, AllocationCountDoesNotGrowWithItems)
+{
+    // One flat backtrack table plus per-resolution scratch: the number
+    // of heap blocks a solve takes is the same at any item count.
+    Rng rng(16);
+    auto allocsFor = [&](int items) {
+        IlpProblem p = tieHeavyInstance(rng, items, 4);
+        p.target = 0.5;
+        return allocDelta([&] {
+            const IlpSolution s = solveDp(p);
+            EXPECT_TRUE(s.feasible);
+        });
+    };
+    EXPECT_EQ(allocsFor(40), allocsFor(154));
 }
 
 TEST(Groups, DecomposesAndMeetsEveryGroupTarget)
@@ -342,7 +429,6 @@ cacheSolution(int tag, size_t n_choice = 4)
     s.feasible = true;
     s.objective = tag * 1.0;
     s.achieved_efficiency = 0.5;
-    s.nodes_explored = tag;
     s.choice.assign(n_choice, tag);
     return s;
 }
@@ -363,7 +449,7 @@ TEST(SolveCacheLru, EvictsColdestOnEntryBound)
     EXPECT_TRUE(cache.lookup(3, nullptr));
     IlpSolution got;
     EXPECT_TRUE(cache.lookup(4, &got));
-    EXPECT_EQ(got.nodes_explored, 4);
+    EXPECT_EQ(got.objective, 4.0);
 }
 
 TEST(SolveCacheLru, ByteBoundHoldsAndFreshestSurvives)
@@ -433,8 +519,66 @@ TEST(SolveCacheLru, UnboundedByDefaultAndRewriteKeepsPayload)
     cache.insert(7, cacheSolution(70));
     IlpSolution got;
     EXPECT_TRUE(cache.lookup(7, &got));
-    EXPECT_EQ(got.nodes_explored, 70);
+    EXPECT_EQ(got.objective, 70.0);
     EXPECT_EQ(cache.size(), 100u);
+}
+
+// ---------------------------------------------- solve-cache file format
+
+TEST(SolveCacheFormat, OutdatedFileLoadsEmptyAndNextInsertWritesV3)
+{
+    const std::string path =
+        ::testing::TempDir() + "snip_solve_cache_outdated.bin";
+    constexpr uint64_t kV3 = 0x534E4950534C4333ull; // "SNIPSLC3"
+    // v1 and v2 stored a search-node count in every entry; v2 closed
+    // the file with a CRC trailer.
+    for (const uint64_t magic :
+         {0x534E4950534C4331ull, 0x534E4950534C4332ull}) {
+        std::string image;
+        auto put = [&](auto v) {
+            image.append(reinterpret_cast<const char *>(&v), sizeof(v));
+        };
+        put(magic);
+        put(uint64_t{1});                     // entries
+        put(uint64_t{42});                    // key
+        put(uint64_t{1});                     // feasible
+        put(1.5);                             // objective
+        put(0.5);                             // achieved efficiency
+        put(uint64_t{7});                     // nodes explored
+        put(0.01);                            // solve seconds
+        put(uint64_t{2});                     // choices
+        put(uint64_t{0});
+        put(uint64_t{1});
+        if (magic == 0x534E4950534C4332ull)
+            put(uint64_t{crc32(image.data(), image.size())});
+        ASSERT_TRUE(fsio::writeFile(path, image));
+
+        ::testing::internal::CaptureStderr();
+        SolveCache cache(path);
+        const std::string log = ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(cache.size(), 0u);
+        EXPECT_FALSE(cache.lookup(42, nullptr));
+        size_t warnings = 0;
+        for (size_t at = log.find("[warn]"); at != std::string::npos;
+             at = log.find("[warn]", at + 1))
+            ++warnings;
+        EXPECT_EQ(warnings, 1u) << log;
+
+        cache.insert(9, cacheSolution(9));
+        std::string rewritten;
+        ASSERT_TRUE(fsio::readFile(path, &rewritten));
+        uint64_t head = 0;
+        ASSERT_GE(rewritten.size(), sizeof(head));
+        std::memcpy(&head, rewritten.data(), sizeof(head));
+        EXPECT_EQ(head, kV3);
+        SolveCache reloaded(path);
+        IlpSolution got;
+        ASSERT_TRUE(reloaded.lookup(9, &got));
+        EXPECT_EQ(got.objective, 9.0);
+        EXPECT_EQ(got.choice, cacheSolution(9).choice);
+        EXPECT_EQ(reloaded.size(), 1u);
+    }
+    std::remove(path.c_str());
 }
 
 } // namespace
