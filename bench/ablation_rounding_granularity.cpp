@@ -43,7 +43,6 @@ main(int argc, char **argv)
                        .linear(trainer.model().registry().numLinear() /
                                2)
                        .weight();
-        FakeQuantizer q(3);
         TablePrinter t({"granularity", "fp4 rel err", "fp8 rel err"});
         const std::pair<const char *, ScalingSpec> specs[] = {
             {"tensorwise", {Granularity::Tensorwise, 0}},
@@ -57,14 +56,12 @@ main(int argc, char **argv)
             t.cell(std::string(name));
             t.cell(measureQuantError(
                        w, QuantConfig{fp4E2m1(), spec,
-                                      Rounding::Nearest},
-                       q)
+                                      Rounding::Nearest})
                        .rel_error,
                    5);
             t.cell(measureQuantError(
                        w, QuantConfig{fp8E4m3(), spec,
-                                      Rounding::Nearest},
-                       q)
+                                      Rounding::Nearest})
                        .rel_error,
                    5);
         }

@@ -65,8 +65,8 @@ main(int argc, char **argv)
     controller.updateScheme(trainer.model(), &trainer.optimizer(),
                             batch);
     const UpdateOverhead &oh = controller.lastOverhead();
-    std::printf("\nscheme-update overhead: %d extra fwd+bwd passes, "
-                "ILP solve %.3fs\n",
-                oh.extra_passes, oh.solve_seconds);
+    std::printf("\nscheme-update overhead: %d extra forward(s), %d extra "
+                "backward(s), ILP solve %.3fs\n",
+                oh.extra_forwards, oh.extra_backwards, oh.solve_seconds);
     return 0;
 }

@@ -1,17 +1,18 @@
 /**
  * @file
  * Micro-benchmarks (google-benchmark): quantization kernels at each
- * granularity/format, GEMM throughput, statistics-collection cost (the
- * paper claims it is negligible, Sec. 3.1), ILP solve time for
- * paper-sized instances (paper: "usually takes a few seconds" with a
- * 30 s limit — exact solves here are far below both), and the DP-vs-
- * B&B ablation.
+ * granularity/format, GEMM throughput, the cost of a scheme update's
+ * Steps 1-3 (statistics pass and noise probes; the paper claims the
+ * statistics are cheap, Sec. 3.1), and ILP solve time for paper-sized
+ * instances (paper: "usually takes a few seconds" with a 30 s limit —
+ * exact solves here are far below both).
  */
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <vector>
 
+#include "core/noise_probe.h"
 #include "core/snip_optimizer.h"
 #include "core/stats_collector.h"
 #include "nn/attention.h"
@@ -122,17 +123,27 @@ BM_QuantGemmNT(benchmark::State &state, bool fused)
     runtime::setGlobalThreadCount(0);
 }
 
+/**
+ * Steps 1-3 of one scheme update on the fig8 training configuration
+ * (trainerPreset(tinyllamaSim())): the statistics pass and both noise
+ * probes, which share its forward — the part of an update that needs
+ * the model and so stays on the trainer thread in async mode too.
+ */
 void
-BM_StatsCollection(benchmark::State &state)
+BM_SchemeUpdateSteps(benchmark::State &state)
 {
-    TrainerConfig cfg = trainerPreset(tinyTestModel());
-    Trainer trainer(cfg);
+    Trainer trainer(trainerPreset(tinyllamaSim()));
     trainer.train(2);
-    Batch batch = trainer.nextBatch();
+    const Batch batch = trainer.nextBatch();
+    LlamaModel &model = trainer.model();
     for (auto _ : state) {
-        TrainingStats stats = collectTrainingStats(
-            trainer.model(), &trainer.optimizer(), batch);
-        benchmark::DoNotOptimize(stats.loss);
+        const TrainingStats stats =
+            collectTrainingStats(model, &trainer.optimizer(), batch);
+        const ProbeResult bwd =
+            runNoiseProbe(model, batch, stats, ProbeKind::Backward);
+        const ProbeResult fwd =
+            runNoiseProbe(model, batch, stats, ProbeKind::Forward);
+        benchmark::DoNotOptimize(bwd.noise_norm + fwd.noise_norm);
     }
 }
 
@@ -563,7 +574,7 @@ BENCHMARK(BM_AdamWStep)
     ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_StatsCollection);
+BENCHMARK(BM_SchemeUpdateSteps)->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PlainStep);
 BENCHMARK(BM_TrainStepPack)->Name("BM_TrainStepPack/auto_pack");
 BENCHMARK(BM_IlpDp)->Arg(154)->Arg(560);

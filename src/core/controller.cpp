@@ -45,8 +45,9 @@ SnipController::makeSnapshot(LlamaModel &model, AdamW *optimizer,
                              const Batch &batch, int64_t step,
                              runtime::ThreadPool *pool)
 {
-    // Steps 1-3: instrumented iteration + the two noise probes. These
-    // need the model, so they always run on the trainer thread.
+    // Steps 1-3: instrumented iteration + the two noise probes, one
+    // forward and three backwards. These need the model, so they always
+    // run on the trainer thread.
     StatsOptions stats_opts;
     stats_opts.pool = pool ? pool : config_.pool;
     TrainingStats stats =
@@ -55,10 +56,13 @@ SnipController::makeSnapshot(LlamaModel &model, AdamW *optimizer,
                                     ProbeKind::Backward, config_.probe);
     ProbeResult fwd = runNoiseProbe(model, batch, stats,
                                     ProbeKind::Forward, config_.probe);
-    // The probes were the gradient dumps' only readers; the analysis
-    // never looks at them, so they stay out of the snapshot.
+    // The probes were the only readers of the gradient dumps and the two
+    // kept tensors; the analysis never looks at them, so they stay out
+    // of the snapshot.
     for (auto &layer : stats.layers)
         layer.dw_dump = Tensor();
+    stats.hidden = Tensor();
+    stats.hidden_grad = Tensor();
 
     SchemeUpdateRequest req;
     req.epoch = ++epoch_;
@@ -76,7 +80,8 @@ SnipController::makeSnapshot(LlamaModel &model, AdamW *optimizer,
     req.pipeline = config_.pipeline;
 
     overhead_ = UpdateOverhead{};
-    overhead_.extra_passes = 3;
+    overhead_.extra_forwards = 1;
+    overhead_.extra_backwards = 3;
     overhead_.epoch = req.epoch;
     return req;
 }

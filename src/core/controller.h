@@ -31,7 +31,10 @@
  * UpdateOverhead splits each update's solver cost into hidden vs
  * exposed seconds so the paper's "the search overhead is hidden by
  * asynchronous execution" claim (Sec. 6.3) is measurable; see
- * bench/fig12_pipeline_timeline.cpp.
+ * bench/fig12_pipeline_timeline.cpp. It also counts what Steps 1-3 add
+ * to the trainer's step in either mode: one training forward, shared by
+ * the statistics pass and both probes, and three backwards
+ * (core/noise_probe.h).
  */
 #ifndef SNIP_CORE_CONTROLLER_H
 #define SNIP_CORE_CONTROLLER_H
@@ -53,8 +56,12 @@ struct SchemeUpdateResult;
 /** Overhead accounting of one scheme update. */
 struct UpdateOverhead
 {
-    /** Extra forward+backward passes run (Steps 1-3 => 3). */
-    int extra_passes = 0;
+    /** Extra training forwards Steps 1-3 ran: the statistics pass's,
+     *  which the probes reuse (1). */
+    int extra_forwards = 0;
+    /** Extra backwards Steps 1-3 ran: the statistics pass's and one per
+     *  probe (3). */
+    int extra_backwards = 0;
     /** ILP wall-clock seconds (the solver's own timer). */
     double solve_seconds = 0.0;
     /** Worker wall-clock of Steps 4-5 (analysis + solve). Inline mode:

@@ -26,9 +26,15 @@ runNoiseProbe(LlamaModel &model, const Batch &batch,
     SNIP_ASSERT(baseline.layers.size() ==
                 static_cast<size_t>(reg.numLinear()));
     SNIP_ASSERT(!baseline.layers.empty() &&
-                baseline.layers[0].dw_dump.numel() > 0,
-                "probe requires the gradient dumps of "
+                    baseline.layers[0].dw_dump.numel() > 0 &&
+                    baseline.hidden.numel() > 0 &&
+                    baseline.hidden_grad.numel() > 0,
+                "probe requires the gradient dumps and kept tensors of "
                 "collectTrainingStats");
+    SNIP_ASSERT(model.forwardCount() == baseline.forward_count,
+                "a training forward ran after collectTrainingStats: the "
+                "model no longer holds the state the probe backprops "
+                "through");
 
     ProbeResult result;
     result.kind = kind;
@@ -43,18 +49,18 @@ runNoiseProbe(LlamaModel &model, const Batch &batch,
     model.setScheme(PrecisionScheme::uniform(
         static_cast<size_t>(reg.numLinear()), Precision::BF16));
 
-    if (kind == ProbeKind::Forward)
-        model.setForwardNoise(eps);
-    else
-        model.setBackwardNoise(eps);
-
     model.zeroGrad();
-    LossResult loss = model.forwardLoss(batch.tokens, batch.targets,
-                                        batch.batch, batch.seq);
-    model.backward(loss.dlogits);
-
-    model.setForwardNoise(0.0);
-    model.setBackwardNoise(0.0);
+    if (kind == ProbeKind::Forward) {
+        model.setForwardNoise(eps);
+        const LossResult loss = softmaxCrossEntropy(
+            model.forwardHead(baseline.hidden), batch.targets);
+        model.setForwardNoise(0.0);
+        model.backward(loss.dlogits, /*retain=*/true);
+    } else {
+        model.setBackwardNoise(eps);
+        model.backwardBlocks(baseline.hidden_grad, /*retain=*/true);
+        model.setBackwardNoise(0.0);
+    }
     result.noise_norm = model.lastNoiseNorm();
     model.setScheme(active);
 

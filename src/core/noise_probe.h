@@ -6,9 +6,23 @@
  * is prohibitive, so the paper estimates them stochastically via
  * Theorem 4.2: inject a small Gaussian perturbation at the last layer —
  * into the backward gradient stream (Step 2) or the forward activations
- * (Step 3) — rerun forward+backward on the *same batch* without
- * updating weights, and measure the per-layer Frobenius norm of the
- * change in each weight gradient against the Step-1 dump.
+ * (Step 3) — redo the pass on the *same batch* without updating
+ * weights, and measure the per-layer Frobenius norm of the change in
+ * each weight gradient against the Step-1 dump.
+ *
+ * Nothing upstream of the injection point is rerun: the blocks'
+ * forward would repeat Step 1's bit for bit. A probe starts from the
+ * tensors collectTrainingStats kept and backprops through the saved
+ * state its retaining backward left in the blocks:
+ *   - Step 2 backprops the blocks and the embedding from a noisy copy
+ *     of the gradient entering the last block;
+ *   - Step 3 runs the final norm, the LM head and the loss from a noisy
+ *     copy of the last block's output, then the whole backward.
+ * So Steps 1-3 are one forward and three backwards. Both probes retain
+ * the saved state too, so they run in any order and any number of
+ * times. The precondition: no training forward and no weight update
+ * between collectTrainingStats and the probe. A forward is caught by an
+ * assert (TrainingStats::forward_count); a weight update is not.
  */
 #ifndef SNIP_CORE_NOISE_PROBE_H
 #define SNIP_CORE_NOISE_PROBE_H
@@ -53,11 +67,14 @@ struct ProbeOptions
 
 /**
  * Run one probe: injects noise of norm relative_eps * (injection-point
- * norm from @p baseline), reruns forward+backward in uniform BF16 on
- * the same batch, and diffs each layer's dW against the dumps stored in
- * @p baseline. Weights are not updated; gradients are left dirty (the
- * caller snapshots/zeroes as needed). The model's active scheme is
- * restored on return.
+ * norm from @p baseline) into a copy of the tensor @p baseline kept at
+ * the injection point, redoes the pass downstream of it in uniform
+ * BF16 (the loss takes @p batch's targets), and diffs each layer's dW
+ * against the dumps stored in @p baseline. @p baseline must come from
+ * the model's latest training forward (see the file comment). Weights
+ * are not updated; gradients are left dirty (the caller
+ * snapshots/zeroes as needed). The model's active scheme is restored
+ * on return.
  */
 ProbeResult runNoiseProbe(LlamaModel &model, const Batch &batch,
                           const TrainingStats &baseline, ProbeKind kind,

@@ -19,46 +19,21 @@ candidateIndex(Precision p)
 
 namespace {
 
-/** LinearTap that fills LayerStats as tensors stream past. */
+/** LinearTap measuring the tensors that exist only while the pass
+ *  streams: Y in the forward, dY/dX/dW in the backward. */
 class CollectorTap : public LinearTap
 {
   public:
-    CollectorTap(std::vector<LayerStats> &layers, FakeQuantizer &quantizer,
-                 const StatsOptions &options)
-        : layers_(layers), quantizer_(quantizer), options_(options)
+    CollectorTap(std::vector<LayerStats> &layers, runtime::ThreadPool &pool)
+        : layers_(layers), pool_(pool)
     {
     }
 
     void
-    onForward(int idx, const Tensor &x, const Tensor &w,
+    onForward(int idx, const Tensor &, const Tensor &,
               const Tensor &y) override
     {
-        LayerStats &s = layers_[static_cast<size_t>(idx)];
-        s.m = x.size(0);
-        s.k = x.size(1);
-        s.n = w.size(0);
-        s.x_norm = frobeniusNorm(x);
-        s.w_norm = frobeniusNorm(w);
-        s.y_norm = frobeniusNorm(y);
-        // Each (candidate, role) measurement quantizes its own tensor
-        // copy with nearest rounding (measureQuantError forces Nearest,
-        // which never touches the quantizer's Rng), so the sweep is
-        // embarrassingly parallel and writes disjoint qerr slots.
-        runtime::poolOrGlobal(options_.pool)
-            .parallelFor(0, kNumCandidates * 2, 1,
-                         [&](int64_t t0, int64_t t1) {
-            for (int64_t t = t0; t < t1; ++t) {
-                const int c = static_cast<int>(t / 2);
-                const Precision p = kCandidatePrecisions[c];
-                const TensorRole role = (t % 2 == 0)
-                                            ? TensorRole::Activation
-                                            : TensorRole::Weight;
-                const Tensor &src = role == TensorRole::Activation ? x : w;
-                s.qerr[c][static_cast<int>(role)] =
-                    measureQuantError(src, rolePolicy(p, role), quantizer_)
-                        .abs_error;
-            }
-        });
+        layers_[static_cast<size_t>(idx)].y_norm = frobeniusNorm(y);
     }
 
     void
@@ -69,14 +44,14 @@ class CollectorTap : public LinearTap
         s.dy_norm = frobeniusNorm(dy);
         s.dx_norm = frobeniusNorm(dx);
         s.dw_norm = frobeniusNorm(dw);
-        runtime::poolOrGlobal(options_.pool)
-            .parallelFor(0, kNumCandidates, 1, [&](int64_t c0, int64_t c1) {
+        // dY is transient, so its errors are measured here, one
+        // candidate per item; measureQuantError draws nothing.
+        pool_.parallelFor(0, kNumCandidates, 1, [&](int64_t c0, int64_t c1) {
             for (int64_t c = c0; c < c1; ++c) {
                 const Precision p = kCandidatePrecisions[static_cast<int>(c)];
                 s.qerr[c][static_cast<int>(TensorRole::OutputGrad)] =
                     measureQuantError(dy,
-                                      rolePolicy(p, TensorRole::OutputGrad),
-                                      quantizer_)
+                                      rolePolicy(p, TensorRole::OutputGrad))
                         .abs_error;
             }
         });
@@ -85,9 +60,54 @@ class CollectorTap : public LinearTap
 
   private:
     std::vector<LayerStats> &layers_;
-    FakeQuantizer &quantizer_;
-    const StatsOptions &options_;
+    runtime::ThreadPool &pool_;
 };
+
+/**
+ * The per-layer sweep after the retaining backward, one layer per pool
+ * item: shapes, X/W norms and quantization errors from the Linear's
+ * saved input and its weight, and the AdamW sensitivity (whose
+ * gradient term is this pass's dW). Each item reads its own layer and
+ * writes its own LayerStats.
+ */
+void
+sweepLayers(LlamaModel &model, const AdamW *optimizer,
+            std::vector<LayerStats> &layers, runtime::ThreadPool &pool)
+{
+    pool.parallelFor(0, static_cast<int64_t>(layers.size()), 1,
+                     [&](int64_t i0, int64_t i1) {
+        for (int64_t i = i0; i < i1; ++i) {
+            LayerStats &s = layers[static_cast<size_t>(i)];
+            // The const accessor keeps the layer's packed-weight cache
+            // armed (the non-const weight() assumes a mutation).
+            const Linear &lin = model.linear(static_cast<int>(i));
+            const Tensor &x = lin.savedInput();
+            const Tensor &w = lin.weight();
+            s.m = x.size(0);
+            s.k = x.size(1);
+            s.n = w.size(0);
+            s.x_norm = frobeniusNorm(x);
+            s.w_norm = frobeniusNorm(w);
+            for (int c = 0; c < kNumCandidates; ++c) {
+                const Precision p = kCandidatePrecisions[c];
+                for (TensorRole role :
+                     {TensorRole::Activation, TensorRole::Weight}) {
+                    s.qerr[c][static_cast<int>(role)] =
+                        measureQuantError(
+                            role == TensorRole::Activation ? x : w,
+                            rolePolicy(p, role))
+                            .abs_error;
+                }
+            }
+            if (optimizer) {
+                const int pidx = optimizer->paramIndexOf(&w);
+                SNIP_ASSERT(pidx >= 0, "linear weight not in optimizer");
+                s.opt_sensitivity = optimizer->updateSensitivityNorm(
+                    static_cast<size_t>(pidx));
+            }
+        }
+    });
+}
 
 } // namespace
 
@@ -109,34 +129,26 @@ collectTrainingStats(LlamaModel &model, AdamW *optimizer,
     model.setScheme(PrecisionScheme::uniform(
         static_cast<size_t>(reg.numLinear()), Precision::BF16));
 
-    CollectorTap tap(stats.layers, model.quantizer(), options);
+    runtime::ThreadPool &pool = runtime::poolOrGlobal(options.pool);
+    CollectorTap tap(stats.layers, pool);
     model.setTap(&tap);
     model.zeroGrad();
-    LossResult loss =
-        model.forwardLoss(batch.tokens, batch.targets, batch.batch,
-                          batch.seq);
-    model.backward(loss.dlogits);
+    stats.hidden =
+        model.forwardBlocks(batch.tokens, batch.batch, batch.seq);
+    stats.forward_count = model.forwardCount();
+    const LossResult loss =
+        softmaxCrossEntropy(model.forwardHead(stats.hidden), batch.targets);
+    stats.hidden_grad = model.backwardHead(loss.dlogits);
+    model.backwardBlocks(stats.hidden_grad, /*retain=*/true);
     model.setTap(nullptr);
+    sweepLayers(model, optimizer, stats.layers, pool);
     model.setScheme(active);
 
     stats.loss = loss.loss;
     stats.hidden_norm = model.lastHiddenNorm();
     stats.hidden_grad_norm = model.lastHiddenGradNorm();
-
-    if (optimizer) {
+    if (optimizer)
         stats.opt_scale = optimizer->updateScaleFactor();
-        for (int i = 0; i < reg.numLinear(); ++i) {
-            // Pointer-identity lookup only: go through the const
-            // accessor so the layer's packed-weight cache stays armed
-            // (the non-const weight() assumes an impending mutation).
-            const Linear &lin = model.linear(i);
-            const int pidx = optimizer->paramIndexOf(&lin.weight());
-            SNIP_ASSERT(pidx >= 0, "linear weight not in optimizer");
-            stats.layers[static_cast<size_t>(i)].opt_sensitivity =
-                optimizer->updateSensitivityNorm(
-                    static_cast<size_t>(pidx));
-        }
-    }
     return stats;
 }
 

@@ -11,6 +11,18 @@
  *   - the AdamW update-sensitivity term of Sec. 4.3.2.
  * It also snapshots each layer's dW tensor (the "gradient dump") for the
  * noise probes of Steps 2-3 to diff against.
+ *
+ * One forward serves Steps 1-3. The pass keeps the last block's output
+ * and the gradient entering the last block, both before any noise, and
+ * backprops with the model's retain flag, so the blocks keep their
+ * saved state: the probes (core/noise_probe.h) restart from noisy
+ * copies of the two tensors instead of rerunning the forward. The
+ * tensors that exist only while the pass streams are measured by a
+ * LinearTap: Y's norm in the forward, and dY (with its quantization
+ * errors), dX and dW in the backward. Everything else is one sweep
+ * over all layers on the pool after the backward: the X/W norms and
+ * quantization errors from each Linear's retained input and its weight,
+ * and the AdamW sensitivity.
  */
 #ifndef SNIP_CORE_STATS_COLLECTOR_H
 #define SNIP_CORE_STATS_COLLECTOR_H
@@ -70,6 +82,17 @@ struct TrainingStats
     double hidden_norm = 0.0;
     /** Norm of the gradient entering the last block. */
     double hidden_grad_norm = 0.0;
+
+    /** The last block's output, pre-noise: Step 3 reruns the head and
+     *  the backward from a noisy copy of it. */
+    Tensor hidden;
+    /** The gradient entering the last block, pre-noise: Step 2 reruns
+     *  the blocks' backward from a noisy copy of it. */
+    Tensor hidden_grad;
+    /** model.forwardCount() after the pass's forward. The probes
+     *  require it unchanged: a later training forward replaces the
+     *  saved state they backprop through. */
+    uint64_t forward_count = 0;
 };
 
 namespace runtime {
@@ -79,8 +102,8 @@ class ThreadPool;
 /** Knobs for the statistics pass. */
 struct StatsOptions
 {
-    /** Pool for the per-candidate error sweep; null = the process-wide
-     *  shared pool (runtime::globalThreadPool()). */
+    /** Pool for the error sweeps; null = the process-wide shared pool
+     *  (runtime::globalThreadPool()). */
     runtime::ThreadPool *pool = nullptr;
 };
 
@@ -88,7 +111,9 @@ struct StatsOptions
  * Run one instrumented forward+backward in uniform BF16 (the paper
  * collects statistics at high precision), restoring the model's active
  * scheme afterwards. Gradients are left in the model (zeroed first), so
- * the caller may follow up with probes and/or an optimizer step.
+ * the caller may follow up with probes and/or an optimizer step. The
+ * backward retains the blocks' saved state for the probes; the next
+ * training forward replaces it.
  *
  * @param optimizer may be null; optimizer-dependent statistics are then
  *                  left at zero (e.g. before the first step).

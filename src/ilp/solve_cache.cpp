@@ -24,6 +24,13 @@ constexpr uint64_t kMagic = 0x534E4950534C4333ull; // "SNIPSLC3"
 // through before validation rejects it.
 constexpr uint64_t kMaxChoices = 1u << 20;
 
+// Smallest encodings: an entry's fixed fields (key, feasible flag,
+// objective, efficiency, seconds, choice count) and one choice. A
+// count read from the file is bounded by the bytes left to hold it, so
+// a CRC-valid but crafted count can't size an allocation.
+constexpr uint64_t kEntryFixedBytes = 6 * sizeof(uint64_t);
+constexpr uint64_t kChoiceBytes = sizeof(uint64_t);
+
 void
 putU64(std::string &out, uint64_t v)
 {
@@ -55,6 +62,11 @@ struct Reader
 
     bool u64(uint64_t &v) { return bytes(&v, sizeof(v)); }
     bool f64(double &v) { return bytes(&v, sizeof(v)); }
+
+    uint64_t left() const
+    {
+        return end > p ? static_cast<uint64_t>(end - p) : 0;
+    }
 };
 
 /** One persisted entry; false on truncation or an invalid field, so
@@ -70,7 +82,7 @@ readEntry(Reader &r, uint64_t *key, IlpSolution *sol)
     if (feasible > 1 || !std::isfinite(sol->objective) ||
         !std::isfinite(sol->achieved_efficiency) ||
         !std::isfinite(sol->solve_seconds) || sol->solve_seconds < 0.0 ||
-        n_choice > kMaxChoices)
+        n_choice > kMaxChoices || n_choice > r.left() / kChoiceBytes)
         return false;
     sol->feasible = feasible != 0;
     sol->choice.resize(n_choice);
@@ -247,7 +259,7 @@ SolveCache::load()
     // and the validated prefix is kept.
     std::vector<std::pair<uint64_t, IlpSolution>> loaded;
     loaded.reserve(static_cast<size_t>(
-        std::min<uint64_t>(count, kMaxChoices)));
+        std::min<uint64_t>(count, r.left() / kEntryFixedBytes)));
     for (uint64_t e = 0; e < count; ++e) {
         uint64_t key = 0;
         IlpSolution sol;

@@ -522,7 +522,7 @@ Attention::forwardInference(const float *x, int64_t rows,
 }
 
 Tensor
-Attention::backward(const Tensor &dy)
+Attention::backward(const Tensor &dy, bool retain)
 {
     SNIP_ASSERT(batch_ > 0, "backward before forward");
     const int64_t batch = batch_, seq = seq_;
@@ -545,16 +545,19 @@ Attention::backward(const Tensor &dy)
     rope_->apply(dq, batch, seq, n_heads, /*inverse=*/true);
     rope_->apply(dk, batch, seq, n_kv, /*inverse=*/true);
 
-    // The saved forward state is no longer needed: release it here so
-    // O(B*H*S^2) probabilities (and q/k/v/ctx) are not pinned between
-    // steps. The next backward() needs a fresh forward() first.
-    q_ = Tensor();
-    k_ = Tensor();
-    v_ = Tensor();
-    probs_ = Tensor();
-    ctx_ = Tensor();
-    batch_ = 0;
-    seq_ = 0;
+    // Unless the caller backprops this forward again, the saved state
+    // is no longer needed: release it here so O(B*H*S^2) probabilities
+    // (and q/k/v/ctx) are not pinned between steps. The next
+    // backward() then needs a fresh forward() first.
+    if (!retain) {
+        q_ = Tensor();
+        k_ = Tensor();
+        v_ = Tensor();
+        probs_ = Tensor();
+        ctx_ = Tensor();
+        batch_ = 0;
+        seq_ = 0;
+    }
 
     Tensor dx = wq_->backward(dq);
     Tensor dxk = wk_->backward(dk);

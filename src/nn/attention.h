@@ -21,6 +21,13 @@
  * fresh sequence's prompt and walks the paged KV cache in place for
  * decode rows; the training forward takes no cache and inference
  * saves no state.
+ *
+ * The training forward's saved state (q/k/v, probabilities, context) is
+ * the only module state freed before the next forward: a plain
+ * backward() releases it. SNIP's statistics pass and noise probes
+ * backprop one forward up to three times, so they pass retain, which
+ * keeps the state until the next forward() replaces it
+ * (LlamaModel::backwardBlocks).
  */
 #ifndef SNIP_NN_ATTENTION_H
 #define SNIP_NN_ATTENTION_H
@@ -133,12 +140,14 @@ class Attention
                           const KvCacheHandle &kv, float *y);
 
     /**
-     * Backprop through projections and attention math. Releases the
-     * saved forward state (q/k/v, probabilities, context) on return,
-     * so peak memory drops between steps; a new forward() must precede
-     * the next backward().
+     * Backprop through projections and attention math. Unless
+     * @p retain is set, releases the saved forward state (q/k/v,
+     * probabilities, context) on return, so peak memory drops between
+     * steps, and a new forward() must precede the next backward().
+     * With @p retain the state stays, and a second backward() from it
+     * returns the same gradients; the next forward() replaces it.
      */
-    Tensor backward(const Tensor &dy);
+    Tensor backward(const Tensor &dy, bool retain = false);
 
     /** Access a projection by role (Q/K/V/O only). */
     Linear &linear(LayerRole role);
@@ -147,7 +156,8 @@ class Attention
     ParamList params();
 
     /** Bytes pinned by the saved forward state (q/k/v, probs, ctx):
-     *  positive after forward(), 0 after backward() releases it. */
+     *  positive after forward() and after a retaining backward(), 0
+     *  after backward() releases it. */
     int64_t savedStateBytes() const;
 
   private:
@@ -156,7 +166,8 @@ class Attention
     const Rope *rope_;
     std::unique_ptr<Linear> wq_, wk_, wv_, wo_;
 
-    // Saved forward state (released at the end of backward()).
+    // Saved forward state (released at the end of a non-retaining
+    // backward()).
     int64_t batch_ = 0, seq_ = 0;
     Tensor q_, k_, v_;   ///< post-RoPE projections, [T, dims]
     Tensor probs_;       ///< softmax probabilities, [B*H*S, S]

@@ -84,11 +84,11 @@ TransformerBlock::forwardInference(float *x, int64_t rows,
 }
 
 Tensor
-TransformerBlock::backward(const Tensor &dy)
+TransformerBlock::backward(const Tensor &dy, bool retain)
 {
     Tensor dh = norm2_->backward(mlp_->backward(dy));
     addInPlace(dh, dy);
-    Tensor dx = norm1_->backward(attn_->backward(dh));
+    Tensor dx = norm1_->backward(attn_->backward(dh, retain));
     addInPlace(dx, dh);
     return dx;
 }

@@ -33,7 +33,9 @@ class TransformerBlock
      */
     void forwardInference(float *x, int64_t rows, const KvCacheHandle &kv);
 
-    Tensor backward(const Tensor &dy);
+    /** Backprop through the block; @p retain keeps the saved state
+     *  (Attention::backward). */
+    Tensor backward(const Tensor &dy, bool retain = false);
 
     /** Access any of the seven quantizable linears by role. */
     Linear &linear(LayerRole role);

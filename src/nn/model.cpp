@@ -59,19 +59,32 @@ Tensor
 LlamaModel::forward(const std::vector<int32_t> &tokens, int64_t batch,
                     int64_t seq)
 {
+    return forwardHead(forwardBlocks(tokens, batch, seq));
+}
+
+Tensor
+LlamaModel::forwardBlocks(const std::vector<int32_t> &tokens, int64_t batch,
+                          int64_t seq)
+{
     SNIP_ASSERT(static_cast<int64_t>(tokens.size()) == batch * seq,
                 "token count != batch*seq");
     SNIP_ASSERT(seq <= config_.max_seq, "sequence too long");
 
+    ++forward_count_;
     Tensor x = embedding_->forward(tokens);
     for (auto &blk : blocks_)
         x = blk->forward(x, batch, seq);
+    return x;
+}
 
-    last_hidden_norm_ = frobeniusNorm(x);
+Tensor
+LlamaModel::forwardHead(Tensor hidden)
+{
+    last_hidden_norm_ = frobeniusNorm(hidden);
     if (fwd_noise_eps_ > 0.0)
-        last_noise_norm_ = injectNoise(x, fwd_noise_eps_, noise_rng_);
+        last_noise_norm_ = injectNoise(hidden, fwd_noise_eps_, noise_rng_);
 
-    Tensor xn = final_norm_->forward(x);
+    Tensor xn = final_norm_->forward(hidden);
     return lm_head_->forward(xn);
 }
 
@@ -109,17 +122,27 @@ LlamaModel::inferStep(const int32_t *tokens, int64_t rows,
 }
 
 void
-LlamaModel::backward(const Tensor &dlogits)
+LlamaModel::backward(const Tensor &dlogits, bool retain)
 {
-    Tensor dxn = lm_head_->backward(dlogits);
-    Tensor dx = final_norm_->backward(dxn);
+    backwardBlocks(backwardHead(dlogits), retain);
+}
 
-    last_hidden_grad_norm_ = frobeniusNorm(dx);
+Tensor
+LlamaModel::backwardHead(const Tensor &dlogits)
+{
+    return final_norm_->backward(lm_head_->backward(dlogits));
+}
+
+void
+LlamaModel::backwardBlocks(Tensor dhidden, bool retain)
+{
+    last_hidden_grad_norm_ = frobeniusNorm(dhidden);
     if (bwd_noise_eps_ > 0.0)
-        last_noise_norm_ = injectNoise(dx, bwd_noise_eps_, noise_rng_);
+        last_noise_norm_ = injectNoise(dhidden, bwd_noise_eps_, noise_rng_);
 
+    Tensor dx = std::move(dhidden);
     for (auto it = blocks_.rbegin(); it != blocks_.rend(); ++it)
-        dx = (*it)->backward(dx);
+        dx = (*it)->backward(dx, retain);
     embedding_->backward(dx);
 }
 

@@ -6,6 +6,18 @@
  *   - a LinearTap broadcast to all quantizable layers (Step 1, Fig. 6),
  *   - Gaussian noise injection at the last layer in the forward or the
  *     backward pass (Steps 2-3, Fig. 6).
+ *
+ * The training forward and backward each split at the last block's
+ * output, the probes' injection point (Theorem 4.2): forwardBlocks()
+ * then forwardHead(), backwardHead() then backwardBlocks(). Each noise
+ * hook lives in the half that starts at that point, so each has one
+ * injection site, and a probe restarts from a noisy copy of a tensor
+ * the statistics pass kept instead of rerunning the whole model. That
+ * needs the blocks' saved state to survive a backward: backward() and
+ * backwardBlocks() take a retain flag. Without it Attention frees its
+ * state (q/k/v, probabilities, context) at the end of its backward;
+ * with it the state stays until the next forward replaces it. Every
+ * other module keeps its saved state until the next forward anyway.
  */
 #ifndef SNIP_NN_MODEL_H
 #define SNIP_NN_MODEL_H
@@ -38,11 +50,27 @@ class LlamaModel
 
     /**
      * Training forward for @p tokens laid out as batch x seq (flattened
-     * row-major). Returns logits [batch*seq, vocab] and saves the state
-     * backward() needs.
+     * row-major): forwardBlocks() then forwardHead(). Returns logits
+     * [batch*seq, vocab] and saves the state backward() needs.
      */
     Tensor forward(const std::vector<int32_t> &tokens, int64_t batch,
                    int64_t seq);
+
+    /**
+     * First half of the training forward: the embedding and every
+     * block. Returns the last block's output, before any forward
+     * noise. Counts one training forward (forwardCount()).
+     */
+    Tensor forwardBlocks(const std::vector<int32_t> &tokens, int64_t batch,
+                         int64_t seq);
+
+    /**
+     * Second half of the training forward, from the last block's output
+     * @p hidden: records lastHiddenNorm(), injects the forward noise
+     * when enabled, then runs the final RMSNorm and the LM head.
+     * Returns logits.
+     */
+    Tensor forwardHead(Tensor hidden);
 
     /**
      * One inference step, the only inference entry. The step carries
@@ -57,8 +85,28 @@ class LlamaModel
     void inferStep(const int32_t *tokens, int64_t rows,
                    const KvCacheHandle &kv, float *logits);
 
-    /** Backprop from dLogits through the whole model. */
-    void backward(const Tensor &dlogits);
+    /**
+     * Backprop from dLogits through the whole model: backwardHead()
+     * then backwardBlocks(). @p retain keeps the blocks' saved state
+     * (see the file comment); it is the statistics pass's and the
+     * probes' flag, a training step leaves it off.
+     */
+    void backward(const Tensor &dlogits, bool retain = false);
+
+    /**
+     * First half of the backward: the LM head and the final RMSNorm.
+     * Returns the gradient entering the last block, before any
+     * backward noise.
+     */
+    Tensor backwardHead(const Tensor &dlogits);
+
+    /**
+     * Second half of the backward, from the gradient @p dhidden
+     * entering the last block: records lastHiddenGradNorm(), injects
+     * the backward noise when enabled, then backprops every block and
+     * the embedding. @p retain as in backward().
+     */
+    void backwardBlocks(Tensor dhidden, bool retain = false);
 
     /** Convenience: forward + cross-entropy. Does not run backward. */
     LossResult forwardLoss(const std::vector<int32_t> &tokens,
@@ -110,6 +158,11 @@ class LlamaModel
      */
     double lastHiddenGradNorm() const { return last_hidden_grad_norm_; }
 
+    /** Training forwards run so far (forwardBlocks() calls). The noise
+     *  probes compare it with the statistics pass's to check that the
+     *  blocks still hold that pass's saved state. */
+    uint64_t forwardCount() const { return forward_count_; }
+
     const ModelConfig &config() const { return config_; }
     const LayerRegistry &registry() const { return registry_; }
 
@@ -138,6 +191,7 @@ class LlamaModel
     double last_noise_norm_ = 0.0;
     double last_hidden_norm_ = 0.0;
     double last_hidden_grad_norm_ = 0.0;
+    uint64_t forward_count_ = 0;
 };
 
 } // namespace snip

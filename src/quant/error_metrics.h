@@ -32,10 +32,13 @@ struct QuantError
  * Measure the error of fake-quantizing @p t under @p cfg.
  *
  * Stochastic configs are measured with nearest rounding so the statistic
- * is deterministic (the expected SR error has the same magnitude).
+ * is deterministic (the expected SR error has the same magnitude), and
+ * no stream is drawn from. The quantized values are FakeQuantizer's
+ * (fakeQuantize, bf16 fast path included), written into the calling
+ * thread's workspace arena instead of a tensor copy, so concurrent
+ * calls on distinct threads share nothing.
  */
-QuantError measureQuantError(const Tensor &t, const QuantConfig &cfg,
-                             FakeQuantizer &quantizer);
+QuantError measureQuantError(const Tensor &t, const QuantConfig &cfg);
 
 } // namespace snip
 

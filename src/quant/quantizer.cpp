@@ -196,6 +196,29 @@ quantizeMatrix(const float *src, float *dst, int64_t rows, int64_t cols,
                          });
 }
 
+void
+fakeQuantize(const float *src, float *dst, int64_t rows, int64_t cols,
+             const QuantConfig &cfg, uint64_t call_key)
+{
+    if (rows == 0 || cols == 0)
+        return;
+    if (cfg.format.name == "bf16" && cfg.rounding == Rounding::Nearest) {
+        // Fast path: bf16 needs no rescaling, so the whole matrix is one
+        // tight round-to-nearest-even sweep (exact bit manipulation in
+        // every backend).
+        if (src != dst)
+            std::memcpy(dst, src,
+                        sizeof(float) * static_cast<size_t>(rows * cols));
+        const simd::KernelTable &kt = simd::activeKernels();
+        runtime::parallelFor(0, rows * cols, 1 << 15,
+                             [dst, &kt](int64_t i0, int64_t i1) {
+                                 kt.bf16Round(dst + i0, i1 - i0);
+                             });
+        return;
+    }
+    quantizeMatrix(src, dst, rows, cols, cfg, call_key);
+}
+
 FakeQuantizer::FakeQuantizer(uint64_t seed) : rng_(seed) {}
 
 Tensor
@@ -209,18 +232,6 @@ FakeQuantizer::quantize(const Tensor &t, const QuantConfig &cfg)
 void
 FakeQuantizer::quantizeInPlace(Tensor &t, const QuantConfig &cfg)
 {
-    if (cfg.format.name == "bf16" && cfg.rounding == Rounding::Nearest) {
-        // Fast path: bf16 needs no rescaling, so the whole tensor is
-        // one tight round-to-nearest-even sweep (exact bit
-        // manipulation in every backend).
-        const simd::KernelTable &kt = simd::activeKernels();
-        float *p = t.data();
-        runtime::parallelFor(0, t.numel(), 1 << 15,
-                             [p, &kt](int64_t i0, int64_t i1) {
-                                 kt.bf16Round(p + i0, i1 - i0);
-                             });
-        return;
-    }
     int64_t rows, cols;
     matrixView(t, rows, cols);
     if (rows == 0 || cols == 0)
@@ -229,7 +240,7 @@ FakeQuantizer::quantizeInPlace(Tensor &t, const QuantConfig &cfg)
     // repeated calls remain one deterministic sequence.
     const uint64_t call_key =
         cfg.rounding == Rounding::Stochastic ? nextCallKey() : 0;
-    quantizeMatrix(t.data(), t.data(), rows, cols, cfg, call_key);
+    fakeQuantize(t.data(), t.data(), rows, cols, cfg, call_key);
 }
 
 } // namespace snip

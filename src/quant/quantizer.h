@@ -89,12 +89,23 @@ void quantizeMatrix(const float *src, float *dst, int64_t rows,
                     uint64_t call_key);
 
 /**
+ * FakeQuantizer's routine on raw storage: quantize-dequantize the
+ * rows x cols matrix @p src into @p dst (which may be @p src). A
+ * nearest-rounding bf16 config needs no rescaling, so it is one
+ * round-to-nearest-even sweep over the elements; every other config
+ * runs quantizeMatrix with @p call_key. measureQuantError runs it into
+ * arena scratch. Allocates nothing.
+ */
+void fakeQuantize(const float *src, float *dst, int64_t rows, int64_t cols,
+                  const QuantConfig &cfg, uint64_t call_key);
+
+/**
  * Applies quantize-dequantize to tensors.
  *
  * Owns the Rng seeding stochastic rounding so repeated calls advance
  * one deterministic stream: each stochastic call on a non-empty tensor
  * draws one 64-bit call key from it (nextCallKey()) and hands it to
- * quantizeMatrix, whose regions derive independent streams from it.
+ * fakeQuantize, whose regions derive independent streams from it.
  * Nearest-rounding calls never touch the Rng, so distinct tensors may
  * be quantized concurrently with Nearest configs.
  */

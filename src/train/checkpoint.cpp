@@ -117,6 +117,10 @@ readScheme(Reader &r, PrecisionScheme &scheme)
     uint64_t n_layers;
     if (!r.u64(n_layers) || n_layers > kMaxSchemeLayers)
         return false;
+    // One byte per GEMM: refuse a count the bytes left can't hold
+    // before sizing anything by it.
+    if (n_layers > r.left() / kGemmsPerLayer)
+        return false;
     scheme.layers.assign(n_layers, LayerScheme{});
     for (auto &layer : scheme.layers) {
         for (auto &p : layer.gemm) {

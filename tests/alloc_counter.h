@@ -2,7 +2,9 @@
  * @file
  * Counting replacements of the global allocation operators, for the
  * zero-allocation contracts (warmed GEMM, decode step, telemetry and
- * trace hot paths, disarmed fault points). This header DEFINES the
+ * trace hot paths, disarmed fault points) and for bounds on the
+ * largest single request (parsers sizing nothing by an unchecked
+ * count read from a file). This header DEFINES the
  * replaceable operators: include it from exactly one translation unit
  * of a test executable (each tests/test_*.cpp builds standalone).
  */
@@ -21,10 +23,19 @@ namespace alloc_counter {
 /** Heap allocations made through the operators below, any thread. */
 inline std::atomic<int64_t> g_allocs{0};
 
+/** Largest single request since the last largestAllocDuring() began. */
+inline std::atomic<size_t> g_largest{0};
+
 inline void
-bump()
+bump(size_t n)
 {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
+    size_t seen = g_largest.load(std::memory_order_relaxed);
+    while (n > seen &&
+           !g_largest.compare_exchange_weak(seen, n,
+                                            std::memory_order_relaxed)) {
+        // A failed exchange reloaded `seen`; retry while n is larger.
+    }
 }
 
 } // namespace alloc_counter
@@ -38,6 +49,16 @@ allocDelta(const std::function<void()> &fn)
     fn();
     return alloc_counter::g_allocs.load(std::memory_order_relaxed) -
            before;
+}
+
+/** Bytes of the largest single heap request made while @p fn runs (0
+ *  when it allocates nothing). */
+inline size_t
+largestAllocDuring(const std::function<void()> &fn)
+{
+    alloc_counter::g_largest.store(0, std::memory_order_relaxed);
+    fn();
+    return alloc_counter::g_largest.load(std::memory_order_relaxed);
 }
 
 } // namespace snip
@@ -54,7 +75,7 @@ allocDelta(const std::function<void()> &fn)
 void *
 operator new(size_t n)
 {
-    snip::alloc_counter::bump();
+    snip::alloc_counter::bump(n);
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -73,7 +94,7 @@ operator new(size_t n, const std::nothrow_t &) noexcept
     // nothrow flavor) must allocate through the counting wrapper too,
     // or its storage would come from the default (possibly
     // sanitizer-intercepted) new yet be freed by our delete.
-    snip::alloc_counter::bump();
+    snip::alloc_counter::bump(n);
     return std::malloc(n ? n : 1);
 }
 
@@ -86,7 +107,7 @@ operator new[](size_t n, const std::nothrow_t &tag) noexcept
 void *
 operator new(size_t n, std::align_val_t align)
 {
-    snip::alloc_counter::bump();
+    snip::alloc_counter::bump(n);
     void *p = nullptr;
     if (posix_memalign(&p, static_cast<size_t>(align), n ? n : 1) != 0)
         throw std::bad_alloc();

@@ -254,7 +254,8 @@ TEST(AsyncController, AppliesExactlyAtTheDeadline)
     EXPECT_FALSE(trainer.model().currentScheme() == initial);
 
     const UpdateOverhead &oh = controller.lastOverhead();
-    EXPECT_EQ(oh.extra_passes, 3);
+    EXPECT_EQ(oh.extra_forwards, 1);
+    EXPECT_EQ(oh.extra_backwards, 3);
     EXPECT_GT(oh.work_seconds, 0.0);
     EXPECT_GE(oh.hidden_seconds, 0.0);
     EXPECT_GE(oh.exposed_seconds, 0.0);

@@ -314,6 +314,39 @@ TEST(Attention, SavedStateReleasedAfterBackward)
     EXPECT_EQ(attn.savedStateBytes(), 0);
 }
 
+TEST(Attention, RetainingBackwardKeepsStateForASecondBackward)
+{
+    ModelConfig cfg = microModel();
+    Rng rng(30);
+    Rope rope(cfg.max_seq, cfg.headDim(), cfg.rope_theta);
+    Attention attn(cfg, 0, rng, nullptr, &rope);
+    Tensor x = Tensor::randn({8, cfg.d_model}, rng);
+    Tensor dy = Tensor::randn({8, cfg.d_model}, rng);
+
+    attn.forward(x, 1, 8);
+    const int64_t saved = attn.savedStateBytes();
+    ASSERT_GT(saved, 0);
+    auto backprop = [&](bool retain) {
+        for (auto &p : attn.params())
+            p.grad->zero();
+        Tensor dx = attn.backward(dy, retain);
+        std::vector<Tensor> out{dx};
+        for (auto &p : attn.params())
+            out.push_back(*p.grad);
+        return out;
+    };
+    const std::vector<Tensor> first = backprop(/*retain=*/true);
+    EXPECT_EQ(attn.savedStateBytes(), saved);
+
+    // A second backward from the kept state returns the same dX and
+    // weight gradients; without retain it then releases the state.
+    const std::vector<Tensor> second = backprop(/*retain=*/false);
+    ASSERT_EQ(first.size(), second.size());
+    for (size_t i = 0; i < first.size(); ++i)
+        EXPECT_TRUE(first[i] == second[i]) << "tensor " << i;
+    EXPECT_EQ(attn.savedStateBytes(), 0);
+}
+
 TEST(AttentionDeath, GqaShapeValidation)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";

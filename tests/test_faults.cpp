@@ -36,6 +36,7 @@
 #include "train/checkpoint.h"
 #include "train/presets.h"
 #include "train/trainer.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace snip {
@@ -327,6 +328,57 @@ TEST(FaultCheckpoint, OutdatedVersionsAreRefused)
         Trainer untouched(cfg);
         EXPECT_EQ(touched.train(3), untouched.train(3));
     }
+    removeCheckpointChain(path);
+}
+
+TEST(FaultCheckpoint, CraftedSchemeLengthIsRefusedWithoutSizingByIt)
+{
+    // A CRC-valid image whose scheme claims 2^20 layers must be refused
+    // before anything is sized by the claim, and leave the trainer as
+    // it was. One micro block keeps the whole image, which the load
+    // reads in one piece, under the 64 KiB allocation bound.
+    const std::string path = "test_faults_crafted.ckpt";
+    removeCheckpointChain(path);
+    ModelConfig mc = microModel();
+    mc.n_blocks = 1;
+    TrainerConfig cfg = trainerPreset(mc);
+    Trainer trainer(cfg);
+    trainer.train(1);
+    CheckpointWriteOptions opts;
+    opts.durable = false;
+    ASSERT_TRUE(saveCheckpoint(trainer, path, nullptr, nullptr, opts));
+    std::string image;
+    ASSERT_TRUE(readFileBytes(path, &image));
+    constexpr size_t kBound = size_t{64} << 10;
+    constexpr size_t kFooterBytes = 24;
+    // Magic, parameter count, step, optimizer step, lr, then the
+    // scheme's layer count.
+    constexpr size_t kLayerCountAt = 5 * sizeof(uint64_t);
+    ASSERT_LT(image.size(), kBound);
+    uint64_t n_layers = 0;
+    std::memcpy(&n_layers, &image[kLayerCountAt], sizeof(n_layers));
+    ASSERT_EQ(n_layers, static_cast<uint64_t>(
+                            trainer.model().registry().numLinear()));
+    const uint64_t claim = uint64_t{1} << 20;
+    std::memcpy(&image[kLayerCountAt], &claim, sizeof(claim));
+    const size_t payload = image.size() - kFooterBytes;
+    const uint64_t crc = crc32(image.data(), payload);
+    std::memcpy(&image[payload + 2 * sizeof(uint64_t)], &crc, sizeof(crc));
+    ASSERT_TRUE(writeFileBytes(path, image));
+
+    Trainer touched(cfg);
+    CheckpointStatus status = CheckpointStatus::Ok;
+    bool loaded = true;
+    ::testing::internal::CaptureStderr();
+    const size_t largest = largestAllocDuring(
+        [&] { loaded = loadCheckpoint(touched, path, nullptr, &status); });
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(loaded);
+    EXPECT_EQ(status, CheckpointStatus::Malformed);
+    EXPECT_NE(log.find("[warn]"), std::string::npos) << log;
+    EXPECT_LE(largest, kBound);
+    Trainer untouched(cfg);
+    EXPECT_EQ(touched.train(2), untouched.train(2));
     removeCheckpointChain(path);
 }
 

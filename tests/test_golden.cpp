@@ -11,12 +11,16 @@
  * bits are backend-specific (simd/kernels.h), so the pins are keyed by
  * backend: scalar rows are checked on every host, AVX2 rows where the
  * CPU has AVX2+FMA. Every pin must hold at 1 and at 4 threads.
+ *
+ * Golden.SchemeUpdateBits pins one SNIP scheme update the same way:
+ * the divergence table, both noise probes and the selected scheme.
  */
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
+#include "core/controller.h"
 #include "simd/dispatch.h"
 #include "testing_util.h"
 #include "train/presets.h"
@@ -118,6 +122,105 @@ TEST(Golden, TrainStepBits)
             EXPECT_EQ(crc, pin.crc)
                 << pin.backend << (pin.mixed ? " mixed" : " bf16") << " at "
                 << threads << " threads: got 0x" << std::hex << crc;
+        }
+    }
+}
+
+/** BF16 steps before the pinned scheme update. */
+constexpr int kUpdateWarmSteps = 3;
+
+/**
+ * CRC32 of one scheme update on tinyTestModel after kUpdateWarmSteps
+ * BF16 steps, at target 0.75, run through the public Steps 1-5 entry
+ * points in the order the inline controller runs them: every
+ * divergence-table cell's quality, loss_div, weight_div and efficiency
+ * bits, then each probe's grad_delta and noise_norm (backward probe
+ * first), then the selected scheme's precisions. @p inline_matches
+ * reports whether SnipController::updateScheme, run from the same
+ * state, selects the same scheme.
+ */
+uint32_t
+schemeUpdateCrc(bool *inline_matches)
+{
+    Trainer trainer(trainerPreset(tinyTestModel(), 42));
+    trainer.train(kUpdateWarmSteps);
+    const Batch batch = trainer.nextBatch();
+    const TrainerSnapshot snap = trainer.snapshot();
+    LlamaModel &model = trainer.model();
+    SnipController::Config cc;
+    cc.target_fp4_fraction = 0.75;
+
+    const TrainingStats stats =
+        collectTrainingStats(model, &trainer.optimizer(), batch);
+    const ProbeResult bwd = runNoiseProbe(model, batch, stats,
+                                          ProbeKind::Backward, cc.probe);
+    const ProbeResult fwd = runNoiseProbe(model, batch, stats,
+                                          ProbeKind::Forward, cc.probe);
+    const FlopsModel flops(model.registry());
+    DivergenceOptions dopt;
+    dopt.metric = cc.metric;
+    dopt.weight_div_scale = cc.weight_div_scale;
+    const DivergenceTable table =
+        DivergenceAnalyzer(stats, &bwd, &fwd, flops)
+            .analyze(makeOptionSet(cc.option_set), dopt);
+    const SchemeSelection sel = selectScheme(
+        table, cc.target_fp4_fraction, flops, cc.solve, cc.pipeline);
+
+    uint32_t crc = 0;
+    for (const auto &row : table.cell) {
+        for (const OptionCost &c : row) {
+            for (double v : {c.quality, c.loss_div, c.weight_div,
+                             c.efficiency})
+                crc = crc32(&v, sizeof(v), crc);
+        }
+    }
+    for (const ProbeResult *probe : {&bwd, &fwd}) {
+        crc = crc32(probe->grad_delta.data(),
+                    probe->grad_delta.size() * sizeof(double), crc);
+        crc = crc32(&probe->noise_norm, sizeof(double), crc);
+    }
+    for (const LayerScheme &l : sel.scheme.layers) {
+        for (Precision p : l.gemm) {
+            const int32_t v = static_cast<int32_t>(p);
+            crc = crc32(&v, sizeof(v), crc);
+        }
+    }
+
+    trainer.restore(snap);
+    SnipController controller(cc);
+    const SchemeSelection inline_sel =
+        controller.updateScheme(model, &trainer.optimizer(), batch);
+    *inline_matches = inline_sel.scheme == sel.scheme;
+    return crc;
+}
+
+TEST(Golden, SchemeUpdateBits)
+{
+    BackendGuard backend_guard;
+    GlobalPoolGuard pool_guard;
+    struct Pin
+    {
+        const char *backend;
+        uint32_t crc;
+    };
+    const Pin pins[] = {
+        {"scalar", 0xd0c43721u},
+        {"avx2", 0xd690e19fu},
+    };
+    for (const Pin &pin : pins) {
+        if (std::strcmp(pin.backend, "avx2") == 0 &&
+            !simd::cpuSupportsAvx2())
+            continue;
+        ASSERT_TRUE(simd::setBackendByName(pin.backend));
+        for (int threads : {1, 4}) {
+            runtime::setGlobalThreadCount(threads);
+            bool inline_matches = false;
+            const uint32_t crc = schemeUpdateCrc(&inline_matches);
+            EXPECT_EQ(crc, pin.crc)
+                << pin.backend << " at " << threads
+                << " threads: got 0x" << std::hex << crc;
+            EXPECT_TRUE(inline_matches)
+                << pin.backend << " at " << threads << " threads";
         }
     }
 }

@@ -581,5 +581,49 @@ TEST(SolveCacheFormat, OutdatedFileLoadsEmptyAndNextInsertWritesV3)
     std::remove(path.c_str());
 }
 
+TEST(SolveCacheFormat, CraftedCountsAllocateOnlyWhatTheFileHolds)
+{
+    // CRC-valid files whose counts claim far more than their bytes
+    // hold: a header claiming 2^40 entries with none after it, and one
+    // entry claiming 2^20 choices with none after it. Each loads empty
+    // with a warning, and no single allocation is sized by the claim.
+    const std::string path =
+        ::testing::TempDir() + "snip_solve_cache_crafted.bin";
+    constexpr uint64_t kV3 = 0x534E4950534C4333ull; // "SNIPSLC3"
+    for (const bool claims_entries : {true, false}) {
+        std::string image;
+        auto put = [&](auto v) {
+            image.append(reinterpret_cast<const char *>(&v), sizeof(v));
+        };
+        put(kV3);
+        if (claims_entries) {
+            put(uint64_t{1} << 40); // entries
+        } else {
+            put(uint64_t{1});        // entries
+            put(uint64_t{42});       // key
+            put(uint64_t{1});        // feasible
+            put(1.5);                // objective
+            put(0.5);                // achieved efficiency
+            put(0.01);               // solve seconds
+            put(uint64_t{1} << 20);  // choices
+        }
+        put(uint64_t{crc32(image.data(), image.size())});
+        ASSERT_TRUE(fsio::writeFile(path, image));
+
+        size_t size = 1;
+        ::testing::internal::CaptureStderr();
+        const size_t largest = largestAllocDuring([&] {
+            SolveCache cache(path);
+            size = cache.size();
+        });
+        const std::string log = ::testing::internal::GetCapturedStderr();
+        const char *what = claims_entries ? "entries" : "choices";
+        EXPECT_EQ(size, 0u) << what;
+        EXPECT_NE(log.find("[warn]"), std::string::npos) << what;
+        EXPECT_LE(largest, size_t{64} << 10) << what;
+    }
+    std::remove(path.c_str());
+}
+
 } // namespace
 } // namespace snip

@@ -88,9 +88,8 @@ TEST_P(QuantProperties, ErrorBoundedByRelativeUlp)
     auto [fmt, gran, block] = GetParam();
     Rng rng(7);
     Tensor t = Tensor::randn({16, 32}, rng);
-    FakeQuantizer q(8);
     QuantConfig cfg{*fmt, {gran, block}, Rounding::Nearest};
-    QuantError err = measureQuantError(t, cfg, q);
+    QuantError err = measureQuantError(t, cfg);
     // Loose format-derived bound (covers subnormal flushes too).
     const double bound = std::ldexp(1.0, -fmt->mantissa_bits);
     EXPECT_LT(err.rel_error, bound);
@@ -279,10 +278,9 @@ TEST(Fp6Extension, UniformFp6SchemeTrainsAndSitsBetweenFp8AndFp4)
 
     Rng rng(21);
     Tensor t = Tensor::randn({16, 32}, rng);
-    FakeQuantizer q(22);
     auto err = [&](Precision p) {
         return measureQuantError(
-                   t, rolePolicy(p, TensorRole::Weight), q)
+                   t, rolePolicy(p, TensorRole::Weight))
             .rel_error;
     };
     EXPECT_LT(err(Precision::FP8), err(Precision::FP6));

@@ -59,13 +59,12 @@ TEST(Quantizer, FinerGranularityGivesLowerError)
     for (int64_t r = 0; r < 16; ++r)
         for (int64_t c = 0; c < 256; ++c)
             t.at(r, c) *= static_cast<float>(std::pow(4.0, r % 4));
-    FakeQuantizer q(6);
     QuantConfig coarse{fp4E2m1(), {Granularity::Tensorwise, 0},
                        Rounding::Nearest};
     QuantConfig fine{fp4E2m1(), {Granularity::Tilewise, 128},
                      Rounding::Nearest};
-    double e_coarse = measureQuantError(t, coarse, q).abs_error;
-    double e_fine = measureQuantError(t, fine, q).abs_error;
+    double e_coarse = measureQuantError(t, coarse).abs_error;
+    double e_fine = measureQuantError(t, fine).abs_error;
     EXPECT_LT(e_fine, e_coarse);
 }
 
@@ -73,23 +72,21 @@ TEST(Quantizer, Fp8ErrorBelowFp4Error)
 {
     Rng rng(7);
     Tensor t = Tensor::randn({32, 64}, rng);
-    FakeQuantizer q(8);
     QuantConfig f8{fp8E4m3(), {Granularity::Tilewise, 128},
                    Rounding::Nearest};
     QuantConfig f4{fp4E2m1(), {Granularity::Tilewise, 128},
                    Rounding::Nearest};
-    EXPECT_LT(measureQuantError(t, f8, q).abs_error,
-              measureQuantError(t, f4, q).abs_error);
+    EXPECT_LT(measureQuantError(t, f8).abs_error,
+              measureQuantError(t, f4).abs_error);
 }
 
 TEST(Quantizer, Bf16FastPathNearlyLossless)
 {
     Rng rng(9);
     Tensor t = Tensor::randn({16, 16}, rng);
-    FakeQuantizer q(10);
     QuantConfig cfg{bf16(), {Granularity::Tensorwise, 0},
                     Rounding::Nearest};
-    QuantError err = measureQuantError(t, cfg, q);
+    QuantError err = measureQuantError(t, cfg);
     EXPECT_LT(err.rel_error, 3e-3);
     EXPECT_GT(err.rel_error, 0.0); // it does quantize
 }
@@ -286,10 +283,9 @@ TEST(ErrorMetrics, FieldsConsistent)
 {
     Rng rng(17);
     Tensor t = Tensor::randn({16, 16}, rng);
-    FakeQuantizer q(18);
     QuantConfig cfg{fp4E2m1(), {Granularity::Tensorwise, 0},
                     Rounding::Nearest};
-    QuantError err = measureQuantError(t, cfg, q);
+    QuantError err = measureQuantError(t, cfg);
     EXPECT_GT(err.abs_error, 0.0);
     EXPECT_NEAR(err.rel_error, err.abs_error / frobeniusNorm(t), 1e-12);
     EXPECT_GT(err.max_error, 0.0);
@@ -301,11 +297,10 @@ TEST(ErrorMetrics, StochasticConfigMeasuredDeterministically)
 {
     Rng rng(19);
     Tensor t = Tensor::randn({16, 16}, rng);
-    FakeQuantizer q(20);
     QuantConfig cfg{fp4E2m1(), {Granularity::Tensorwise, 0},
                     Rounding::Stochastic};
-    double a = measureQuantError(t, cfg, q).abs_error;
-    double b = measureQuantError(t, cfg, q).abs_error;
+    double a = measureQuantError(t, cfg).abs_error;
+    double b = measureQuantError(t, cfg).abs_error;
     EXPECT_EQ(a, b);
 }
 

@@ -706,18 +706,17 @@ TEST(SimdErrorStats, MeasureQuantErrorStableAcrossBackends)
     BackendGuard guard;
     Rng rng(37);
     Tensor t = Tensor::randn({64, 96}, rng);
-    FakeQuantizer quant(1);
     const QuantConfig cfg{fp8E4m3(),
                           {Granularity::Blockwise, 128},
                           Rounding::Nearest};
 
     setenv("SNIP_SIMD", "scalar", 1);
     simd::reinitFromEnv();
-    QuantError es = measureQuantError(t, cfg, quant);
+    QuantError es = measureQuantError(t, cfg);
 
     setenv("SNIP_SIMD", "avx2", 1);
     simd::reinitFromEnv();
-    QuantError ea = measureQuantError(t, cfg, quant);
+    QuantError ea = measureQuantError(t, cfg);
 
     EXPECT_EQ(es.max_error, ea.max_error);
     EXPECT_NEAR(es.abs_error, ea.abs_error, 1e-9 * (1.0 + es.abs_error));

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/controller.h"
 #include "tensor/ops.h"
+#include "testing_util.h"
 #include "train/presets.h"
 
 namespace snip {
@@ -94,6 +96,117 @@ TEST(StatsCollector, GradDumpMatchesManualBackward)
     model.backward(res.dlogits);
     EXPECT_LT(diffNorm(stats.layers[0].dw_dump, model.linear(0).grad()),
               1e-6);
+}
+
+/**
+ * A probe that reruns the whole pass: the BF16 forward and backward
+ * with the noise hook on, from public calls only. runNoiseProbe, which
+ * restarts from the state collectTrainingStats kept, must match it bit
+ * for bit.
+ */
+ProbeResult
+rerunEverythingProbe(LlamaModel &model, const Batch &batch,
+                     const TrainingStats &baseline, ProbeKind kind,
+                     const ProbeOptions &options = {})
+{
+    const int n = model.registry().numLinear();
+    ProbeResult result;
+    result.kind = kind;
+    result.inject_point_norm = kind == ProbeKind::Forward
+                                   ? baseline.hidden_norm
+                                   : baseline.hidden_grad_norm;
+    const double eps = options.relative_eps * result.inject_point_norm;
+
+    const PrecisionScheme active = model.currentScheme();
+    model.setScheme(PrecisionScheme::uniform(static_cast<size_t>(n),
+                                             Precision::BF16));
+    if (kind == ProbeKind::Forward)
+        model.setForwardNoise(eps);
+    else
+        model.setBackwardNoise(eps);
+    model.zeroGrad();
+    const LossResult loss = model.forwardLoss(batch.tokens, batch.targets,
+                                              batch.batch, batch.seq);
+    model.backward(loss.dlogits);
+    model.setForwardNoise(0.0);
+    model.setBackwardNoise(0.0);
+    result.noise_norm = model.lastNoiseNorm();
+    model.setScheme(active);
+
+    result.grad_delta.resize(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+        result.grad_delta[static_cast<size_t>(i)] =
+            diffNorm(model.linear(i).grad(),
+                     baseline.layers[static_cast<size_t>(i)].dw_dump);
+    }
+    return result;
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(NoiseProbe, MatchesRerunEverythingProbeBitForBit)
+{
+    GlobalPoolGuard pool_guard;
+    const ProbeKind orders[][2] = {
+        {ProbeKind::Backward, ProbeKind::Forward},
+        {ProbeKind::Forward, ProbeKind::Backward},
+        {ProbeKind::Backward, ProbeKind::Backward},
+    };
+    for (int threads : {1, 4}) {
+        runtime::setGlobalThreadCount(threads);
+        for (const auto &order : orders) {
+            Fixture f;
+            LlamaModel &model = f.trainer.model();
+            const TrainingStats stats = collectTrainingStats(
+                model, &f.trainer.optimizer(), f.batch);
+            const auto noise_state = model.noiseRng().state();
+            ProbeResult got[2], want[2];
+            for (int i = 0; i < 2; ++i)
+                got[i] = runNoiseProbe(model, f.batch, stats, order[i]);
+            // The oracle reruns the forward itself, so it goes second,
+            // from the same point of the noise stream.
+            model.noiseRng().setState(noise_state);
+            for (int i = 0; i < 2; ++i)
+                want[i] =
+                    rerunEverythingProbe(model, f.batch, stats, order[i]);
+            for (int i = 0; i < 2; ++i) {
+                const std::string where =
+                    std::to_string(threads) + " threads, order " +
+                    (order[0] == ProbeKind::Forward ? "F" : "B") +
+                    (order[1] == ProbeKind::Forward ? "F" : "B") +
+                    ", probe " + std::to_string(i);
+                EXPECT_TRUE(sameBits(got[i].noise_norm, want[i].noise_norm))
+                    << where;
+                EXPECT_TRUE(sameBits(got[i].inject_point_norm,
+                                     want[i].inject_point_norm))
+                    << where;
+                ASSERT_EQ(got[i].grad_delta.size(),
+                          want[i].grad_delta.size());
+                for (size_t l = 0; l < got[i].grad_delta.size(); ++l)
+                    EXPECT_TRUE(sameBits(got[i].grad_delta[l],
+                                         want[i].grad_delta[l]))
+                        << where << ", layer " << l;
+            }
+        }
+    }
+}
+
+TEST(NoiseProbeDeathTest, TrainingForwardAfterStatsTripsTheAssert)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Fixture f;
+    LlamaModel &model = f.trainer.model();
+    const TrainingStats stats =
+        collectTrainingStats(model, &f.trainer.optimizer(), f.batch);
+    model.forwardLoss(f.batch.tokens, f.batch.targets, f.batch.batch,
+                      f.batch.seq);
+    EXPECT_DEATH(
+        runNoiseProbe(model, f.batch, stats, ProbeKind::Backward),
+        "a training forward ran after collectTrainingStats");
 }
 
 TEST(NoiseProbe, Theorem42RecoversAKnownLinearMapNorm)
@@ -342,7 +455,8 @@ TEST(Controller, UpdatesOnCadenceAndAppliesScheme)
     const SchemeSelection &sel = controller.lastSelection();
     EXPECT_GE(sel.fp4_fraction + 1e-6, 0.5);
     EXPECT_TRUE(f.trainer.model().currentScheme() == sel.scheme);
-    EXPECT_EQ(controller.lastOverhead().extra_passes, 3);
+    EXPECT_EQ(controller.lastOverhead().extra_forwards, 1);
+    EXPECT_EQ(controller.lastOverhead().extra_backwards, 3);
 }
 
 TEST(Controller, TrainingWithControllerStaysFinite)
