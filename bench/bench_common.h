@@ -157,8 +157,7 @@ runScheme(Setup &s, const PrecisionScheme &scheme, int64_t steps,
     FlopsModel fm(s.trainer->model().registry());
     out.fp4_fraction = fm.fp4Fraction(scheme);
     if (do_eval)
-        out.eval = evaluate(s.trainer->model(), s.suite,
-                            &s.trainer->pool());
+        out.eval = evaluate(s.trainer->model(), s.suite);
     return out;
 }
 

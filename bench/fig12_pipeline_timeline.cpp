@@ -13,15 +13,16 @@
  * Part two reproduces the Sec. 6.3 overhead discussion with the async
  * scheme-update service: training continues while the background
  * worker runs the divergence analysis and the (pipeline-grouped) ILP,
- * so nearly all solve wall-clock is hidden behind training steps; the
- * deterministic inline fallback reproduces the async scheme sequence
- * exactly; and a warm rerun answers every repeated problem hash from
- * the persistent solve cache.
+ * so nearly all solve wall-clock is hidden behind training steps, and
+ * the deterministic inline fallback reproduces the async scheme
+ * sequence exactly. The program exits 1 when that sequence differs;
+ * the overlap figure depends on timing and is only reported.
+ *
+ *   ./fig12_pipeline_timeline [--warmup=400] [--steps=25]
  */
 #include <cstdio>
 
 #include "bench_common.h"
-#include "ilp/solve_cache.h"
 #include "parallel/pipeline.h"
 #include "telemetry/telemetry.h"
 
@@ -91,8 +92,6 @@ main(int argc, char **argv)
     const int64_t steps = args.getInt("steps", 25);
     const int64_t interval = args.getInt("interval", 10);
     const int64_t delay = args.getInt("delay", 8);
-    const std::string cache_path = "fig12_solve_cache.bin";
-    std::remove(cache_path.c_str());
 
     SnipController::Config base;
     base.target_fp4_fraction = budget;
@@ -104,13 +103,11 @@ main(int argc, char **argv)
         std::vector<PrecisionScheme> schemes;
         OverheadTotals totals;
     };
-    auto runPass = [&](bool async, int64_t apply_delay,
-                       SolveCache *cache, int64_t n_steps) {
+    auto runPass = [&](bool async, int64_t apply_delay, int64_t n_steps) {
         trainer.restore(setup.checkpoint);
         SnipController::Config cc = base;
         cc.async = async;
         cc.apply_delay = apply_delay;
-        cc.solve.cache = cache;
         SnipController controller(cc);
         Pass pass;
         for (int64_t i = 0; i < n_steps; ++i) {
@@ -126,49 +123,29 @@ main(int argc, char **argv)
                 static_cast<long long>(steps),
                 static_cast<long long>(interval),
                 static_cast<long long>(delay));
-    SolveCache cold_cache(cache_path);
-    Pass cold = runPass(/*async=*/true, delay, &cold_cache, steps);
+    Pass async_pass = runPass(/*async=*/true, delay, steps);
+    const OverheadTotals &t = async_pass.totals;
     const double overlap =
-        cold.totals.work_seconds > 0.0
-            ? 100.0 * cold.totals.hidden_seconds /
-                  cold.totals.work_seconds
-            : 0.0;
+        t.work_seconds > 0.0 ? 100.0 * t.hidden_seconds / t.work_seconds
+                             : 0.0;
     std::printf("updates: %d   solve+analysis wall: %.1f ms   "
                 "hidden: %.1f ms   exposed: %.1f ms\n",
-                cold.totals.updates,
-                1e3 * cold.totals.work_seconds,
-                1e3 * cold.totals.hidden_seconds,
-                1e3 * cold.totals.exposed_seconds);
+                t.updates, 1e3 * t.work_seconds, 1e3 * t.hidden_seconds,
+                1e3 * t.exposed_seconds);
     std::printf("solve wall-clock overlapped with training: %.1f%% "
                 "(target >= 80%%)\n\n",
                 overlap);
 
     // Deterministic fallback: inline mode and async submit-and-wait
     // must walk the identical scheme sequence.
-    Pass inline_pass =
-        runPass(/*async=*/false, 0, nullptr, steps);
-    Pass fallback = runPass(/*async=*/true, 0, nullptr, steps);
+    Pass inline_pass = runPass(/*async=*/false, 0, steps);
+    Pass fallback = runPass(/*async=*/true, 0, steps);
     bool identical = inline_pass.schemes.size() == fallback.schemes.size();
     for (size_t i = 0; identical && i < inline_pass.schemes.size(); ++i)
         identical = inline_pass.schemes[i] == fallback.schemes[i];
     std::printf("inline fallback scheme sequence identical to "
-                "async(delay=0): %s\n\n",
+                "async(delay=0): %s\n",
                 identical ? "yes" : "NO — determinism bug");
-
-    // Warm rerun: deterministic training re-poses bit-identical ILPs,
-    // so every solve is answered by the persistent cache. Lookups can
-    // exceed adopted updates: the last snapshot of a pass is solved
-    // (and cached) even when its apply boundary lies past the run.
-    SolveCache warm_cache(cache_path);
-    warm_cache.resetStats();
-    Pass warm = runPass(/*async=*/true, delay, &warm_cache, steps);
-    const long long lookups = static_cast<long long>(
-        warm_cache.hits() + warm_cache.misses());
-    std::printf("warm rerun: %d updates adopted, %lld/%lld solves "
-                "served from %s\n",
-                warm.totals.updates,
-                static_cast<long long>(warm_cache.hits()), lookups,
-                cache_path.c_str());
 
     if (telemetry::enabled()) {
         telemetry::flush();
@@ -176,5 +153,5 @@ main(int argc, char **argv)
                     static_cast<long long>(telemetry::stepsRecorded()),
                     telemetry::summary().c_str());
     }
-    return 0;
+    return identical ? 0 : 1;
 }

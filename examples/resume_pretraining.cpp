@@ -7,19 +7,17 @@
  * compare losses and benchmark accuracy.
  *
  * The SNIP resume runs with the *async* controller: scheme updates are
- * solved on the background worker (through the persistent solve
- * cache), training is checkpointed mid-interval with the update still
- * in flight, and a fresh trainer+controller resume from that file and
- * walk the identical loss trajectory.
+ * solved on the background worker, training is checkpointed
+ * mid-interval with the update still in flight, and a fresh
+ * trainer+controller resume from that file and walk the identical loss
+ * trajectory. The program exits 1 when the two final losses differ.
  *
  *   ./resume_pretraining [--warmup=300] [--steps=40]
  */
-#include <cmath>
 #include <cstdio>
 
 #include "core/controller.h"
 #include "eval/harness.h"
-#include "ilp/solve_cache.h"
 #include "train/checkpoint.h"
 #include "train/presets.h"
 #include "util/string_util.h"
@@ -83,18 +81,13 @@ main(int argc, char **argv)
                     losses.back(), eval.average);
     }
 
-    // --- Async controller + solve cache + mid-interval resume -------
+    // --- Async controller + mid-interval resume ---------------------
     std::printf("\nasync scheme updates with periodic re-search:\n");
-    // LRU-bounded: long-running jobs re-pose many intervals, so cap
-    // the persistent cache at 512 solves / 4 MiB (coldest evicted).
-    SolveCache cache("resume_solve_cache.bin", /*max_entries=*/512,
-                     /*max_bytes=*/size_t{4} << 20);
     SnipController::Config cc;
     cc.target_fp4_fraction = 0.75;
     cc.update_interval = steps > 4 ? steps / 2 : 2;
     cc.apply_delay = cc.update_interval / 2;
     cc.async = true;
-    cc.solve.cache = &cache;
 
     trainer.restore(ckpt);
     SnipController controller(cc);
@@ -137,14 +130,12 @@ main(int argc, char **argv)
                                      ? first_half.back()
                                      : resumed_tail.back();
     const OverheadTotals &t = resumed_controller.totals();
+    const bool identical = direct_final == resumed_final;
     std::printf("  direct final loss %.6f vs resumed %.6f (%s)\n",
                 direct_final, resumed_final,
-                std::fabs(direct_final - resumed_final) < 1e-12
-                    ? "bit-identical"
-                    : "MISMATCH");
-    std::printf("  resumed run: %d updates, %d solved from cache, "
-                "solve time hidden %.1f ms / exposed %.1f ms\n",
-                t.updates, t.cache_hits, 1e3 * t.hidden_seconds,
-                1e3 * t.exposed_seconds);
-    return 0;
+                identical ? "bit-identical" : "MISMATCH");
+    std::printf("  resumed run: %d updates, solve time hidden %.1f ms / "
+                "exposed %.1f ms\n",
+                t.updates, 1e3 * t.hidden_seconds, 1e3 * t.exposed_seconds);
+    return identical ? 0 : 1;
 }

@@ -26,13 +26,12 @@ runSchemeUpdate(const SchemeUpdateRequest &request)
     const DivergenceTable table =
         analyzer.analyze(request.options, request.divergence);
 
-    // Step 5: ILP solve (through the SolveCache when configured).
+    // Step 5: ILP solve.
     SchemeUpdateResult result;
     result.epoch = request.epoch;
     result.apply_step = request.apply_step;
-    result.selection =
-        selectScheme(table, request.target_fp4_fraction, request.flops,
-                     request.solve, request.pipeline);
+    result.selection = selectScheme(table, request.target_fp4_fraction,
+                                    request.flops, {}, request.pipeline);
 
     result.work_seconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start)

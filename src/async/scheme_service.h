@@ -11,12 +11,11 @@
  *      iteration + the two noise probes) inline — these need the model
  *      — and snapshots their outputs into a SchemeUpdateRequest. The
  *      snapshot is self-contained (stats, probe responses, FLOPs model,
- *      option set, solver knobs), so the worker never touches the
- *      model or the trainer's thread pool.
- *   2. The worker runs Steps 4-5 (divergence analysis + ILP solve,
- *      optionally through the persistent SolveCache) on a dedicated
- *      runtime::TaskThread and publishes the SchemeUpdateResult into
- *      one epoch-tagged handoff slot.
+ *      option set, target, pipeline groups), so the worker never
+ *      touches the model or the trainer's thread pool.
+ *   2. The worker runs Steps 4-5 (divergence analysis + ILP solve) on
+ *      a dedicated runtime::TaskThread and publishes the
+ *      SchemeUpdateResult into one epoch-tagged handoff slot.
  *   3. The trainer adopts the published scheme at a *predetermined*
  *      step boundary (request.apply_step), blocking if the worker has
  *      not finished by then. Because both the snapshot content and the
@@ -66,7 +65,6 @@ struct SchemeUpdateRequest
     std::vector<LayerScheme> options;
     DivergenceOptions divergence;
     double target_fp4_fraction = 0.5;
-    IlpSolveOptions solve; ///< may carry a SolveCache pointer
     PipelineConstraint pipeline;
 };
 
@@ -77,7 +75,7 @@ struct SchemeUpdateResult
     int64_t apply_step = 0;
     SchemeSelection selection;
     /** Wall-clock seconds the worker spent on Steps 4-5 (analysis +
-     *  solve, including cache lookups). */
+     *  solve). */
     double work_seconds = 0.0;
     /** The solve threw (or an injected scheme.solve fault fired):
      *  selection is empty and the controller resolves the epoch by
@@ -123,6 +121,8 @@ class SchemeUpdateService
      * of it, both under mu_, and the controller reads an epoch before
      * it submits the next, so a publication never lands on a result
      * still to be read. Epochs are 1-based: 0 means none published.
+     * They only grow within one service: a controller that imports a
+     * checkpoint restarts its epochs and so takes a new service.
      */
     util::Mutex mu_;
     util::CondVar published_cv_;

@@ -42,16 +42,12 @@ SnipController::effectiveApplyDelay() const
 
 SchemeUpdateRequest
 SnipController::makeSnapshot(LlamaModel &model, AdamW *optimizer,
-                             const Batch &batch, int64_t step,
-                             runtime::ThreadPool *pool)
+                             const Batch &batch, int64_t step)
 {
     // Steps 1-3: instrumented iteration + the two noise probes, one
     // forward and three backwards. These need the model, so they always
     // run on the trainer thread.
-    StatsOptions stats_opts;
-    stats_opts.pool = pool ? pool : config_.pool;
-    TrainingStats stats =
-        collectTrainingStats(model, optimizer, batch, stats_opts);
+    TrainingStats stats = collectTrainingStats(model, optimizer, batch);
     ProbeResult bwd = runNoiseProbe(model, batch, stats,
                                     ProbeKind::Backward, config_.probe);
     ProbeResult fwd = runNoiseProbe(model, batch, stats,
@@ -76,7 +72,6 @@ SnipController::makeSnapshot(LlamaModel &model, AdamW *optimizer,
     req.divergence.metric = config_.metric;
     req.divergence.weight_div_scale = config_.weight_div_scale;
     req.target_fp4_fraction = config_.target_fp4_fraction;
-    req.solve = config_.solve;
     req.pipeline = config_.pipeline;
 
     overhead_ = UpdateOverhead{};
@@ -119,17 +114,13 @@ SnipController::applyResult(LlamaModel &model,
     overhead_.exposed_seconds = waited_seconds;
     overhead_.hidden_seconds =
         std::max(0.0, result.work_seconds - waited_seconds);
-    overhead_.solve_cached = result.selection.ilp.from_cache;
 
     ++totals_.updates;
     totals_.work_seconds += overhead_.work_seconds;
     totals_.hidden_seconds += overhead_.hidden_seconds;
     totals_.exposed_seconds += overhead_.exposed_seconds;
-    totals_.cache_hits += overhead_.solve_cached ? 1 : 0;
 
     telemetry::count(telemetry::Counter::SchemeUpdates);
-    if (overhead_.solve_cached)
-        telemetry::count(telemetry::Counter::SchemeSolveCached);
     telemetry::addSeconds(telemetry::Seconds::SchemeWork,
                           overhead_.work_seconds);
     telemetry::addSeconds(telemetry::Seconds::SchemeHidden,
@@ -141,13 +132,12 @@ SnipController::applyResult(LlamaModel &model,
 
 SchemeSelection
 SnipController::updateScheme(LlamaModel &model, AdamW *optimizer,
-                             const Batch &batch,
-                             runtime::ThreadPool *pool)
+                             const Batch &batch)
 {
     // Synchronous Steps 1-6 on the caller. Bypasses the service so a
     // manual update never races a pending async epoch.
     SchemeUpdateRequest req =
-        makeSnapshot(model, optimizer, batch, /*step=*/0, pool);
+        makeSnapshot(model, optimizer, batch, /*step=*/0);
     req.apply_step = req.snapshot_step;
     SchemeUpdateResult result = runSchemeUpdateGuarded(req);
     applyResult(model, result, /*waited_seconds=*/result.work_seconds);
@@ -186,8 +176,7 @@ SnipController::adoptPending(LlamaModel &model)
 
 bool
 SnipController::maybeUpdate(LlamaModel &model, AdamW *optimizer,
-                            const Batch &batch, int64_t step,
-                            runtime::ThreadPool *pool)
+                            const Batch &batch, int64_t step)
 {
     bool applied = false;
     // Deterministic handoff: a pending update is adopted exactly when
@@ -215,12 +204,11 @@ SnipController::maybeUpdate(LlamaModel &model, AdamW *optimizer,
     }
 
     if (!config_.async) {
-        updateScheme(model, optimizer, batch, pool);
+        updateScheme(model, optimizer, batch);
         return true;
     }
 
-    SchemeUpdateRequest req =
-        makeSnapshot(model, optimizer, batch, step, pool);
+    SchemeUpdateRequest req = makeSnapshot(model, optimizer, batch, step);
     pending_epoch_ = req.epoch;
     pending_apply_step_ = req.apply_step;
     pending_ = true;
@@ -273,6 +261,11 @@ SnipController::exportState()
 void
 SnipController::importState(const PersistState &state)
 {
+    // Epochs restart from the file's, so the old service's slot, which
+    // holds the last epoch this controller published, must not answer
+    // them. Replacing the service finishes any update still running
+    // (the old one's destructor drains its worker) and drops it.
+    service_ = std::make_unique<SchemeUpdateService>();
     epoch_ = state.epoch;
     has_selection_ = state.has_selection;
     selection_ = SchemeSelection{};

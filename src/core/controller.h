@@ -24,9 +24,9 @@
  *    training losses are bit-identical across thread counts — and
  *    with apply_delay = 0 they are bit-identical to inline mode.
  *
- * Solve results can be memoized across runs via Config::solve.cache
- * (ilp/solve_cache.h): repeated or warm-restarted searches that pose a
- * bit-identical problem skip the ILP entirely.
+ * Every update reaches its scheme one way: selectScheme() ->
+ * solveIlp(), which validates the instance, splits pipeline groups
+ * and runs the DP (ilp/solver.h).
  *
  * UpdateOverhead splits each update's solver cost into hidden vs
  * exposed seconds so the paper's "the search overhead is hidden by
@@ -44,10 +44,6 @@
 #include "core/snip_optimizer.h"
 
 namespace snip {
-
-namespace runtime {
-class ThreadPool;
-} // namespace runtime
 
 class SchemeUpdateService;
 struct SchemeUpdateRequest;
@@ -73,8 +69,6 @@ struct UpdateOverhead
     /** Portion the trainer actually waited for (inline work, or the
      *  blocking wait at the apply boundary in async mode). */
     double exposed_seconds = 0.0;
-    /** True when the ILP solution came out of the solve cache. */
-    bool solve_cached = false;
     /** Update id this accounting belongs to (1-based). */
     uint64_t epoch = 0;
 };
@@ -86,7 +80,6 @@ struct OverheadTotals
     double work_seconds = 0.0;
     double hidden_seconds = 0.0;
     double exposed_seconds = 0.0;
-    int cache_hits = 0;
     /** Updates whose solve failed, resolved by keeping the current
      *  scheme (skip-update semantics). */
     int skipped = 0;
@@ -110,14 +103,10 @@ class SnipController
         QualityMetric metric = QualityMetric::Snip;
         double weight_div_scale = 1.0;
         ProbeOptions probe;
-        /** Solver knobs; solve.cache (optional, not owned) enables the
-         *  persistent solve cache. */
+        /** Solver knobs: empty, and no update reads them (see
+         *  IlpSolveOptions in ilp/solver.h). */
         IlpSolveOptions solve;
         PipelineConstraint pipeline;
-        /** Pool for the statistics sweep (Step 1); null = the
-         *  process-wide shared pool, i.e. the same instance the
-         *  trainer's kernels run on. */
-        runtime::ThreadPool *pool = nullptr;
 
         /** Run Steps 4-5 on the background worker (see file comment).
          */
@@ -137,26 +126,21 @@ class SnipController
      * Run Steps 1-6 once on @p batch and apply the resulting scheme to
      * the model — the synchronous path, regardless of Config::async.
      * Leaves parameter gradients dirty — callers zero them before
-     * their next real training pass.
-     *
-     * @param pool overrides Config::pool for this update when non-null
-     *             (the Trainer threads its own pool through here); both
-     *             null means the process-wide shared pool.
+     * their next real training pass. Step 1's sweeps run on the
+     * process-wide shared pool, the one the trainer's kernels use.
      */
     SchemeSelection updateScheme(LlamaModel &model, AdamW *optimizer,
-                                 const Batch &batch,
-                                 runtime::ThreadPool *pool = nullptr);
+                                 const Batch &batch);
 
     /**
      * Trainer hook, called every step. Regenerates the scheme when
      * @p step hits the update cadence; in async mode also adopts a
      * pending background result once @p step reaches its apply
      * boundary. Returns true when a scheme was applied to the model
-     * during this call. @p pool as in updateScheme().
+     * during this call.
      */
     bool maybeUpdate(LlamaModel &model, AdamW *optimizer,
-                     const Batch &batch, int64_t step,
-                     runtime::ThreadPool *pool = nullptr);
+                     const Batch &batch, int64_t step);
 
     const Config &config() const { return config_; }
 
@@ -192,13 +176,16 @@ class SnipController
     };
 
     PersistState exportState();
+    /** Adopt @p state in place of this controller's own. Safe on a
+     *  controller that already ran updates: an update still in flight
+     *  finishes first and is dropped, and later epochs never meet a
+     *  result published before the import. */
     void importState(const PersistState &state);
 
   private:
     /** Steps 1-3 on the trainer thread -> self-contained snapshot. */
     SchemeUpdateRequest makeSnapshot(LlamaModel &model, AdamW *optimizer,
-                                     const Batch &batch, int64_t step,
-                                     runtime::ThreadPool *pool);
+                                     const Batch &batch, int64_t step);
     /** Block for the pending epoch and apply it (Step 6). */
     void adoptPending(LlamaModel &model);
     void applyResult(LlamaModel &model, const SchemeUpdateResult &result,

@@ -70,13 +70,13 @@ buildIlp(const DivergenceTable &table, double target_fp4_fraction,
 
 SchemeSelection
 selectScheme(const DivergenceTable &table, double target_fp4_fraction,
-             const FlopsModel &flops, const IlpSolveOptions &solve,
+             const FlopsModel &flops, const IlpSolveOptions &,
              const PipelineConstraint &pipeline)
 {
     IlpProblem problem =
         buildIlp(table, target_fp4_fraction, flops, pipeline);
     SchemeSelection sel;
-    sel.ilp = solveIlp(problem, solve);
+    sel.ilp = solveIlp(problem);
     if (!sel.ilp.feasible) {
         fatal("SNIP ILP infeasible at target ", target_fp4_fraction,
               " — option set lacks an all-FP4 option?");

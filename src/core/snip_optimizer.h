@@ -45,7 +45,8 @@ IlpProblem buildIlp(const DivergenceTable &table,
                     const PipelineConstraint &pipeline = {});
 
 /** Solve and convert back to a PrecisionScheme. fatal() if infeasible
- *  (cannot happen for targets in [0,1] with an all-FP4 option). */
+ *  (cannot happen for targets in [0,1] with an all-FP4 option). The
+ *  IlpSolveOptions parameter is empty and unread (ilp/solver.h). */
 SchemeSelection selectScheme(const DivergenceTable &table,
                              double target_fp4_fraction,
                              const FlopsModel &flops,

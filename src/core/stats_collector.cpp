@@ -20,7 +20,7 @@ candidateIndex(Precision p)
 namespace {
 
 /** LinearTap measuring the tensors that exist only while the pass
- *  streams: Y in the forward, dY/dX/dW in the backward. */
+ *  streams: Y in the forward, dY/dX in the backward. */
 class CollectorTap : public LinearTap
 {
   public:
@@ -30,20 +30,17 @@ class CollectorTap : public LinearTap
     }
 
     void
-    onForward(int idx, const Tensor &, const Tensor &,
-              const Tensor &y) override
+    onForward(int idx, const Tensor &y) override
     {
         layers_[static_cast<size_t>(idx)].y_norm = frobeniusNorm(y);
     }
 
     void
-    onBackward(int idx, const Tensor &dy, const Tensor &dx,
-               const Tensor &dw) override
+    onBackward(int idx, const Tensor &dy, const Tensor &dx) override
     {
         LayerStats &s = layers_[static_cast<size_t>(idx)];
         s.dy_norm = frobeniusNorm(dy);
         s.dx_norm = frobeniusNorm(dx);
-        s.dw_norm = frobeniusNorm(dw);
         // dY is transient, so its errors are measured here, one
         // candidate per item; measureQuantError draws nothing.
         pool_.parallelFor(0, kNumCandidates, 1, [&](int64_t c0, int64_t c1) {
@@ -55,7 +52,6 @@ class CollectorTap : public LinearTap
                         .abs_error;
             }
         });
-        s.dw_dump = dw;
     }
 
   private:
@@ -66,9 +62,9 @@ class CollectorTap : public LinearTap
 /**
  * The per-layer sweep after the retaining backward, one layer per pool
  * item: shapes, X/W norms and quantization errors from the Linear's
- * saved input and its weight, and the AdamW sensitivity (whose
- * gradient term is this pass's dW). Each item reads its own layer and
- * writes its own LayerStats.
+ * saved input and its weight, the dW norm from its gradient, and the
+ * AdamW sensitivity (whose gradient term is this pass's dW). Each item
+ * reads its own layer and writes its own LayerStats.
  */
 void
 sweepLayers(LlamaModel &model, const AdamW *optimizer,
@@ -88,6 +84,7 @@ sweepLayers(LlamaModel &model, const AdamW *optimizer,
             s.n = w.size(0);
             s.x_norm = frobeniusNorm(x);
             s.w_norm = frobeniusNorm(w);
+            s.dw_norm = frobeniusNorm(lin.grad());
             for (int c = 0; c < kNumCandidates; ++c) {
                 const Precision p = kCandidatePrecisions[c];
                 for (TensorRole role :
@@ -141,6 +138,11 @@ collectTrainingStats(LlamaModel &model, AdamW *optimizer,
     stats.hidden_grad = model.backwardHead(loss.dlogits);
     model.backwardBlocks(stats.hidden_grad, /*retain=*/true);
     model.setTap(nullptr);
+    // The gradients started at zero, so each grad() now holds exactly
+    // this pass's dW: the probes diff against a copy of it.
+    for (int i = 0; i < reg.numLinear(); ++i)
+        stats.layers[static_cast<size_t>(i)].dw_dump =
+            model.linear(i).grad();
     sweepLayers(model, optimizer, stats.layers, pool);
     model.setScheme(active);
 

@@ -19,10 +19,13 @@
  * copies of the two tensors instead of rerunning the forward. The
  * tensors that exist only while the pass streams are measured by a
  * LinearTap: Y's norm in the forward, and dY (with its quantization
- * errors), dX and dW in the backward. Everything else is one sweep
- * over all layers on the pool after the backward: the X/W norms and
- * quantization errors from each Linear's retained input and its weight,
- * and the AdamW sensitivity.
+ * errors) and dX in the backward. The gradients are zeroed before the
+ * pass, so after it each Linear's grad() is exactly the pass's dW; the
+ * gradient dumps are copies of it, taken on the calling thread.
+ * Everything else is one sweep over all layers on the pool after the
+ * backward: the X/W norms and quantization errors from each Linear's
+ * retained input and its weight, the dW norm from its gradient, and
+ * the AdamW sensitivity.
  */
 #ifndef SNIP_CORE_STATS_COLLECTOR_H
 #define SNIP_CORE_STATS_COLLECTOR_H

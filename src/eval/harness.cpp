@@ -129,8 +129,7 @@ evaluateTaskSharded(const std::vector<LlamaModel *> &models,
 } // namespace
 
 EvalResult
-evaluate(LlamaModel &model, const std::vector<EvalTask> &suite,
-         runtime::ThreadPool *pool)
+evaluate(LlamaModel &model, const std::vector<EvalTask> &suite)
 {
     // lm-eval scores trained checkpoints at high precision; the
     // quantization scheme affects *training*, not inference. Run the
@@ -140,7 +139,7 @@ evaluate(LlamaModel &model, const std::vector<EvalTask> &suite,
         static_cast<size_t>(model.registry().numLinear()),
         Precision::BF16));
 
-    runtime::ThreadPool &p = runtime::poolOrGlobal(pool);
+    runtime::ThreadPool &p = runtime::globalThreadPool();
     int64_t max_items = 0;
     for (const auto &task : suite)
         max_items = std::max(max_items,

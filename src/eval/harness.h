@@ -38,10 +38,6 @@ struct EvalResult
     double taskAccuracy(const std::string &name) const;
 };
 
-namespace runtime {
-class ThreadPool;
-} // namespace runtime
-
 /** Score one item; returns true if the model picks the correct option. */
 bool scoreItem(LlamaModel &model, const EvalItem &item);
 
@@ -51,14 +47,12 @@ TaskScore evaluateTask(LlamaModel &model, const EvalTask &task);
 /**
  * Evaluate the full suite.
  *
- * Items are sharded across the pool (@p pool, null = the process-wide
- * shared pool), each shard scoring on its own BF16 replica of the
- * model. Replicas are exact weight copies and the BF16 forward pass is
- * deterministic, so the returned accuracies are identical for every
- * thread count.
+ * Items are sharded across the process-wide shared pool, each shard
+ * scoring on its own BF16 replica of the model. Replicas are exact
+ * weight copies and the BF16 forward pass is deterministic, so the
+ * returned accuracies are identical for every thread count.
  */
-EvalResult evaluate(LlamaModel &model, const std::vector<EvalTask> &suite,
-                    runtime::ThreadPool *pool = nullptr);
+EvalResult evaluate(LlamaModel &model, const std::vector<EvalTask> &suite);
 
 } // namespace snip
 

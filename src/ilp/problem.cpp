@@ -1,62 +1,10 @@
 #include "ilp/problem.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "util/logging.h"
 
 namespace snip {
-
-namespace {
-
-constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001B3ull;
-
-inline void
-hashU64(uint64_t &h, uint64_t v)
-{
-    for (int b = 0; b < 8; ++b) {
-        h ^= (v >> (b * 8)) & 0xFFu;
-        h *= kFnvPrime;
-    }
-}
-
-inline void
-hashDouble(uint64_t &h, double d)
-{
-    // Hash the exact bit pattern: the cache must only hit when the
-    // instance is bit-identical, and +0.0/-0.0 or NaN aliasing would
-    // be wrong to conflate here.
-    uint64_t bits;
-    std::memcpy(&bits, &d, sizeof(bits));
-    hashU64(h, bits);
-}
-
-} // namespace
-
-uint64_t
-ilpProblemHash(const IlpProblem &problem)
-{
-    uint64_t h = kFnvOffset;
-    hashU64(h, static_cast<uint64_t>(problem.numItems()));
-    for (int i = 0; i < problem.numItems(); ++i) {
-        hashU64(h, static_cast<uint64_t>(problem.numOptions(i)));
-        for (int j = 0; j < problem.numOptions(i); ++j) {
-            hashDouble(h, problem.quality[static_cast<size_t>(i)]
-                                         [static_cast<size_t>(j)]);
-            hashDouble(h, problem.efficiency[static_cast<size_t>(i)]
-                                            [static_cast<size_t>(j)]);
-        }
-    }
-    hashDouble(h, problem.target);
-    hashU64(h, static_cast<uint64_t>(problem.groups.size()));
-    for (const auto &g : problem.groups) {
-        hashU64(h, static_cast<uint64_t>(g.first));
-        hashU64(h, static_cast<uint64_t>(g.count));
-        hashDouble(h, g.target);
-    }
-    return h;
-}
 
 double
 IlpProblem::maxAchievableEfficiency() const

@@ -71,23 +71,11 @@ struct IlpSolution
     double achieved_efficiency = 0.0;
     bool feasible = false;
     double solve_seconds = 0.0;
-    /** True when the solution came out of a SolveCache rather than a
-     *  fresh search (solve_seconds is then the lookup time). */
-    bool from_cache = false;
 };
 
-/**
- * Content hash of an instance: FNV-1a over the exact bit patterns of
- * every quality/efficiency coefficient, the target, and the group
- * layout. Two problems hash equal iff their doubles are bit-identical,
- * which is the right notion for a solve cache fed by a deterministic
- * pipeline (same stats -> same bits -> same hash).
- */
-uint64_t ilpProblemHash(const IlpProblem &problem);
-
 /** Recompute objective/efficiency of @p choice on @p problem and check
- *  all constraints: the DP's own final check, the solve cache's hit
- *  verification, and the tests' check of any solver's answer. */
+ *  all constraints: the DP's own final check and the tests' check of
+ *  any solver's answer. */
 bool verifySolution(const IlpProblem &problem,
                     const std::vector<int> &choice, double *objective_out,
                     double *efficiency_out);

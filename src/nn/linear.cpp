@@ -2,7 +2,6 @@
 
 #include "quant/scaling.h"
 #include "tensor/gemm.h"
-#include "tensor/ops.h"
 #include "util/rng.h"
 
 namespace snip {
@@ -50,7 +49,7 @@ Linear::forward(const Tensor &x)
     const QuantPlan wp = plan(GemmKind::Fwd, TensorRole::Weight, &w_);
     Tensor y = quantMatmulNT(x, xp.config(), w_, wp.config(), activeCache());
     if (tap_)
-        tap_->onForward(tap_idx_, x, w_, y);
+        tap_->onForward(tap_idx_, y);
     return y;
 }
 
@@ -92,24 +91,17 @@ Linear::backward(const Tensor &dy)
     Tensor dx = quantMatmulNN(dy, dgp.config(), w_, wp.config(),
                               activeCache());
 
-    // dW = dY^T X (Wgrad GEMM). Without a tap the GEMM accumulates
-    // straight into grad_w_ (one add of the full k-sum per element —
-    // bit-identical to materializing dW and adding it).
+    // dW = dY^T X (Wgrad GEMM), accumulated straight into grad_w_ (one
+    // add of the full k-sum per element — bit-identical to
+    // materializing dW and adding it).
     const QuantPlan wgp =
         plan(GemmKind::Wgrad, TensorRole::OutputGrad, &dy);
     const QuantPlan xp =
         plan(GemmKind::Wgrad, TensorRole::Activation, &saved_x_);
-    if (tap_) {
-        // The tap observes the dW increment, so materialize it.
-        Tensor dw(outFeatures(), inFeatures());
-        quantGemmTN(dy, wgp.config(), saved_x_, xp.config(), dw,
-                    /*accumulate=*/false);
-        addInPlace(grad_w_, dw);
-        tap_->onBackward(tap_idx_, dy, dx, dw);
-        return dx;
-    }
     quantGemmTN(dy, wgp.config(), saved_x_, xp.config(), grad_w_,
                 /*accumulate=*/true);
+    if (tap_)
+        tap_->onBackward(tap_idx_, dy, dx);
     return dx;
 }
 

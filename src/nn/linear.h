@@ -27,21 +27,23 @@ class Rng;
  * Observer interface over linear-layer tensors.
  *
  * SNIP's statistics pass (Step 1 of Fig. 6) registers a tap on every
- * linear layer and receives the exact tensors each GEMM consumes or
- * produces, without Linear knowing anything about statistics.
+ * linear layer and receives the tensors that exist only while a pass
+ * streams, without Linear knowing anything about statistics. What the
+ * layer keeps (its input, weight and accumulated gradient) is read
+ * through its accessors instead.
  */
 class LinearTap
 {
   public:
     virtual ~LinearTap() = default;
 
-    /** Called after the forward GEMM of layer @p idx. */
-    virtual void onForward(int idx, const Tensor &x, const Tensor &w,
-                           const Tensor &y) = 0;
+    /** Called after the forward GEMM of layer @p idx with its output. */
+    virtual void onForward(int idx, const Tensor &y) = 0;
 
-    /** Called after the backward GEMMs of layer @p idx. */
-    virtual void onBackward(int idx, const Tensor &dy, const Tensor &dx,
-                            const Tensor &dw) = 0;
+    /** Called after the backward GEMMs of layer @p idx with the output
+     *  gradient and the input gradient. */
+    virtual void onBackward(int idx, const Tensor &dy,
+                            const Tensor &dx) = 0;
 };
 
 /**

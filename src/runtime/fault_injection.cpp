@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <string_view>
 #include <vector>
@@ -82,7 +83,12 @@ parseU64(std::string_view text, uint64_t *out)
     for (char c : text) {
         if (c < '0' || c > '9')
             return false;
-        v = v * 10 + static_cast<uint64_t>(c - '0');
+        const uint64_t digit = static_cast<uint64_t>(c - '0');
+        // A count or seed past 2^64 - 1 would wrap into a different
+        // schedule; refuse it like any other malformed number.
+        if (v > (std::numeric_limits<uint64_t>::max() - digit) / 10)
+            return false;
+        v = v * 10 + digit;
     }
     *out = v;
     return true;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Deterministic fault injection for the durable-state and overload
- * seams (checkpoint writes, solve-cache load/rewrite, telemetry
- * export, KV page allocation, serve admission, scheme solves).
+ * seams (checkpoint writes, telemetry export, KV page allocation,
+ * serve admission, scheme solves).
  *
  * A fault *site* is a named branch compiled into production code:
  *
@@ -20,7 +20,7 @@
  *
  *   SNIP_FAULT=<site>:<trigger>[,<site>:<trigger>...]
  *
- * with three trigger forms:
+ * with three trigger forms (a count or seed must fit in 64 bits):
  *
  *   <n>          fire on exactly the n-th hit of the site (1-based)
  *   every-<k>    fire on every k-th hit (k, 2k, 3k, ...)

@@ -239,8 +239,6 @@ renderStepRecord(int64_t step, double wall_seconds, const Snapshot &now,
                  secondsDelta(now, prev, Seconds::SchemeExposed), false);
     appendDouble(r, "worker_busy_s",
                  secondsDelta(now, prev, Seconds::SchemeWorker), false);
-    appendInt(r, "solve_cached",
-              counterDelta(now, prev, Counter::SchemeSolveCached), false);
     appendInt(r, "skipped",
               counterDelta(now, prev, Counter::SchemeUpdateSkips), false);
     appendDouble(r, "handoff_wait_s",
@@ -285,22 +283,6 @@ renderStepRecord(int64_t step, double wall_seconds, const Snapshot &now,
     r += ", \"faults\": {";
     appendInt(r, "injected",
               counterDelta(now, prev, Counter::FaultsInjected), true);
-    r += "}";
-
-    const int64_t hits = counterDelta(now, prev, Counter::SolveCacheHits);
-    const int64_t misses =
-        counterDelta(now, prev, Counter::SolveCacheMisses);
-    r += ", \"solve_cache\": {";
-    appendInt(r, "hits", hits, true);
-    appendInt(r, "misses", misses, false);
-    appendInt(r, "evictions",
-              counterDelta(now, prev, Counter::SolveCacheEvicts), false);
-    appendDouble(r, "hit_rate",
-                 hits + misses > 0
-                     ? static_cast<double>(hits) /
-                           static_cast<double>(hits + misses)
-                     : 0.0,
-                 false);
     r += "}}";
     return r;
 }
@@ -478,14 +460,12 @@ summary()
 {
     const Snapshot s = snapshot();
     const double gemm_s = s.timer(Timer::Gemm).sum_seconds;
-    const int64_t lookups = s.counter(Counter::SolveCacheHits) +
-                            s.counter(Counter::SolveCacheMisses);
     char buf[512];
     std::snprintf(
         buf, sizeof(buf),
         "gemm %lld calls %.2f GFLOP %s%.1f GFLOP/s; pack cache %lld/%lld "
         "hit; arena hw %lld B; pool %lld jobs; attn %lld+%lld; scheme "
-        "%lld updates (%.0f%% hidden); solve cache %lld/%lld hit",
+        "%lld updates (%.0f%% hidden)",
         static_cast<long long>(s.timer(Timer::Gemm).count),
         static_cast<double>(s.counter(Counter::GemmFlops)) / 1e9,
         gemm_s > 0.0 ? "@ " : "",
@@ -504,9 +484,7 @@ summary()
         s.secondsOf(Seconds::SchemeWork) > 0.0
             ? 100.0 * s.secondsOf(Seconds::SchemeHidden) /
                   s.secondsOf(Seconds::SchemeWork)
-            : 0.0,
-        static_cast<long long>(s.counter(Counter::SolveCacheHits)),
-        static_cast<long long>(lookups));
+            : 0.0);
     return buf;
 }
 

@@ -45,8 +45,8 @@
  * The JSON document: {"schema": "snip-telemetry-v1", "meta": {...},
  * "series": [ {per-step record}, ... ]}. Each step record carries the
  * deltas for that step grouped by subsystem (gemm, pack_cache, arena,
- * pool, attn, scheme, solve_cache) plus derived rates (gemm.gflops,
- * pool.utilization, solve_cache.hit_rate). See README "Telemetry".
+ * pool, attn, scheme, serve, faults) plus derived rates (gemm.gflops,
+ * pool.utilization). See README "Telemetry".
  */
 #ifndef SNIP_TELEMETRY_TELEMETRY_H
 #define SNIP_TELEMETRY_TELEMETRY_H
@@ -76,11 +76,7 @@ enum class Counter : int
     PackCacheHits,     ///< PackedWeightCache: panel served as-is
     PackCacheRebuilds, ///< PackedWeightCache: panel (re)packed
     PoolChunks,        ///< chunks parallelFor invocations were cut into
-    SolveCacheHits,    ///< ILP SolveCache lookup hits
-    SolveCacheMisses,  ///< ILP SolveCache lookup misses
-    SolveCacheEvicts,  ///< ILP SolveCache LRU evictions
     SchemeUpdates,     ///< scheme updates applied to the model
-    SchemeSolveCached, ///< ... whose ILP came from the solve cache
     SchemePublishes,   ///< results published by the update service
     SchemeUpdateSkips, ///< failed updates resolved by keeping the
                        ///< current scheme (skip-update semantics)

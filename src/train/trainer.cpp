@@ -38,8 +38,7 @@ Trainer::trainStep(SnipController *controller)
         obs::Scope span(trace::Category::Train, "scheme_apply", "step",
                         step_);
         if (controller)
-            controller->maybeUpdate(*model_, opt_.get(), batch, step_,
-                                    &pool());
+            controller->maybeUpdate(*model_, opt_.get(), batch, step_);
     }
 
     model_->zeroGrad();

@@ -93,13 +93,11 @@ class Trainer
     LlamaModel &model() { return *model_; }
     AdamW &optimizer() { return *opt_; }
 
-    /** Execution pool for this run. One pool instance is shared per
-     *  process: the trainer resolves runtime::globalThreadPool() — the
-     *  same pool the GEMM/quantizer kernels dispatch to — hands it to
-     *  any SnipController it drives (trainStep), and the bench harness
-     *  passes it to evaluate(). (Resolved per call so
-     *  setGlobalThreadCount() sweeps in tests/benches never leave a
-     *  stale handle.) */
+    /** Execution pool for this run: runtime::globalThreadPool(), the
+     *  one pool per process that the GEMM/quantizer kernels, the
+     *  controller's statistics sweeps and evaluate() dispatch to.
+     *  (Resolved per call so setGlobalThreadCount() sweeps in
+     *  tests/benches never leave a stale handle.) */
     runtime::ThreadPool &pool();
     const SyntheticCorpus &corpus() const { return corpus_; }
     const TrainerConfig &config() const { return config_; }

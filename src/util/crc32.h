@@ -1,9 +1,9 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte
- * range — the checksum behind the checkpoint and solve-cache file
- * footers. Streamable: feed the previous return value back as @p seed
- * to continue a running checksum across buffers.
+ * range — the checksum behind the checkpoint file footer. Streamable:
+ * feed the previous return value back as @p seed to continue a running
+ * checksum across buffers.
  */
 #ifndef SNIP_UTIL_CRC32_H
 #define SNIP_UTIL_CRC32_H

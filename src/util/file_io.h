@@ -1,7 +1,7 @@
 /**
  * @file
  * Small file-I/O helpers shared by every durable-state writer
- * (checkpoints, the ILP solve cache, the telemetry/trace exporters).
+ * (checkpoints, the telemetry/trace exporters).
  *
  * The common discipline is write-tmp-then-rename so a reader (or a
  * crash) never observes a half-written file at the published path.

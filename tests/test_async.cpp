@@ -1,19 +1,17 @@
 /**
  * @file
- * The async scheme-update subsystem: TaskThread, the persistent solve
- * cache, the background SchemeUpdateService, and the controller's
- * deterministic handoff — including async-vs-inline equivalence and
- * the mid-interval checkpoint round trip.
+ * The async scheme-update subsystem: TaskThread, the background
+ * SchemeUpdateService, and the controller's deterministic handoff —
+ * including async-vs-inline equivalence, the mid-interval checkpoint
+ * round trip, and a controller reused across checkpoint loads.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
-#include <fstream>
 #include <vector>
 
 #include "async/scheme_service.h"
-#include "ilp/solve_cache.h"
 #include "runtime/task_thread.h"
 #include "train/checkpoint.h"
 #include "train/presets.h"
@@ -54,82 +52,6 @@ TEST(TaskThread, DestructorDrainsSubmittedWork)
     EXPECT_EQ(ran.load(), 8);
 }
 
-/** A 2-item / 2-option instance with a unique optimum. */
-IlpProblem
-tinyProblem(double target = 0.5)
-{
-    IlpProblem p;
-    p.quality = {{0.0, 1.0}, {0.0, 0.3}};
-    p.efficiency = {{0.0, 0.5}, {0.0, 0.5}};
-    p.target = target;
-    return p;
-}
-
-TEST(SolveCache, MissThenHitReturnsIdenticalSolution)
-{
-    SolveCache cache;
-    IlpSolveOptions opts;
-    opts.cache = &cache;
-    const IlpProblem p = tinyProblem();
-
-    IlpSolution fresh = solveIlp(p, opts);
-    EXPECT_TRUE(fresh.feasible);
-    EXPECT_FALSE(fresh.from_cache);
-    EXPECT_EQ(cache.misses(), 1);
-    EXPECT_EQ(cache.size(), 1u);
-
-    IlpSolution again = solveIlp(p, opts);
-    EXPECT_TRUE(again.from_cache);
-    EXPECT_EQ(again.choice, fresh.choice);
-    EXPECT_DOUBLE_EQ(again.objective, fresh.objective);
-    EXPECT_EQ(cache.hits(), 1);
-
-    // A different target is a different content hash.
-    IlpSolution other = solveIlp(tinyProblem(0.9), opts);
-    EXPECT_FALSE(other.from_cache);
-    EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(SolveCache, PersistsAcrossInstances)
-{
-    const std::string path = "test_solve_cache_roundtrip.bin";
-    std::remove(path.c_str());
-    const IlpProblem p = tinyProblem();
-
-    {
-        SolveCache cache(path);
-        IlpSolveOptions opts;
-        opts.cache = &cache;
-        IlpSolution fresh = solveIlp(p, opts);
-        EXPECT_FALSE(fresh.from_cache);
-    }
-    {
-        SolveCache cache(path); // loads from disk
-        EXPECT_EQ(cache.size(), 1u);
-        IlpSolveOptions opts;
-        opts.cache = &cache;
-        IlpSolution warm = solveIlp(p, opts);
-        EXPECT_TRUE(warm.from_cache);
-        EXPECT_TRUE(warm.feasible);
-        double obj = 0.0;
-        EXPECT_TRUE(verifySolution(p, warm.choice, &obj, nullptr));
-        EXPECT_DOUBLE_EQ(obj, warm.objective);
-    }
-    std::remove(path.c_str());
-}
-
-TEST(SolveCache, CorruptFileDegradesToEmpty)
-{
-    const std::string path = "test_solve_cache_corrupt.bin";
-    {
-        std::ofstream out(path, std::ios::binary);
-        out << "this is not a solve cache";
-    }
-    SolveCache cache(path);
-    EXPECT_EQ(cache.size(), 0u);
-    std::remove(path.c_str());
-}
-
 TEST(SchemeService, InlineAndAsyncPublishIdenticalResults)
 {
     TrainerConfig cfg = trainerPreset(tinyTestModel());
@@ -162,14 +84,11 @@ TEST(SchemeService, InlineAndAsyncPublishIdenticalResults)
     EXPECT_FALSE(async_controller.hasPendingUpdate());
 }
 
-/** Train @p steps with a controller built from @p cc; returns per-step
+/** Train @p steps of @p trainer under @p controller; returns per-step
  *  losses and the model scheme active after every step. */
 std::pair<std::vector<double>, std::vector<PrecisionScheme>>
-runControlled(const SnipController::Config &cc, int64_t steps)
+trainWith(Trainer &trainer, SnipController &controller, int64_t steps)
 {
-    TrainerConfig cfg = trainerPreset(tinyTestModel());
-    Trainer trainer(cfg);
-    SnipController controller(cc);
     std::vector<double> losses;
     std::vector<PrecisionScheme> schemes;
     for (int64_t i = 0; i < steps; ++i) {
@@ -177,6 +96,16 @@ runControlled(const SnipController::Config &cc, int64_t steps)
         schemes.push_back(trainer.model().currentScheme());
     }
     return {losses, schemes};
+}
+
+/** trainWith() on a fresh tinyTestModel trainer and a controller built
+ *  from @p cc. */
+std::pair<std::vector<double>, std::vector<PrecisionScheme>>
+runControlled(const SnipController::Config &cc, int64_t steps)
+{
+    Trainer trainer(trainerPreset(tinyTestModel()));
+    SnipController controller(cc);
+    return trainWith(trainer, controller, steps);
 }
 
 TEST(AsyncController, Delay0IsBitIdenticalToInline)
@@ -263,45 +192,6 @@ TEST(AsyncController, AppliesExactlyAtTheDeadline)
     EXPECT_EQ(controller.totals().updates, 1);
 }
 
-TEST(AsyncController, WarmSolveCacheHitsEveryRepeatedProblem)
-{
-    const std::string path = "test_async_warm_cache.bin";
-    std::remove(path.c_str());
-
-    auto run = [&](SolveCache &cache) {
-        SnipController::Config cc;
-        cc.target_fp4_fraction = 0.5;
-        cc.update_interval = 6;
-        cc.async = true;
-        cc.apply_delay = 2;
-        cc.solve.cache = &cache;
-        TrainerConfig cfg = trainerPreset(tinyTestModel());
-        Trainer trainer(cfg);
-        SnipController controller(cc);
-        std::vector<double> losses;
-        for (int64_t i = 0; i < 15; ++i)
-            losses.push_back(trainer.trainStep(&controller));
-        return std::make_pair(losses, controller.totals());
-    };
-
-    SolveCache cold(path);
-    auto [cold_losses, cold_totals] = run(cold);
-    EXPECT_EQ(cold_totals.updates, 3); // steps 0, 6, 12
-    EXPECT_EQ(cold_totals.cache_hits, 0);
-    EXPECT_EQ(cold.size(), 3u);
-
-    // Deterministic training re-poses bit-identical problems: the warm
-    // run must hit for every repeated hash and train identically.
-    SolveCache warm(path);
-    EXPECT_EQ(warm.size(), 3u);
-    auto [warm_losses, warm_totals] = run(warm);
-    EXPECT_EQ(warm_totals.updates, 3);
-    EXPECT_EQ(warm_totals.cache_hits, 3);
-    EXPECT_EQ(warm.hits(), 3);
-    EXPECT_EQ(cold_losses, warm_losses);
-    std::remove(path.c_str());
-}
-
 TEST(AsyncController, CheckpointRoundTripResumesMidInterval)
 {
     const std::string path = "test_async_ckpt_midinterval.bin";
@@ -354,6 +244,64 @@ TEST(AsyncController, CheckpointRoundTripResumesMidInterval)
     for (size_t i = 0; i < ref_schemes.size(); ++i)
         EXPECT_TRUE(ref_schemes[i] == resumed_schemes[i]) << i;
     std::remove(path.c_str());
+}
+
+TEST(AsyncController, ReusedControllerLoadsLikeAFreshOne)
+{
+    // After loadCheckpoint, a controller that already published epochs
+    // must train exactly like a fresh controller loaded from the same
+    // file: its epochs restart from the file's, and none may be
+    // answered by a result published before the load.
+    const std::string own = "test_async_reload_own.bin";
+    const std::string other = "test_async_reload_other.bin";
+    SnipController::Config cc;
+    cc.target_fp4_fraction = 0.5;
+    cc.update_interval = 2;
+    cc.async = true;
+    cc.apply_delay = 0;
+    const TrainerConfig cfg = trainerPreset(tinyTestModel());
+
+    // Another run's file at epoch 2: other weights, other data.
+    TrainerConfig other_cfg = trainerPreset(tinyTestModel(), 43);
+    other_cfg.data_seed = 99;
+    {
+        Trainer t(other_cfg);
+        SnipController c(cc);
+        trainWith(t, c, 4);
+        ASSERT_EQ(c.epoch(), 2u);
+        ASSERT_TRUE(saveCheckpoint(t, other, &c));
+    }
+
+    // The reused pair: saved at step 0, then epochs 1-3 published.
+    Trainer trainer(cfg);
+    SnipController controller(cc);
+    ASSERT_TRUE(saveCheckpoint(trainer, own, &controller));
+    trainWith(trainer, controller, 6);
+    ASSERT_EQ(controller.epoch(), 3u);
+
+    // Its own step-0 file restarts the epochs below the slot's; the
+    // other run's epoch-2 file is then loaded after epoch 3 was
+    // published again.
+    for (const std::string &path : {own, other}) {
+        ASSERT_TRUE(loadCheckpoint(trainer, path, &controller)) << path;
+        const auto [losses, schemes] = trainWith(trainer, controller, 6);
+
+        Trainer fresh(cfg);
+        SnipController fresh_controller(cc);
+        ASSERT_TRUE(loadCheckpoint(fresh, path, &fresh_controller))
+            << path;
+        const auto [want_losses, want_schemes] =
+            trainWith(fresh, fresh_controller, 6);
+
+        EXPECT_EQ(losses, want_losses) << path;
+        ASSERT_EQ(schemes.size(), want_schemes.size());
+        for (size_t i = 0; i < schemes.size(); ++i)
+            EXPECT_TRUE(schemes[i] == want_schemes[i])
+                << path << " step " << i;
+        EXPECT_EQ(controller.epoch(), fresh_controller.epoch()) << path;
+    }
+    std::remove(own.c_str());
+    std::remove(other.c_str());
 }
 
 TEST(Checkpoint, ControllerlessFilesStayCompatible)

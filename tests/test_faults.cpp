@@ -5,10 +5,10 @@
  * schedules are bit-reproducible), a disarmed fault point is free (no
  * allocations, training bit-identical across thread counts), every
  * checkpoint corruption fails the load cleanly without half-restoring,
- * torn writes recover through the rotation chain bit-exactly, the
- * solve cache salvages its validated prefix, a failed scheme solve
- * resolves as a skip, and the serve engine survives overload,
- * deadlines and injected allocation faults with zero page leaks.
+ * torn writes recover through the rotation chain bit-exactly, a
+ * failed scheme solve resolves as a skip, and the serve engine
+ * survives overload, deadlines and injected allocation faults with
+ * zero page leaks.
  *
  * The zero-overhead assertions count heap allocations through
  * alloc_counter.h.
@@ -25,7 +25,6 @@
 #include <unistd.h>
 
 #include "core/controller.h"
-#include "ilp/solve_cache.h"
 #include "nn/model.h"
 #include "runtime/fault_injection.h"
 #include "runtime/thread_pool.h"
@@ -136,6 +135,17 @@ TEST(Fault, SpecParsing)
     EXPECT_FALSE(fault::configureFromSpec("site:p=nan"));
     EXPECT_FALSE(fault::configureFromSpec("site:p=-nan"));
     EXPECT_FALSE(fault::configureFromSpec("site:p=inf"));
+    // Counts and seeds past 2^64 - 1 are refused, not wrapped.
+    EXPECT_TRUE(fault::configureFromSpec("site:18446744073709551615"));
+    EXPECT_TRUE(fault::configureFromSpec("site:every-18446744073709551615"));
+    EXPECT_TRUE(
+        fault::configureFromSpec("site:p=0.5@18446744073709551615"));
+    EXPECT_FALSE(fault::configureFromSpec("site:18446744073709551616"));
+    EXPECT_FALSE(fault::configureFromSpec("site:18446744073709551618"));
+    EXPECT_FALSE(fault::configureFromSpec("site:every-18446744073709551617"));
+    EXPECT_FALSE(fault::configureFromSpec("site:99999999999999999999"));
+    EXPECT_FALSE(
+        fault::configureFromSpec("site:p=0.5@18446744073709551616"));
     EXPECT_TRUE(fault::enabled());
 
     fault::reset();
@@ -504,91 +514,6 @@ TEST(FaultCheckpoint, FailedPublishRollsBackRotation)
     EXPECT_EQ(fresh.step(), 2);
 
     removeCheckpointChain(path);
-}
-
-// ---------------------------------------------------------- solve cache
-
-TEST(FaultSolveCache, CorruptTailKeepsValidatedPrefix)
-{
-    const std::string path = "test_faults_solve_cache.bin";
-    std::remove(path.c_str());
-    {
-        SolveCache cache(path);
-        for (uint64_t key = 1; key <= 3; ++key) {
-            IlpSolution s;
-            s.feasible = true;
-            s.choice = {0, 1, static_cast<int>(key)};
-            s.objective = 1.0 + static_cast<double>(key);
-            s.achieved_efficiency = 0.5;
-            s.solve_seconds = 0.01;
-            cache.insert(key, s);
-        }
-        ASSERT_EQ(cache.size(), 3u);
-    }
-
-    std::string bytes;
-    ASSERT_TRUE(readFileBytes(path, &bytes));
-    ASSERT_GT(bytes.size(), 16u);
-    // Tear off the CRC trailer and part of the coldest entry: the
-    // validated prefix (persisted most-recently-used first) survives.
-    ASSERT_TRUE(
-        writeFileBytes(path, bytes.substr(0, bytes.size() - 12)));
-    SolveCache salvaged(path);
-    EXPECT_GE(salvaged.size(), 1u);
-    EXPECT_LT(salvaged.size(), 3u);
-    IlpSolution out;
-    EXPECT_TRUE(salvaged.lookup(3, &out)); // newest entry = first
-    EXPECT_EQ(out.choice, (std::vector<int>{0, 1, 3}));
-
-    std::remove(path.c_str());
-}
-
-TEST(FaultSolveCache, TruncatedHeaderLoadsAsEmpty)
-{
-    const std::string path = "test_faults_solve_cache_trunc.bin";
-    std::remove(path.c_str());
-    {
-        SolveCache cache(path);
-        IlpSolution s;
-        s.feasible = true;
-        s.choice = {1};
-        s.objective = 2.0;
-        cache.insert(7, s);
-    }
-    std::string bytes;
-    ASSERT_TRUE(readFileBytes(path, &bytes));
-    ASSERT_GT(bytes.size(), 24u);
-    // Files torn inside magic+count+CRC (under 24 bytes) have no
-    // entry region at all; every such prefix must load as empty
-    // without reading past the buffer (the 16..23-byte range once
-    // placed the CRC trailer boundary *before* the read cursor).
-    for (size_t n = 0; n < 24; ++n) {
-        ASSERT_TRUE(writeFileBytes(path, bytes.substr(0, n)));
-        SolveCache torn(path);
-        EXPECT_EQ(torn.size(), 0u) << "prefix of " << n << " bytes";
-    }
-    std::remove(path.c_str());
-}
-
-TEST(FaultSolveCache, InjectedLoadFaultDegradesToSalvage)
-{
-    FaultGuard fault_guard;
-    const std::string path = "test_faults_solve_cache2.bin";
-    std::remove(path.c_str());
-    {
-        SolveCache cache(path);
-        IlpSolution s;
-        s.feasible = true;
-        s.choice = {1};
-        s.objective = 2.0;
-        cache.insert(7, s);
-    }
-    ASSERT_TRUE(fault::configureFromSpec("solve_cache.load:1"));
-    SolveCache reloaded(path); // ctor load sees the flipped bit
-    EXPECT_EQ(fault::siteInjected("solve_cache.load"), 1);
-    EXPECT_LE(reloaded.size(), 1u); // degraded, never crashed
-    fault::reset();
-    std::remove(path.c_str());
 }
 
 // --------------------------------------------------------- scheme solve

@@ -3,24 +3,19 @@
  * ILP solver tests: the DP's exactness against the reference solvers in
  * ilp_reference.h (LP relaxation properties, branch & bound against
  * brute force, DP/B&B cross-validation sweeps), its golden choices and
- * allocation bound, group decomposition, the paper's boundary
- * guarantees (E_t = 0 / 1), and the solve cache's LRU and file format.
+ * allocation bound, group decomposition, and the paper's boundary
+ * guarantees (E_t = 0 / 1).
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <functional>
-#include <string>
 
 #include "alloc_counter.h"
-#include "ilp/solve_cache.h"
 #include "ilp/solver.h"
 #include "ilp_reference.h"
 #include "util/crc32.h"
-#include "util/file_io.h"
 #include "util/rng.h"
 
 namespace snip {
@@ -418,211 +413,6 @@ TEST(Bnb, RandomPropertySweepAgainstDp)
                 << "target " << target;
         }
     }
-}
-
-// ------------------------------------------------- solve-cache LRU
-
-IlpSolution
-cacheSolution(int tag, size_t n_choice = 4)
-{
-    IlpSolution s;
-    s.feasible = true;
-    s.objective = tag * 1.0;
-    s.achieved_efficiency = 0.5;
-    s.choice.assign(n_choice, tag);
-    return s;
-}
-
-TEST(SolveCacheLru, EvictsColdestOnEntryBound)
-{
-    SolveCache cache;
-    cache.setLimits(/*max_entries=*/3, /*max_bytes=*/0);
-    for (uint64_t key = 1; key <= 3; ++key)
-        cache.insert(key, cacheSolution(static_cast<int>(key)));
-    // Touch key 1 so key 2 is now the coldest.
-    EXPECT_TRUE(cache.lookup(1, nullptr));
-    cache.insert(4, cacheSolution(4));
-    EXPECT_EQ(cache.size(), 3u);
-    EXPECT_EQ(cache.evictions(), 1);
-    EXPECT_FALSE(cache.lookup(2, nullptr));
-    EXPECT_TRUE(cache.lookup(1, nullptr));
-    EXPECT_TRUE(cache.lookup(3, nullptr));
-    IlpSolution got;
-    EXPECT_TRUE(cache.lookup(4, &got));
-    EXPECT_EQ(got.objective, 4.0);
-}
-
-TEST(SolveCacheLru, ByteBoundHoldsAndFreshestSurvives)
-{
-    SolveCache cache;
-    const size_t per = SolveCache::entryBytes(cacheSolution(1, 64));
-    cache.setLimits(0, 2 * per + per / 2); // room for two entries
-    for (uint64_t key = 1; key <= 5; ++key)
-        cache.insert(key, cacheSolution(static_cast<int>(key), 64));
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_LE(cache.bytesUsed(), 2 * per + per / 2);
-    EXPECT_TRUE(cache.lookup(5, nullptr));
-    EXPECT_TRUE(cache.lookup(4, nullptr));
-    // An entry bigger than the whole budget still gets stored (the
-    // freshest entry is never evicted), everything else goes.
-    cache.insert(9, cacheSolution(9, 4096));
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_TRUE(cache.lookup(9, nullptr));
-}
-
-TEST(SolveCacheLru, ShrinkingLimitsEvictsImmediately)
-{
-    SolveCache cache;
-    for (uint64_t key = 1; key <= 6; ++key)
-        cache.insert(key, cacheSolution(static_cast<int>(key)));
-    EXPECT_EQ(cache.size(), 6u);
-    cache.setLimits(2, 0);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_TRUE(cache.lookup(6, nullptr));
-    EXPECT_TRUE(cache.lookup(5, nullptr));
-}
-
-TEST(SolveCacheLru, RecencySurvivesPersistence)
-{
-    const std::string path =
-        ::testing::TempDir() + "snip_solve_cache_lru.bin";
-    std::remove(path.c_str());
-    {
-        SolveCache cache(path);
-        for (uint64_t key = 1; key <= 4; ++key)
-            cache.insert(key, cacheSolution(static_cast<int>(key)));
-        EXPECT_TRUE(cache.lookup(2, nullptr)); // 2 becomes hottest
-        EXPECT_TRUE(cache.save());
-    }
-    {
-        // Reload with a bound of 2: the persisted recency (2, then 4)
-        // decides who survives the load-time trim.
-        SolveCache cache(path, /*max_entries=*/2, /*max_bytes=*/0);
-        EXPECT_EQ(cache.size(), 2u);
-        EXPECT_TRUE(cache.lookup(2, nullptr));
-        EXPECT_TRUE(cache.lookup(4, nullptr));
-        EXPECT_FALSE(cache.lookup(1, nullptr));
-        EXPECT_FALSE(cache.lookup(3, nullptr));
-        EXPECT_EQ(cache.evictions(), 0); // load trimming is not an evict
-    }
-    std::remove(path.c_str());
-}
-
-TEST(SolveCacheLru, UnboundedByDefaultAndRewriteKeepsPayload)
-{
-    SolveCache cache;
-    for (uint64_t key = 1; key <= 100; ++key)
-        cache.insert(key, cacheSolution(static_cast<int>(key)));
-    EXPECT_EQ(cache.size(), 100u);
-    EXPECT_EQ(cache.evictions(), 0);
-    // Overwriting a key refreshes it and replaces the payload.
-    cache.insert(7, cacheSolution(70));
-    IlpSolution got;
-    EXPECT_TRUE(cache.lookup(7, &got));
-    EXPECT_EQ(got.objective, 70.0);
-    EXPECT_EQ(cache.size(), 100u);
-}
-
-// ---------------------------------------------- solve-cache file format
-
-TEST(SolveCacheFormat, OutdatedFileLoadsEmptyAndNextInsertWritesV3)
-{
-    const std::string path =
-        ::testing::TempDir() + "snip_solve_cache_outdated.bin";
-    constexpr uint64_t kV3 = 0x534E4950534C4333ull; // "SNIPSLC3"
-    // v1 and v2 stored a search-node count in every entry; v2 closed
-    // the file with a CRC trailer.
-    for (const uint64_t magic :
-         {0x534E4950534C4331ull, 0x534E4950534C4332ull}) {
-        std::string image;
-        auto put = [&](auto v) {
-            image.append(reinterpret_cast<const char *>(&v), sizeof(v));
-        };
-        put(magic);
-        put(uint64_t{1});                     // entries
-        put(uint64_t{42});                    // key
-        put(uint64_t{1});                     // feasible
-        put(1.5);                             // objective
-        put(0.5);                             // achieved efficiency
-        put(uint64_t{7});                     // nodes explored
-        put(0.01);                            // solve seconds
-        put(uint64_t{2});                     // choices
-        put(uint64_t{0});
-        put(uint64_t{1});
-        if (magic == 0x534E4950534C4332ull)
-            put(uint64_t{crc32(image.data(), image.size())});
-        ASSERT_TRUE(fsio::writeFile(path, image));
-
-        ::testing::internal::CaptureStderr();
-        SolveCache cache(path);
-        const std::string log = ::testing::internal::GetCapturedStderr();
-        EXPECT_EQ(cache.size(), 0u);
-        EXPECT_FALSE(cache.lookup(42, nullptr));
-        size_t warnings = 0;
-        for (size_t at = log.find("[warn]"); at != std::string::npos;
-             at = log.find("[warn]", at + 1))
-            ++warnings;
-        EXPECT_EQ(warnings, 1u) << log;
-
-        cache.insert(9, cacheSolution(9));
-        std::string rewritten;
-        ASSERT_TRUE(fsio::readFile(path, &rewritten));
-        uint64_t head = 0;
-        ASSERT_GE(rewritten.size(), sizeof(head));
-        std::memcpy(&head, rewritten.data(), sizeof(head));
-        EXPECT_EQ(head, kV3);
-        SolveCache reloaded(path);
-        IlpSolution got;
-        ASSERT_TRUE(reloaded.lookup(9, &got));
-        EXPECT_EQ(got.objective, 9.0);
-        EXPECT_EQ(got.choice, cacheSolution(9).choice);
-        EXPECT_EQ(reloaded.size(), 1u);
-    }
-    std::remove(path.c_str());
-}
-
-TEST(SolveCacheFormat, CraftedCountsAllocateOnlyWhatTheFileHolds)
-{
-    // CRC-valid files whose counts claim far more than their bytes
-    // hold: a header claiming 2^40 entries with none after it, and one
-    // entry claiming 2^20 choices with none after it. Each loads empty
-    // with a warning, and no single allocation is sized by the claim.
-    const std::string path =
-        ::testing::TempDir() + "snip_solve_cache_crafted.bin";
-    constexpr uint64_t kV3 = 0x534E4950534C4333ull; // "SNIPSLC3"
-    for (const bool claims_entries : {true, false}) {
-        std::string image;
-        auto put = [&](auto v) {
-            image.append(reinterpret_cast<const char *>(&v), sizeof(v));
-        };
-        put(kV3);
-        if (claims_entries) {
-            put(uint64_t{1} << 40); // entries
-        } else {
-            put(uint64_t{1});        // entries
-            put(uint64_t{42});       // key
-            put(uint64_t{1});        // feasible
-            put(1.5);                // objective
-            put(0.5);                // achieved efficiency
-            put(0.01);               // solve seconds
-            put(uint64_t{1} << 20);  // choices
-        }
-        put(uint64_t{crc32(image.data(), image.size())});
-        ASSERT_TRUE(fsio::writeFile(path, image));
-
-        size_t size = 1;
-        ::testing::internal::CaptureStderr();
-        const size_t largest = largestAllocDuring([&] {
-            SolveCache cache(path);
-            size = cache.size();
-        });
-        const std::string log = ::testing::internal::GetCapturedStderr();
-        const char *what = claims_entries ? "entries" : "choices";
-        EXPECT_EQ(size, 0u) << what;
-        EXPECT_NE(log.find("[warn]"), std::string::npos) << what;
-        EXPECT_LE(largest, size_t{64} << 10) << what;
-    }
-    std::remove(path.c_str());
 }
 
 } // namespace

@@ -205,7 +205,7 @@ TEST(Telemetry, StepBoundaryAndJsonExport)
     EXPECT_NE(doc.find("\"step\": 2"), std::string::npos);
     for (const char *subsystem :
          {"\"gemm\"", "\"pack_cache\"", "\"arena\"", "\"pool\"",
-          "\"attn\"", "\"scheme\"", "\"solve_cache\"", "\"timers\""})
+          "\"attn\"", "\"scheme\"", "\"timers\""})
         EXPECT_NE(doc.find(subsystem), std::string::npos)
             << "missing " << subsystem;
     std::remove(path.c_str());
