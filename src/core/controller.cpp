@@ -188,7 +188,7 @@ SnipController::maybeUpdate(LlamaModel &model, AdamW *optimizer,
     }
 
     const bool due =
-        (!has_selection_ && !pending_ && config_.update_at_start) ||
+        (!has_selection_ && !pending_) ||
         (config_.update_interval > 0 && step > 0 &&
          step % config_.update_interval == 0);
     if (!due)

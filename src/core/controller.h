@@ -97,8 +97,6 @@ class SnipController
         /** Steps between scheme regenerations (paper: ~100k real
          *  steps; scaled down here). */
         int64_t update_interval = 100;
-        /** Regenerate at step 0 (before the first update)? */
-        bool update_at_start = true;
         OptionSetKind option_set = OptionSetKind::Standard;
         QualityMetric metric = QualityMetric::Snip;
         double weight_div_scale = 1.0;
@@ -133,11 +131,12 @@ class SnipController
                                  const Batch &batch);
 
     /**
-     * Trainer hook, called every step. Regenerates the scheme when
-     * @p step hits the update cadence; in async mode also adopts a
-     * pending background result once @p step reaches its apply
-     * boundary. Returns true when a scheme was applied to the model
-     * during this call.
+     * Trainer hook, called every step. Regenerates the scheme while
+     * none has been selected and none is pending (the first call, or
+     * after a failed first solve) and when @p step hits the update
+     * cadence; in async mode also adopts a pending background result
+     * once @p step reaches its apply boundary. Returns true when a
+     * scheme was applied to the model during this call.
      */
     bool maybeUpdate(LlamaModel &model, AdamW *optimizer,
                      const Batch &batch, int64_t step);

@@ -1,9 +1,29 @@
 #include "core/noise_probe.h"
 
+#include <algorithm>
+#include <cmath>
+#include <utility>
+
 #include "tensor/ops.h"
 #include "util/logging.h"
 
 namespace snip {
+
+double
+addProbeNoise(Tensor &t, double eps, Rng &rng)
+{
+    const double stddev =
+        eps / std::sqrt(static_cast<double>(std::max<int64_t>(
+                  1, t.numel())));
+    double acc = 0.0;
+    float *p = t.data();
+    for (int64_t i = 0; i < t.numel(); ++i) {
+        const double n = rng.nextGaussian() * stddev;
+        p[i] += static_cast<float>(n);
+        acc += n * n;
+    }
+    return std::sqrt(acc);
+}
 
 std::vector<double>
 ProbeResult::relativeAmplification() const
@@ -50,18 +70,16 @@ runNoiseProbe(LlamaModel &model, const Batch &batch,
         static_cast<size_t>(reg.numLinear()), Precision::BF16));
 
     model.zeroGrad();
+    Tensor noisy =
+        kind == ProbeKind::Forward ? baseline.hidden : baseline.hidden_grad;
+    result.noise_norm = addProbeNoise(noisy, eps, model.noiseRng());
     if (kind == ProbeKind::Forward) {
-        model.setForwardNoise(eps);
         const LossResult loss = softmaxCrossEntropy(
-            model.forwardHead(baseline.hidden), batch.targets);
-        model.setForwardNoise(0.0);
+            model.forwardHead(std::move(noisy)), batch.targets);
         model.backward(loss.dlogits, /*retain=*/true);
     } else {
-        model.setBackwardNoise(eps);
-        model.backwardBlocks(baseline.hidden_grad, /*retain=*/true);
-        model.setBackwardNoise(0.0);
+        model.backwardBlocks(std::move(noisy), /*retain=*/true);
     }
-    result.noise_norm = model.lastNoiseNorm();
     model.setScheme(active);
 
     result.grad_delta.resize(static_cast<size_t>(reg.numLinear()));

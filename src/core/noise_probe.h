@@ -13,11 +13,14 @@
  * Nothing upstream of the injection point is rerun: the blocks'
  * forward would repeat Step 1's bit for bit. A probe starts from the
  * tensors collectTrainingStats kept and backprops through the saved
- * state its retaining backward left in the blocks:
+ * state its retaining backward left in the blocks. It perturbs its own
+ * copy of the kept tensor (addProbeNoise, drawing from the model's
+ * noise stream) and hands the noisy copy to the model's public halves:
  *   - Step 2 backprops the blocks and the embedding from a noisy copy
- *     of the gradient entering the last block;
+ *     of the gradient entering the last block (backwardBlocks);
  *   - Step 3 runs the final norm, the LM head and the loss from a noisy
- *     copy of the last block's output, then the whole backward.
+ *     copy of the last block's output (forwardHead), then the whole
+ *     backward.
  * So Steps 1-3 are one forward and three backwards. Both probes retain
  * the saved state too, so they run in any order and any number of
  * times. The precondition: no training forward and no weight update
@@ -32,6 +35,14 @@
 #include "core/stats_collector.h"
 
 namespace snip {
+
+/**
+ * Add N(0, eps^2/d * I) noise to @p t in place, d = t.numel(), so the
+ * noise norm is eps in expectation (Theorem 4.1). Draws one
+ * nextGaussian() from @p rng per element, in element order. Returns
+ * the norm of the noise actually added.
+ */
+double addProbeNoise(Tensor &t, double eps, Rng &rng);
 
 /** Where the probe injects its perturbation. */
 enum class ProbeKind

@@ -1,5 +1,6 @@
 #include "core/snip_optimizer.h"
 
+#include "parallel/pipeline.h"
 #include "util/logging.h"
 
 namespace snip {
@@ -35,18 +36,8 @@ buildIlp(const DivergenceTable &table, double target_fp4_fraction,
         SNIP_ASSERT(m % kRolesPerBlock == 0);
         const int n_blocks = m / kRolesPerBlock;
         std::vector<int> per_stage = pipeline.blocks_per_stage;
-        if (per_stage.empty()) {
-            // Even split: ceil for the first stages, remainder last.
-            const int K = pipeline.n_stages;
-            const int base = (n_blocks + K - 1) / K;
-            int assigned = 0;
-            for (int k = 0; k < K; ++k) {
-                int take = std::min(base, n_blocks - assigned);
-                per_stage.push_back(take);
-                assigned += take;
-            }
-            SNIP_ASSERT(assigned == n_blocks, "bad stage split");
-        }
+        if (per_stage.empty())
+            per_stage = evenStageSplit(n_blocks, pipeline.n_stages);
         int first_block = 0;
         for (int take : per_stage) {
             IlpGroup g;

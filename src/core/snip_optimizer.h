@@ -17,8 +17,8 @@ struct PipelineConstraint
 {
     /** Number of pipeline stages K; 0 disables grouping. */
     int n_stages = 0;
-    /** Blocks per stage (must sum to n_blocks); empty = even split
-     *  with the remainder in the last stage. */
+    /** Blocks per stage (must sum to n_blocks); empty =
+     *  evenStageSplit(n_blocks, n_stages) (parallel/pipeline.h). */
     std::vector<int> blocks_per_stage;
 };
 

@@ -147,8 +147,8 @@ collectTrainingStats(LlamaModel &model, AdamW *optimizer,
     model.setScheme(active);
 
     stats.loss = loss.loss;
-    stats.hidden_norm = model.lastHiddenNorm();
-    stats.hidden_grad_norm = model.lastHiddenGradNorm();
+    stats.hidden_norm = frobeniusNorm(stats.hidden);
+    stats.hidden_grad_norm = frobeniusNorm(stats.hidden_grad);
     if (optimizer)
         stats.opt_scale = optimizer->updateScaleFactor();
     return stats;

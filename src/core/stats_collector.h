@@ -13,10 +13,11 @@
  * noise probes of Steps 2-3 to diff against.
  *
  * One forward serves Steps 1-3. The pass keeps the last block's output
- * and the gradient entering the last block, both before any noise, and
- * backprops with the model's retain flag, so the blocks keep their
- * saved state: the probes (core/noise_probe.h) restart from noisy
- * copies of the two tensors instead of rerunning the forward. The
+ * and the gradient entering the last block, and backprops with the
+ * model's retain flag, so the blocks keep their saved state: each probe
+ * (core/noise_probe.h) perturbs its own copy of one of the two tensors
+ * and restarts from it instead of rerunning the forward. The probes'
+ * injection-point norms are the norms of the kept tensors. The
  * tensors that exist only while the pass streams are measured by a
  * LinearTap: Y's norm in the forward, and dY (with its quantization
  * errors) and dX in the backward. The gradients are zeroed before the
@@ -81,16 +82,16 @@ struct TrainingStats
     double loss = 0.0;
     /** alpha * sqrt(1-b2^t) / (1-b1^t) shared across layers. */
     double opt_scale = 0.0;
-    /** Norm of the last block's output (forward injection point). */
+    /** ||hidden||_F (the forward injection point's norm). */
     double hidden_norm = 0.0;
-    /** Norm of the gradient entering the last block. */
+    /** ||hidden_grad||_F (the backward injection point's norm). */
     double hidden_grad_norm = 0.0;
 
-    /** The last block's output, pre-noise: Step 3 reruns the head and
-     *  the backward from a noisy copy of it. */
+    /** The last block's output: Step 3 reruns the head and the backward
+     *  from a noisy copy of it. */
     Tensor hidden;
-    /** The gradient entering the last block, pre-noise: Step 2 reruns
-     *  the blocks' backward from a noisy copy of it. */
+    /** The gradient entering the last block: Step 2 reruns the blocks'
+     *  backward from a noisy copy of it. */
     Tensor hidden_grad;
     /** model.forwardCount() after the pass's forward. The probes
      *  require it unchanged: a later training forward replaces the

@@ -1,34 +1,10 @@
 #include "nn/model.h"
 
-#include <cmath>
 #include <cstring>
 
 #include "runtime/workspace_arena.h"
-#include "tensor/ops.h"
 
 namespace snip {
-
-namespace {
-
-/** Add N(0, eps^2/numel) noise to t; returns the noise norm. */
-double
-injectNoise(Tensor &t, double eps, Rng &rng)
-{
-    // Theorem 4.1 draws delta ~ N(0, eps^2/d I) so that E||delta|| = eps.
-    const double stddev =
-        eps / std::sqrt(static_cast<double>(std::max<int64_t>(
-                  1, t.numel())));
-    double acc = 0.0;
-    float *p = t.data();
-    for (int64_t i = 0; i < t.numel(); ++i) {
-        const double n = rng.nextGaussian() * stddev;
-        p[i] += static_cast<float>(n);
-        acc += n * n;
-    }
-    return std::sqrt(acc);
-}
-
-} // namespace
 
 LlamaModel::LlamaModel(const ModelConfig &config, uint64_t seed)
     : config_(config),
@@ -80,10 +56,6 @@ LlamaModel::forwardBlocks(const std::vector<int32_t> &tokens, int64_t batch,
 Tensor
 LlamaModel::forwardHead(Tensor hidden)
 {
-    last_hidden_norm_ = frobeniusNorm(hidden);
-    if (fwd_noise_eps_ > 0.0)
-        last_noise_norm_ = injectNoise(hidden, fwd_noise_eps_, noise_rng_);
-
     Tensor xn = final_norm_->forward(hidden);
     return lm_head_->forward(xn);
 }
@@ -136,10 +108,6 @@ LlamaModel::backwardHead(const Tensor &dlogits)
 void
 LlamaModel::backwardBlocks(Tensor dhidden, bool retain)
 {
-    last_hidden_grad_norm_ = frobeniusNorm(dhidden);
-    if (bwd_noise_eps_ > 0.0)
-        last_noise_norm_ = injectNoise(dhidden, bwd_noise_eps_, noise_rng_);
-
     Tensor dx = std::move(dhidden);
     for (auto it = blocks_.rbegin(); it != blocks_.rend(); ++it)
         dx = (*it)->backward(dx, retain);

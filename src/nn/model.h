@@ -3,17 +3,17 @@
  * The full Llama-like language model (Fig. 4), with the instrumentation
  * hooks SNIP's statistics pipeline needs:
  *   - per-linear precision schemes (Fig. 5),
- *   - a LinearTap broadcast to all quantizable layers (Step 1, Fig. 6),
- *   - Gaussian noise injection at the last layer in the forward or the
- *     backward pass (Steps 2-3, Fig. 6).
+ *   - a LinearTap broadcast to all quantizable layers (Step 1, Fig. 6).
  *
  * The training forward and backward each split at the last block's
- * output, the probes' injection point (Theorem 4.2): forwardBlocks()
- * then forwardHead(), backwardHead() then backwardBlocks(). Each noise
- * hook lives in the half that starts at that point, so each has one
- * injection site, and a probe restarts from a noisy copy of a tensor
- * the statistics pass kept instead of rerunning the whole model. That
- * needs the blocks' saved state to survive a backward: backward() and
+ * output, the noise probes' injection point (Steps 2-3, Theorem 4.2):
+ * forwardBlocks() then forwardHead(), backwardHead() then
+ * backwardBlocks(). The split points are the probes' restart points:
+ * a probe perturbs its own copy of a tensor the statistics pass kept
+ * there (core/noise_probe.h) and hands it to the half that starts
+ * there, instead of rerunning the whole model. The model has no noise
+ * hooks; every half is a plain function of its input. Restarting needs
+ * the blocks' saved state to survive a backward: backward() and
  * backwardBlocks() take a retain flag. Without it Attention frees its
  * state (q/k/v, probabilities, context) at the end of its backward;
  * with it the state stays until the next forward replaces it. Every
@@ -44,7 +44,8 @@ class LlamaModel
     /**
      * @param config model hyperparameters (validated here)
      * @param seed   initialization seed; also seeds the fake quantizer's
-     *               stochastic-rounding stream and the noise stream
+     *               stochastic-rounding stream and the probes' noise
+     *               stream
      */
     LlamaModel(const ModelConfig &config, uint64_t seed);
 
@@ -58,17 +59,17 @@ class LlamaModel
 
     /**
      * First half of the training forward: the embedding and every
-     * block. Returns the last block's output, before any forward
-     * noise. Counts one training forward (forwardCount()).
+     * block. Returns the last block's output. Counts one training
+     * forward (forwardCount()).
      */
     Tensor forwardBlocks(const std::vector<int32_t> &tokens, int64_t batch,
                          int64_t seq);
 
     /**
      * Second half of the training forward, from the last block's output
-     * @p hidden: records lastHiddenNorm(), injects the forward noise
-     * when enabled, then runs the final RMSNorm and the LM head.
-     * Returns logits.
+     * @p hidden: the final RMSNorm and the LM head. Returns logits.
+     * @p hidden is taken by value so a caller can move in a tensor it
+     * is done with; it is freed when the call's expression ends.
      */
     Tensor forwardHead(Tensor hidden);
 
@@ -95,16 +96,15 @@ class LlamaModel
 
     /**
      * First half of the backward: the LM head and the final RMSNorm.
-     * Returns the gradient entering the last block, before any
-     * backward noise.
+     * Returns the gradient entering the last block.
      */
     Tensor backwardHead(const Tensor &dlogits);
 
     /**
      * Second half of the backward, from the gradient @p dhidden
-     * entering the last block: records lastHiddenGradNorm(), injects
-     * the backward noise when enabled, then backprops every block and
-     * the embedding. @p retain as in backward().
+     * entering the last block: backprops every block and the
+     * embedding. @p retain as in backward(). @p dhidden is consumed:
+     * its buffer is freed once the last block has backpropped it.
      */
     void backwardBlocks(Tensor dhidden, bool retain = false);
 
@@ -131,33 +131,6 @@ class LlamaModel
     /** Attach @p tap to every quantizable linear (nullptr to detach). */
     void setTap(LinearTap *tap);
 
-    /**
-     * Inject N(0, eps^2/d * I) noise into the last block's output during
-     * the next forward passes (Step 3 of Fig. 6). 0 disables.
-     */
-    void setForwardNoise(double eps) { fwd_noise_eps_ = eps; }
-
-    /**
-     * Inject noise into the gradient entering the last block during the
-     * next backward passes (Step 2 of Fig. 6). 0 disables.
-     */
-    void setBackwardNoise(double eps) { bwd_noise_eps_ = eps; }
-
-    /** Norm of the most recently injected noise (for Theorem 4.2). */
-    double lastNoiseNorm() const { return last_noise_norm_; }
-
-    /**
-     * Norm of the last block's output during the most recent forward
-     * pass, pre-noise (the forward injection point). Always recorded.
-     */
-    double lastHiddenNorm() const { return last_hidden_norm_; }
-
-    /**
-     * Norm of the gradient entering the last block during the most
-     * recent backward pass, pre-noise (the backward injection point).
-     */
-    double lastHiddenGradNorm() const { return last_hidden_grad_norm_; }
-
     /** Training forwards run so far (forwardBlocks() calls). The noise
      *  probes compare it with the statistics pass's to check that the
      *  blocks still hold that pass's saved state. */
@@ -170,7 +143,10 @@ class LlamaModel
     FakeQuantizer &quantizer() { return quantizer_; }
     const FakeQuantizer &quantizer() const { return quantizer_; }
 
-    /** Noise stream used for Steps 2-3 probes. */
+    /** The noise stream of the Steps 2-3 probes (core/noise_probe.h).
+     *  The model never draws from it; it carries the stream only so
+     *  that it is seeded with the model and persisted with it
+     *  (TrainerSnapshot, checkpoints). */
     Rng &noiseRng() { return noise_rng_; }
     const Rng &noiseRng() const { return noise_rng_; }
 
@@ -186,11 +162,6 @@ class LlamaModel
     std::unique_ptr<Linear> lm_head_;
     std::unique_ptr<Rope> rope_;
 
-    double fwd_noise_eps_ = 0.0;
-    double bwd_noise_eps_ = 0.0;
-    double last_noise_norm_ = 0.0;
-    double last_hidden_norm_ = 0.0;
-    double last_hidden_grad_norm_ = 0.0;
     uint64_t forward_count_ = 0;
 };
 

@@ -56,7 +56,8 @@ struct PipelineTimeline
 };
 
 /** Split n_blocks into n_stages: ceil-sized stages first, remainder
- *  last (TinyLlama 22 blocks over 4 stages -> 6,6,6,4 as in Fig. 12). */
+ *  last, never leaving a later stage empty (TinyLlama 22 blocks over 4
+ *  stages -> 6,6,6,4 as in Fig. 12; 4 blocks over 3 -> 2,1,1). */
 std::vector<int> evenStageSplit(int n_blocks, int n_stages);
 
 /** Build stage descriptions for a scheme. */

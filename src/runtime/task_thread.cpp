@@ -24,43 +24,12 @@ TaskThread::submit(std::function<void()> fn)
         util::MutexLock lock(mu_);
         SNIP_ASSERT(!stop_, "submit after TaskThread shutdown");
         queue_.push_back(std::move(fn));
-        ++submitted_;
         if (!started_) {
             started_ = true;
             worker_ = std::thread([this] { workerLoop(); });
         }
     }
     wake_cv_.notifyOne();
-}
-
-void
-TaskThread::drain()
-{
-    util::MutexLock lock(mu_);
-    const int64_t target = submitted_;
-    while (completed_ < target)
-        idle_cv_.wait(mu_);
-}
-
-int64_t
-TaskThread::submitted() const
-{
-    util::MutexLock lock(mu_);
-    return submitted_;
-}
-
-int64_t
-TaskThread::completed() const
-{
-    util::MutexLock lock(mu_);
-    return completed_;
-}
-
-bool
-TaskThread::busy() const
-{
-    util::MutexLock lock(mu_);
-    return completed_ < submitted_;
 }
 
 void
@@ -80,11 +49,6 @@ TaskThread::workerLoop()
             queue_.pop_front();
         }
         task();
-        {
-            util::MutexLock lock(mu_);
-            ++completed_;
-        }
-        idle_cv_.notifyAll();
     }
 }
 

@@ -12,14 +12,12 @@
  *
  * The worker thread is started lazily on the first submit(), so a
  * TaskThread that is never used (e.g. a controller in inline mode)
- * costs nothing. Tasks run strictly FIFO; drain() blocks until every
- * previously submitted task has finished. The destructor drains and
- * joins.
+ * costs nothing. Tasks run strictly FIFO. The destructor runs every
+ * task submitted before it, then joins.
  */
 #ifndef SNIP_RUNTIME_TASK_THREAD_H
 #define SNIP_RUNTIME_TASK_THREAD_H
 
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <thread>
@@ -44,29 +42,16 @@ class TaskThread
      *  to rethrow into). */
     void submit(std::function<void()> fn);
 
-    /** Block until all tasks submitted so far have completed. */
-    void drain();
-
-    /** Tasks submitted / completed so far (monotonic counters). */
-    int64_t submitted() const;
-    int64_t completed() const;
-
-    /** True when a task is queued or running. */
-    bool busy() const;
-
   private:
     void workerLoop();
 
-    mutable util::Mutex mu_;
+    util::Mutex mu_;
     util::CondVar wake_cv_;
-    util::CondVar idle_cv_;
     std::deque<std::function<void()>> queue_ SNIP_GUARDED_BY(mu_);
     /** Started (at most once) under mu_ by the first submit(); joined
      *  by the destructor after stop_ is set, when no other thread may
      *  touch this object anymore — so the join itself needs no lock. */
     std::thread worker_;
-    int64_t submitted_ SNIP_GUARDED_BY(mu_) = 0;
-    int64_t completed_ SNIP_GUARDED_BY(mu_) = 0;
     bool started_ SNIP_GUARDED_BY(mu_) = false;
     bool stop_ SNIP_GUARDED_BY(mu_) = false;
 };

@@ -1,8 +1,7 @@
 /**
  * @file
  * Attention and whole-model tests: causality, GQA shapes, end-to-end
- * gradient checks through the full LlamaModel, scheme application, and
- * the noise-injection hooks SNIP's probes rely on.
+ * gradient checks through the full LlamaModel, and scheme application.
  */
 #include <gtest/gtest.h>
 
@@ -189,45 +188,6 @@ TEST(Model, QuantizedSchemeChangesLossDeterministically)
     // FP4 forward uses nearest rounding for X/W: deterministic.
     double fp4_b = model.forwardLoss(tokens, targets, 1, 8).loss;
     EXPECT_EQ(fp4_a, fp4_b);
-}
-
-TEST(Model, ForwardNoiseInjectionPerturbsLoss)
-{
-    LlamaModel model(microModel(), 19);
-    auto tokens = someTokens(8, 16, 20);
-    auto targets = someTokens(8, 16, 21);
-    double base = model.forwardLoss(tokens, targets, 1, 8).loss;
-    double hidden_norm = model.lastHiddenNorm();
-    EXPECT_GT(hidden_norm, 0.0);
-
-    model.setForwardNoise(1e-2 * hidden_norm);
-    double noisy = model.forwardLoss(tokens, targets, 1, 8).loss;
-    EXPECT_NE(base, noisy);
-    EXPECT_NEAR(model.lastNoiseNorm(), 1e-2 * hidden_norm,
-                0.5e-2 * hidden_norm);
-    model.setForwardNoise(0.0);
-    EXPECT_EQ(model.forwardLoss(tokens, targets, 1, 8).loss, base);
-}
-
-TEST(Model, BackwardNoiseChangesGradientsNotLoss)
-{
-    LlamaModel model(microModel(), 22);
-    auto tokens = someTokens(8, 16, 23);
-    auto targets = someTokens(8, 16, 24);
-
-    model.zeroGrad();
-    LossResult base = model.forwardLoss(tokens, targets, 1, 8);
-    model.backward(base.dlogits);
-    Tensor g0 = model.linear(0).grad();
-
-    model.setBackwardNoise(1e-2);
-    model.zeroGrad();
-    LossResult noisy = model.forwardLoss(tokens, targets, 1, 8);
-    model.backward(noisy.dlogits);
-    model.setBackwardNoise(0.0);
-
-    EXPECT_EQ(base.loss, noisy.loss); // forward untouched
-    EXPECT_GT(diffNorm(g0, model.linear(0).grad()), 0.0);
 }
 
 TEST(Model, ParameterCountMatchesConfigFormula)

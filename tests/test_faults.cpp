@@ -526,7 +526,6 @@ TEST(FaultScheme, FailedSolveResolvesAsSkipInline)
     Trainer trainer(cfg);
     SnipController::Config cc;
     cc.update_interval = 4;
-    cc.update_at_start = true;
     SnipController controller(cc);
     // Update 1 (step 0) hits the fault and skips; because no scheme
     // was ever selected, the start trigger re-arms and the next
@@ -547,7 +546,6 @@ TEST(FaultScheme, FailedAsyncSolveIsContainedToASkip)
     Trainer trainer(cfg);
     SnipController::Config cc;
     cc.update_interval = 3;
-    cc.update_at_start = true;
     cc.async = true;
     cc.apply_delay = 1;
     SnipController controller(cc);

@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "core/controller.h"
+#include "parallel/pipeline.h"
 #include "tensor/ops.h"
 #include "testing_util.h"
 #include "train/presets.h"
@@ -100,9 +101,10 @@ TEST(StatsCollector, GradDumpMatchesManualBackward)
 
 /**
  * A probe that reruns the whole pass: the BF16 forward and backward
- * with the noise hook on, from public calls only. runNoiseProbe, which
- * restarts from the state collectTrainingStats kept, must match it bit
- * for bit.
+ * from the tokens, with the noise added between the model's public
+ * halves (forwardBlocks -> noise -> forwardHead, or backwardHead ->
+ * noise -> backwardBlocks). runNoiseProbe, which restarts from the
+ * state collectTrainingStats kept, must match it bit for bit.
  */
 ProbeResult
 rerunEverythingProbe(LlamaModel &model, const Batch &batch,
@@ -120,17 +122,16 @@ rerunEverythingProbe(LlamaModel &model, const Batch &batch,
     const PrecisionScheme active = model.currentScheme();
     model.setScheme(PrecisionScheme::uniform(static_cast<size_t>(n),
                                              Precision::BF16));
-    if (kind == ProbeKind::Forward)
-        model.setForwardNoise(eps);
-    else
-        model.setBackwardNoise(eps);
     model.zeroGrad();
-    const LossResult loss = model.forwardLoss(batch.tokens, batch.targets,
-                                              batch.batch, batch.seq);
-    model.backward(loss.dlogits);
-    model.setForwardNoise(0.0);
-    model.setBackwardNoise(0.0);
-    result.noise_norm = model.lastNoiseNorm();
+    Tensor hidden = model.forwardBlocks(batch.tokens, batch.batch, batch.seq);
+    if (kind == ProbeKind::Forward)
+        result.noise_norm = addProbeNoise(hidden, eps, model.noiseRng());
+    const LossResult loss =
+        softmaxCrossEntropy(model.forwardHead(hidden), batch.targets);
+    Tensor dhidden = model.backwardHead(loss.dlogits);
+    if (kind == ProbeKind::Backward)
+        result.noise_norm = addProbeNoise(dhidden, eps, model.noiseRng());
+    model.backwardBlocks(dhidden);
     model.setScheme(active);
 
     result.grad_delta.resize(static_cast<size_t>(n));
@@ -408,24 +409,45 @@ TEST(SnipOptimizer, PipelineGroupsBalanceStages)
     DivergenceTable table =
         analyzer.analyze(makeOptionSet(OptionSetKind::Standard));
 
-    PipelineConstraint pc;
-    pc.n_stages = 2; // tinyTestModel has 4 blocks -> 2+2
-    IlpProblem p = buildIlp(table, 0.5, flops, pc);
-    ASSERT_EQ(p.groups.size(), 2u);
-    EXPECT_EQ(p.groups[0].count, 2 * kRolesPerBlock);
-    // Per-stage targets sum to the global target.
-    EXPECT_NEAR(p.groups[0].target + p.groups[1].target, 0.5, 1e-9);
-
-    SchemeSelection sel = selectScheme(table, 0.5, flops, {}, pc);
-    // Each stage's local FP4 fraction is >= target within its flops.
-    for (const auto &g : p.groups) {
-        double ge = 0;
-        for (int i = g.first; i < g.first + g.count; ++i) {
-            ge += flops.efficiencyContribution(
-                i,
-                sel.scheme.layers[static_cast<size_t>(i)]);
+    // tinyTestModel has 4 blocks; with no explicit split the ILP takes
+    // evenStageSplit's (2+2, 2+1+1, 1+1+1+1), never an empty stage.
+    const int n_blocks =
+        static_cast<int>(f.trainer.model().config().n_blocks);
+    for (int stages : {2, 3, 4}) {
+        SCOPED_TRACE(std::to_string(stages) + " stages");
+        PipelineConstraint pc;
+        pc.n_stages = stages;
+        IlpProblem p = buildIlp(table, 0.5, flops, pc);
+        const std::vector<int> split = evenStageSplit(n_blocks, stages);
+        ASSERT_EQ(p.groups.size(), split.size());
+        int first = 0;
+        double target_sum = 0.0;
+        for (size_t s = 0; s < split.size(); ++s) {
+            const IlpGroup &g = p.groups[s];
+            EXPECT_EQ(g.first, first * kRolesPerBlock);
+            EXPECT_EQ(g.count, split[s] * kRolesPerBlock);
+            // Each stage's target is its FLOP share of the global one.
+            double stage_flops = 0.0;
+            for (int i = g.first; i < g.first + g.count; ++i)
+                stage_flops += flops.layerFlops()[static_cast<size_t>(i)];
+            EXPECT_NEAR(g.target, 0.5 * stage_flops / flops.totalFlops(),
+                        1e-12);
+            target_sum += g.target;
+            first += split[s];
         }
-        EXPECT_GE(ge + 1e-9, g.target);
+        // Per-stage targets sum to the global target.
+        EXPECT_NEAR(target_sum, 0.5, 1e-9);
+
+        SchemeSelection sel = selectScheme(table, 0.5, flops, {}, pc);
+        // Each stage's local FP4 fraction is >= target within its flops.
+        for (const auto &g : p.groups) {
+            double ge = 0;
+            for (int i = g.first; i < g.first + g.count; ++i) {
+                ge += flops.efficiencyContribution(
+                    i, sel.scheme.layers[static_cast<size_t>(i)]);
+            }
+            EXPECT_GE(ge + 1e-9, g.target);
+        }
     }
 }
 
@@ -438,7 +460,7 @@ TEST(Controller, UpdatesOnCadenceAndAppliesScheme)
     SnipController controller(cc);
 
     EXPECT_FALSE(controller.hasSelection());
-    // First call triggers (update_at_start).
+    // First call triggers: no scheme has been selected yet.
     EXPECT_TRUE(controller.maybeUpdate(f.trainer.model(),
                                        &f.trainer.optimizer(), f.batch,
                                        5));
