@@ -66,8 +66,7 @@ main(int argc, char **argv)
         analyzer.analyze(makeOptionSet(OptionSetKind::Standard));
 
     PipelineConstraint pc;
-    pc.n_stages = n_stages;
-    pc.blocks_per_stage = split;
+    pc.n_stages = n_stages; // the ILP groups by evenStageSplit too
     SchemeSelection grouped =
         selectScheme(table, budget, flops, {}, pc);
     SchemeSelection global = selectScheme(table, budget, flops, {});

@@ -35,9 +35,8 @@ buildIlp(const DivergenceTable &table, double target_fp4_fraction,
     if (pipeline.n_stages > 1) {
         SNIP_ASSERT(m % kRolesPerBlock == 0);
         const int n_blocks = m / kRolesPerBlock;
-        std::vector<int> per_stage = pipeline.blocks_per_stage;
-        if (per_stage.empty())
-            per_stage = evenStageSplit(n_blocks, pipeline.n_stages);
+        const std::vector<int> per_stage =
+            evenStageSplit(n_blocks, pipeline.n_stages);
         int first_block = 0;
         for (int take : per_stage) {
             IlpGroup g;

@@ -15,11 +15,10 @@ namespace snip {
 /** Pipeline constraint configuration (Sec. 5.3). */
 struct PipelineConstraint
 {
-    /** Number of pipeline stages K; 0 disables grouping. */
+    /** Number of pipeline stages K; 0 or 1 disables grouping. The
+     *  blocks are split by evenStageSplit(n_blocks, K)
+     *  (parallel/pipeline.h). */
     int n_stages = 0;
-    /** Blocks per stage (must sum to n_blocks); empty =
-     *  evenStageSplit(n_blocks, n_stages) (parallel/pipeline.h). */
-    std::vector<int> blocks_per_stage;
 };
 
 /** Outcome of one scheme-selection solve. */

@@ -1,6 +1,7 @@
 #include "nn/attention.h"
 
 #include <cmath>
+#include <utility>
 
 #include "runtime/thread_pool.h"
 #include "runtime/workspace_arena.h"
@@ -428,9 +429,12 @@ Attention::forward(const Tensor &x, int64_t batch, int64_t seq)
     const int64_t n_heads = config_.n_heads;
     const int64_t n_kv = config_.n_kv_heads;
 
-    q_ = wq_->forward(x);
-    k_ = wk_->forward(x);
-    v_ = wv_->forward(x);
+    Linear *const qkv[] = {wq_.get(), wk_.get(), wv_.get()};
+    Tensor proj[3];
+    Linear::forwardMany(qkv, 3, x, proj);
+    q_ = std::move(proj[0]);
+    k_ = std::move(proj[1]);
+    v_ = std::move(proj[2]);
     rope_->apply(q_, batch, seq, n_heads);
     rope_->apply(k_, batch, seq, n_kv);
 
@@ -532,9 +536,12 @@ Attention::backward(const Tensor &dy, bool retain)
 
     Tensor dctx = wo_->backward(dy);
 
-    Tensor dq(batch * seq, n_heads * hd);
-    Tensor dk(batch * seq, n_kv * hd);
-    Tensor dv(batch * seq, n_kv * hd);
+    Tensor dqkv[3] = {Tensor(batch * seq, n_heads * hd),
+                      Tensor(batch * seq, n_kv * hd),
+                      Tensor(batch * seq, n_kv * hd)};
+    Tensor &dq = dqkv[0];
+    Tensor &dk = dqkv[1];
+    Tensor &dv = dqkv[2];
 
     const AttnShape s{batch, seq, n_heads, n_kv, hd};
     attentionBackwardCore(s, q_.data(), k_.data(), v_.data(),
@@ -559,15 +566,15 @@ Attention::backward(const Tensor &dy, bool retain)
         seq_ = 0;
     }
 
-    Tensor dx = wq_->backward(dq);
-    Tensor dxk = wk_->backward(dk);
-    Tensor dxv = wv_->backward(dv);
-    const float *pk = dxk.data();
-    const float *pv = dxv.data();
-    float *px = dx.data();
-    for (int64_t i = 0; i < dx.numel(); ++i)
+    Linear *const qkv[] = {wq_.get(), wk_.get(), wv_.get()};
+    Tensor dxs[3];
+    Linear::backwardMany(qkv, dqkv, 3, dxs);
+    const float *pk = dxs[1].data();
+    const float *pv = dxs[2].data();
+    float *px = dxs[0].data();
+    for (int64_t i = 0; i < dxs[0].numel(); ++i)
         px[i] += pk[i] + pv[i];
-    return dx;
+    return std::move(dxs[0]);
 }
 
 } // namespace snip

@@ -64,6 +64,17 @@ class LinearTap
  * Mutating the weight through the non-const weight() accessor
  * invalidates the cache; the optimizer and checkpoint paths invalidate
  * globally via invalidateWeightPacks().
+ *
+ * Grouped GEMMs: forwardMany() and backwardMany() run the GEMMs of
+ * layers that do not depend on one another (Q/K/V, Gate/Up, a layer's
+ * Dgrad and Wgrad) side by side, one pool item per GEMM, each run whole
+ * by the worker that claims it (its own parallelFors then run inline).
+ * Before the fan-out the calling thread plans every operand in layer
+ * order, Dgrad before Wgrad within a layer, so the stochastic-rounding
+ * call keys are drawn exactly as calling the layers one at a time draws
+ * them, and it allocates every output. After the fan-out it fires the
+ * taps in layer order. forward() and backward() are the group of one,
+ * and the bits do not depend on the grouping or the thread count.
  */
 class Linear
 {
@@ -84,6 +95,14 @@ class Linear
     Tensor forward(const Tensor &x);
 
     /**
+     * The forward GEMMs of @p n layers (1 to 3) on one input, side by
+     * side: ys[i] is what layers[i]->forward(x) returns, and each layer
+     * saves @p x as forward() does.
+     */
+    static void forwardMany(Linear *const *layers, int n, const Tensor &x,
+                            Tensor *ys);
+
+    /**
      * Inference-only forward on raw buffers: y[rows, out] = x W^T
      * with the layer's forward fake quantization applied. It is one
      * gemmPackedNT call: the GEMM driver quantizes the activation
@@ -100,6 +119,14 @@ class Linear
 
     /** Backward GEMMs; accumulates into grad(), returns dX. */
     Tensor backward(const Tensor &dy);
+
+    /**
+     * The backward GEMMs of @p n layers (1 to 3), every Dgrad beside
+     * every Wgrad: dxs[i] is what layers[i]->backward(dys[i]) returns,
+     * and each layer's grad() accumulates as backward() does.
+     */
+    static void backwardMany(Linear *const *layers, const Tensor *dys,
+                             int n, Tensor *dxs);
 
     /** Assign this layer's precision scheme. */
     void setScheme(const LayerScheme &scheme) { scheme_ = scheme; }
@@ -169,6 +196,10 @@ class Linear
 
     /** The weight cache, or null while implicit reuse is unsafe. */
     PackedWeightCache *activeCache();
+
+    /** One planned GEMM of a group, and a group's GEMMs (linear.cpp). */
+    struct GemmItem;
+    struct GemmGroup;
 
     std::string name_;
     Tensor w_;

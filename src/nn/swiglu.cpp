@@ -1,6 +1,7 @@
 #include "nn/swiglu.h"
 
 #include <cmath>
+#include <utility>
 
 #include "runtime/thread_pool.h"
 #include "runtime/workspace_arena.h"
@@ -68,8 +69,11 @@ SwiGluMlp::params()
 Tensor
 SwiGluMlp::forward(const Tensor &x)
 {
-    g_ = gate_->forward(x);
-    u_ = up_->forward(x);
+    Linear *const gate_up[] = {gate_.get(), up_.get()};
+    Tensor proj[2];
+    Linear::forwardMany(gate_up, 2, x, proj);
+    g_ = std::move(proj[0]);
+    u_ = std::move(proj[1]);
 
     s_ = Tensor(g_.shape());
     Tensor h(g_.shape());
@@ -124,8 +128,9 @@ SwiGluMlp::backward(const Tensor &dy)
 {
     Tensor dh = down_->backward(dy);
 
-    Tensor dgp(g_.shape());
-    Tensor dup(g_.shape());
+    Tensor dgu[2] = {Tensor(g_.shape()), Tensor(g_.shape())};
+    Tensor &dgp = dgu[0];
+    Tensor &dup = dgu[1];
     {
         obs::Scope timed(telemetry::Timer::SwiGlu, trace::Category::Train,
                          "swiglu", "n", g_.numel(), "bwd", 1);
@@ -155,13 +160,14 @@ SwiGluMlp::backward(const Tensor &dy)
             });
     }
 
-    Tensor dx = gate_->backward(dgp);
-    Tensor dxu = up_->backward(dup);
-    const float *pxu = dxu.data();
-    float *px = dx.data();
-    for (int64_t i = 0; i < dx.numel(); ++i)
+    Linear *const gate_up[] = {gate_.get(), up_.get()};
+    Tensor dxs[2];
+    Linear::backwardMany(gate_up, dgu, 2, dxs);
+    const float *pxu = dxs[1].data();
+    float *px = dxs[0].data();
+    for (int64_t i = 0; i < dxs[0].numel(); ++i)
         px[i] += pxu[i];
-    return dx;
+    return std::move(dxs[0]);
 }
 
 } // namespace snip

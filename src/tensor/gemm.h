@@ -28,6 +28,9 @@
  * into C — whichever kernel runs it. Within one backend, results are
  * therefore bit-identical for any thread count, any batching and any
  * M split (a decode row equals the same row of a full-sequence GEMM).
+ * Independent GEMMs may also run concurrently, each whole on one pool
+ * worker (Linear's grouped GEMMs, nn/linear.h): nested parallelFors
+ * then run inline, which changes no partition and so no bit.
  */
 #ifndef SNIP_TENSOR_GEMM_H
 #define SNIP_TENSOR_GEMM_H
@@ -120,8 +123,9 @@ Tensor matmulTN(const Tensor &a, const Tensor &b);
  * mutated through its non-const accessor). Buffers are retained across
  * invalidations, so steady-state repacks allocate nothing.
  *
- * Not thread-safe against concurrent GEMMs on the SAME layer (a layer
- * runs one GEMM at a time by construction); distinct layers may pack
+ * Not thread-safe against concurrent GEMMs on the SAME cache (a layer
+ * runs at most one cached GEMM at a time: its Wgrad, which may run
+ * beside its Dgrad, takes no cache); distinct layers may pack
  * concurrently.
  */
 class PackedWeightCache

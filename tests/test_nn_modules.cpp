@@ -1,19 +1,28 @@
 /**
  * @file
  * Gradient checks and behaviour tests for the basic NN modules:
- * Linear (with quantization hooks), RMSNorm, Embedding, RoPE, SwiGLU.
+ * Linear (with quantization hooks), RMSNorm, Embedding, RoPE, SwiGLU,
+ * and the grouped GEMMs of Attention and SwiGLU against a one layer at
+ * a time reference.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <thread>
+#include <vector>
 
+#include "nn/attention.h"
 #include "nn/embedding.h"
 #include "nn/linear.h"
 #include "nn/rmsnorm.h"
 #include "nn/rope.h"
 #include "nn/swiglu.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
+#include "testing_util.h"
+#include "train/presets.h"
 #include "util/rng.h"
 
 namespace snip {
@@ -314,6 +323,228 @@ TEST(SwiGlu, BackwardGradientsCorrect)
         double down = loss();
         x.at(i) = orig;
         EXPECT_NEAR((up - down) / (2 * h), dx.at(i), 2e-2);
+    }
+}
+
+// ------------------------------------------- grouped GEMMs, bit for bit
+
+/** One linear layer as the one-at-a-time reference runs it: the
+ *  module's weight and scheme, its own saved input and gradient. */
+struct RefLinear
+{
+    const Tensor *w = nullptr;
+    LayerScheme scheme;
+    Tensor x;
+    Tensor grad;
+
+    explicit RefLinear(const Linear &l)
+        : w(&l.weight()), scheme(l.scheme()),
+          grad(l.outFeatures(), l.inFeatures())
+    {
+    }
+};
+
+/** The quantization of one operand, drawing a stochastic call key from
+ *  @p fq as Linear draws it; null for a BF16 GEMM. */
+const QuantConfig *
+refPlan(FakeQuantizer &fq, QuantConfig &slot, Precision p, TensorRole role,
+        const Tensor &operand)
+{
+    if (p == Precision::BF16)
+        return nullptr;
+    slot = rolePolicy(p, role);
+    if (slot.rounding == Rounding::Stochastic && operand.numel() > 0)
+        slot.call_key = fq.nextCallKey();
+    return &slot;
+}
+
+Tensor
+refForward(FakeQuantizer &fq, RefLinear &l, const Tensor &x)
+{
+    l.x = x;
+    const Precision p = l.scheme.of(GemmKind::Fwd);
+    QuantConfig xs, ws;
+    const QuantConfig *xq = refPlan(fq, xs, p, TensorRole::Activation, x);
+    const QuantConfig *wq = refPlan(fq, ws, p, TensorRole::Weight, *l.w);
+    return quantMatmulNT(x, xq, *l.w, wq, nullptr);
+}
+
+Tensor
+refBackward(FakeQuantizer &fq, RefLinear &l, const Tensor &dy)
+{
+    const Precision pd = l.scheme.of(GemmKind::Dgrad);
+    QuantConfig ds, ws;
+    const QuantConfig *dq = refPlan(fq, ds, pd, TensorRole::OutputGrad, dy);
+    const QuantConfig *wq = refPlan(fq, ws, pd, TensorRole::Weight, *l.w);
+    Tensor dx = quantMatmulNN(dy, dq, *l.w, wq, nullptr);
+    const Precision pw = l.scheme.of(GemmKind::Wgrad);
+    QuantConfig gs, xs;
+    const QuantConfig *gq = refPlan(fq, gs, pw, TensorRole::OutputGrad, dy);
+    const QuantConfig *xq = refPlan(fq, xs, pw, TensorRole::Activation, l.x);
+    quantGemmTN(dy, gq, l.x, xq, l.grad, /*accumulate=*/true);
+    return dx;
+}
+
+bool
+sameBits(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       sizeof(float) * static_cast<size_t>(a.numel())) ==
+               0;
+}
+
+/** Records the order and the thread of every tap call. */
+struct OrderTap : LinearTap
+{
+    std::vector<int> fwd, bwd;
+    std::thread::id caller = std::this_thread::get_id();
+    bool off_thread = false;
+
+    void
+    onForward(int idx, const Tensor &) override
+    {
+        fwd.push_back(idx);
+        off_thread |= std::this_thread::get_id() != caller;
+    }
+    void
+    onBackward(int idx, const Tensor &, const Tensor &) override
+    {
+        bwd.push_back(idx);
+        off_thread |= std::this_thread::get_id() != caller;
+    }
+};
+
+/** Per-layer schemes (fwd/dgrad/wgrad): FP8, FP4 and BF16 forwards,
+ *  FP4 stochastic-rounded gradients in every layer. */
+const LayerScheme kMixed[] = {
+    {{Precision::FP8, Precision::FP4, Precision::FP4}},
+    {{Precision::FP4, Precision::FP4, Precision::FP8}},
+    {{Precision::FP8, Precision::FP8, Precision::FP4}},
+    {{Precision::BF16, Precision::FP4, Precision::FP4}},
+};
+
+TEST(LinearGroup, GroupedGemmsEqualOneLayerAtATimeBitForBit)
+{
+    GlobalPoolGuard pool_guard;
+    const ModelConfig cfg = tinyTestModel();
+    // 96 rows: two 64-row M-blocks, so a lone forward (O, Down) still
+    // fans its M-blocks out.
+    const int64_t batch = 3, seq = 32, rows = batch * seq;
+    const Rope rope(cfg.max_seq, cfg.headDim());
+    const AttnShape shape{batch, seq, cfg.n_heads, cfg.n_kv_heads,
+                          cfg.headDim()};
+    Rng data_rng(71);
+    const Tensor x = Tensor::randn({rows, cfg.d_model}, data_rng);
+    const Tensor dy = Tensor::randn({rows, cfg.d_model}, data_rng);
+    constexpr uint64_t kQuantSeed = 0x5EED;
+    const LayerRole attn_roles[] = {LayerRole::Q, LayerRole::K, LayerRole::V,
+                                    LayerRole::O};
+    const LayerRole mlp_roles[] = {LayerRole::Gate, LayerRole::Up,
+                                   LayerRole::Down};
+
+    for (int threads : {1, 2, 4, 8}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        runtime::setGlobalThreadCount(threads);
+
+        // Attention: Q/K/V grouped forward and backward, O alone.
+        {
+            FakeQuantizer fq(kQuantSeed);
+            Rng init(72);
+            Attention attn(cfg, 0, init, &fq, &rope);
+            OrderTap tap;
+            for (int r = 0; r < 4; ++r) {
+                attn.linear(attn_roles[r]).setScheme(kMixed[r]);
+                attn.linear(attn_roles[r]).setTap(&tap, r);
+            }
+            const Tensor y = attn.forward(x, batch, seq);
+            const Tensor dx = attn.backward(dy);
+
+            FakeQuantizer ref_fq(kQuantSeed);
+            std::vector<RefLinear> ref;
+            for (LayerRole role : attn_roles)
+                ref.emplace_back(attn.linear(role));
+            Tensor q = refForward(ref_fq, ref[0], x);
+            Tensor k = refForward(ref_fq, ref[1], x);
+            Tensor v = refForward(ref_fq, ref[2], x);
+            rope.apply(q, batch, seq, cfg.n_heads);
+            rope.apply(k, batch, seq, cfg.n_kv_heads);
+            Tensor probs(batch * cfg.n_heads * seq, seq);
+            Tensor ctx(rows, cfg.n_heads * cfg.headDim());
+            attentionForwardCore(shape, q.data(), k.data(), v.data(),
+                                 probs.data(), ctx.data());
+            const Tensor ref_y = refForward(ref_fq, ref[3], ctx);
+            const Tensor dctx = refBackward(ref_fq, ref[3], dy);
+            Tensor dq(q.shape()), dk(k.shape()), dv(v.shape());
+            attentionBackwardCore(shape, q.data(), k.data(), v.data(),
+                                  probs.data(), dctx.data(), dq.data(),
+                                  dk.data(), dv.data());
+            rope.apply(dq, batch, seq, cfg.n_heads, /*inverse=*/true);
+            rope.apply(dk, batch, seq, cfg.n_kv_heads, /*inverse=*/true);
+            Tensor ref_dx = refBackward(ref_fq, ref[0], dq);
+            const Tensor dxk = refBackward(ref_fq, ref[1], dk);
+            const Tensor dxv = refBackward(ref_fq, ref[2], dv);
+            for (int64_t i = 0; i < ref_dx.numel(); ++i)
+                ref_dx.data()[i] += dxk.data()[i] + dxv.data()[i];
+
+            EXPECT_TRUE(sameBits(y, ref_y));
+            EXPECT_TRUE(sameBits(dx, ref_dx));
+            for (int r = 0; r < 4; ++r)
+                EXPECT_TRUE(sameBits(attn.linear(attn_roles[r]).grad(),
+                                     ref[static_cast<size_t>(r)].grad))
+                    << "layer " << r;
+            EXPECT_EQ(fq.rng().state(), ref_fq.rng().state());
+            EXPECT_EQ(tap.fwd, (std::vector<int>{0, 1, 2, 3}));
+            EXPECT_EQ(tap.bwd, (std::vector<int>{3, 0, 1, 2}));
+            EXPECT_FALSE(tap.off_thread);
+        }
+
+        // SwiGLU: Gate/Up grouped forward and backward, Down alone.
+        {
+            FakeQuantizer fq(kQuantSeed);
+            Rng init(73);
+            SwiGluMlp mlp(cfg, 0, init, &fq);
+            for (int r = 0; r < 3; ++r)
+                mlp.linear(mlp_roles[r]).setScheme(kMixed[r + 1]);
+            const Tensor y = mlp.forward(x);
+            const Tensor dx = mlp.backward(dy);
+
+            FakeQuantizer ref_fq(kQuantSeed);
+            std::vector<RefLinear> ref;
+            for (LayerRole role : mlp_roles)
+                ref.emplace_back(mlp.linear(role));
+            const Tensor g = refForward(ref_fq, ref[0], x);
+            const Tensor u = refForward(ref_fq, ref[1], x);
+            Tensor sg(g.shape()), h(g.shape());
+            for (int64_t i = 0; i < g.numel(); ++i) {
+                const float gi = g.data()[i];
+                const float sig = 1.0f / (1.0f + std::exp(-gi));
+                sg.data()[i] = gi * sig;
+                h.data()[i] = sg.data()[i] * u.data()[i];
+            }
+            const Tensor ref_y = refForward(ref_fq, ref[2], h);
+            const Tensor dh = refBackward(ref_fq, ref[2], dy);
+            Tensor dg(g.shape()), du(g.shape());
+            for (int64_t i = 0; i < g.numel(); ++i) {
+                const float gi = g.data()[i];
+                du.data()[i] = dh.data()[i] * sg.data()[i];
+                const float sig = 1.0f / (1.0f + std::exp(-gi));
+                const float dsilu = sig * (1.0f + gi * (1.0f - sig));
+                dg.data()[i] = dh.data()[i] * u.data()[i] * dsilu;
+            }
+            Tensor ref_dx = refBackward(ref_fq, ref[0], dg);
+            const Tensor dxu = refBackward(ref_fq, ref[1], du);
+            for (int64_t i = 0; i < ref_dx.numel(); ++i)
+                ref_dx.data()[i] += dxu.data()[i];
+
+            EXPECT_TRUE(sameBits(y, ref_y));
+            EXPECT_TRUE(sameBits(dx, ref_dx));
+            for (int r = 0; r < 3; ++r)
+                EXPECT_TRUE(sameBits(mlp.linear(mlp_roles[r]).grad(),
+                                     ref[static_cast<size_t>(r)].grad))
+                    << "layer " << r;
+            EXPECT_EQ(fq.rng().state(), ref_fq.rng().state());
+        }
     }
 }
 

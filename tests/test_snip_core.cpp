@@ -409,7 +409,7 @@ TEST(SnipOptimizer, PipelineGroupsBalanceStages)
     DivergenceTable table =
         analyzer.analyze(makeOptionSet(OptionSetKind::Standard));
 
-    // tinyTestModel has 4 blocks; with no explicit split the ILP takes
+    // tinyTestModel has 4 blocks; the ILP groups them by
     // evenStageSplit's (2+2, 2+1+1, 1+1+1+1), never an empty stage.
     const int n_blocks =
         static_cast<int>(f.trainer.model().config().n_blocks);

@@ -11,19 +11,22 @@
 #include <sstream>
 #include <vector>
 
+#include "nn/linear.h"
 #include "runtime/thread_pool.h"
 #include "telemetry/obs.h"
 #include "tensor/gemm.h"
+#include "util/rng.h"
 #include "alloc_counter.h"
 #include "testing_util.h"
 
 namespace snip {
 namespace {
 
-/** Fixed instrumented workload: per-shape GEMMs, a strided batch, and
- *  bare parallelFor traffic. Every counter it
- *  bumps is a pure function of these shapes, never of the thread
- *  count. */
+/** Fixed instrumented workload: per-shape GEMMs, a strided batch, a
+ *  grouped Linear backward (two layers' Dgrads beside their Wgrads, with
+ *  FP4 stochastic-rounded gradients), and bare parallelFor traffic.
+ *  Every counter it bumps is a pure function of these shapes, never of
+ *  the thread count. */
 void
 runWorkload()
 {
@@ -38,6 +41,21 @@ runWorkload()
     gemmBatchedNT(a.data(), 16 * 64, b.data(), 0, c.data(), 16 * 6,
                   /*count=*/8, /*m=*/16, /*n=*/6, /*k=*/64,
                   /*group=*/8);
+
+    FakeQuantizer fq(3);
+    Rng rng(4);
+    Linear l0("l0", 48, 64, rng, 0.1f, &fq);
+    Linear l1("l1", 32, 64, rng, 0.1f, &fq);
+    Linear *const layers[] = {&l0, &l1};
+    const Tensor x = Tensor::randn({128, 64}, rng);
+    Tensor dys[2], dxs[2];
+    for (int i = 0; i < 2; ++i) {
+        layers[i]->setScheme(
+            LayerScheme{{Precision::FP8, Precision::FP4, Precision::FP4}});
+        dys[i] = layers[i]->forward(x);
+    }
+    Linear::backwardMany(layers, dys, 2, dxs);
+
     runtime::parallelFor(0, 1000, 16, [](int64_t, int64_t) {});
 }
 
@@ -90,7 +108,8 @@ TEST(Telemetry, FoldDeterminismAcrossThreadCounts)
     }
     // The workload really did count something.
     const int64_t *timer_calls = ref + telemetry::kNumCounters;
-    EXPECT_EQ(timer_calls[static_cast<int>(telemetry::Timer::Gemm)], 3);
+    // Three plain GEMMs, two forwards, two Dgrads and two Wgrads.
+    EXPECT_EQ(timer_calls[static_cast<int>(telemetry::Timer::Gemm)], 9);
     EXPECT_GT(timer_calls[static_cast<int>(telemetry::Timer::PoolJob)], 0);
     EXPECT_GT(ref[static_cast<int>(telemetry::Counter::PoolChunks)], 0);
     EXPECT_EQ(
